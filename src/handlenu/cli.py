@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", cmd_search, "minimize over admissible orderings of the handles")
     p.add_argument("trace", help="trace JSON file")
     p.add_argument("--budget", type=_positive_int, default=10000,
-                   help="max orderings to replay (default 10000)")
+                   help="max orderings to cover, in lexicographic order (default 10000)")
     p.add_argument("--all-orderings", action="store_true",
                    help="ignore the budget and enumerate everything")
 

@@ -189,10 +189,6 @@ def total_betti(desc: Descriptor) -> int:
     return betti(desc).total
 
 
-def is_connected(desc: Descriptor) -> bool:
-    return betti(desc).betti[0] == 1
-
-
 def _key(desc: Descriptor) -> tuple:
     # Fixed total order on variants: Sphere < Surface < Product < ConnectedSum
     # < Explicit, then lexicographic on parameters.
@@ -285,6 +281,14 @@ def pretty(desc: Descriptor) -> str:
 # {"type": "explicit", "dim": 3, "betti": [1, 0, 0, 1], "label": "..."}
 
 
+def json_int(value, field: str) -> int:
+    """An integer field of a JSON document.  Floats, numeric strings and
+    booleans are refused with TypeError rather than coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{field!r} must be an integer, got {value!r}")
+    return value
+
+
 def descriptor_to_json(desc: Descriptor) -> dict:
     if isinstance(desc, Sphere):
         return {"type": "sphere", "n": desc.n}
@@ -314,16 +318,16 @@ def descriptor_from_json(data) -> Descriptor:
     kind = data["type"]
     try:
         if kind == "sphere":
-            return Sphere(int(data["n"]))
+            return Sphere(json_int(data["n"], "n"))
         if kind == "surface":
-            return Surface(int(data["genus"]), bool(data.get("orientable", True)))
+            return Surface(json_int(data["genus"], "genus"), bool(data.get("orientable", True)))
         if kind == "product":
             return Product(descriptor_from_json(data["left"]), descriptor_from_json(data["right"]))
         if kind == "connected-sum":
             return ConnectedSum(tuple(descriptor_from_json(p) for p in data["parts"]))
         if kind == "explicit":
-            dim = int(data["dim"])
-            vec = HomologyVector(dim, tuple(int(b) for b in data["betti"]))
+            dim = json_int(data["dim"], "dim")
+            vec = HomologyVector(dim, tuple(json_int(b, "betti") for b in data["betti"]))
             return Explicit(dim, vec, str(data.get("label", "")))
     except KeyError as exc:
         raise DescriptorError(f"descriptor of type {kind!r} is missing field {exc}") from exc
@@ -444,8 +448,8 @@ def chain_complex_to_json(cc: RationalChainComplex) -> dict:
 def chain_complex_from_json(data) -> RationalChainComplex:
     try:
         return RationalChainComplex(
-            int(data["dim"]),
-            tuple(int(c) for c in data["cells"]),
+            json_int(data["dim"], "dim"),
+            tuple(json_int(c, "cells") for c in data["cells"]),
             tuple(
                 tuple(tuple(Fraction(str(x)) for x in row) for row in mat)
                 for mat in data["boundaries"]

@@ -16,6 +16,7 @@ justification and whose upper side carries a replayable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
 from typing import Iterator, Sequence
 
 from .homology import betti, total_betti
@@ -28,7 +29,7 @@ from .trace import (
     OrderedHandleDecomposition,
     TraceError,
     anchors_of,
-    id_sort_key,
+    attach,
     reorder,
     replay,
 )
@@ -129,7 +130,8 @@ def lower_bound_rules(
     evenness_ok = oriented and m == 3
     if trace is not None:
         states = replay(trace)
-        comps = [c for s in states for c in s.components]
+        # Ids name the event that made a component, so this lists each once.
+        comps = list({c.id: c for s in states for c in s.components}.values())
         visible = bool(comps)
         orientable_ok = oriented and all(betti(c.desc).palindromic for c in comps)
         evenness_ok = (
@@ -248,35 +250,176 @@ class Bound:
             raise ValueError(f"inconsistent bound: lower {self.lower} exceeds upper {self.upper}")
 
 
+class _IdealSearch:
+    """Memoized walk over the lattice of order ideals of the dependency poset.
+
+    An ideal is an int bitmask of placed original positions (bit ``j - 1``
+    for handle ``j``).  In a valid trace every component id is consumed at
+    most once and every move is local, so the free boundary after placing an
+    ideal depends only on the ideal, not on the order its handles went in;
+    children are built by attaching the handle under its original label,
+    which is what anchors name.  Walks keep only the states of the ideals on
+    their stack, plus the replay's own prefix states, which are free.
+    """
+
+    def __init__(self, d: OrderedHandleDecomposition, states: Sequence[BoundaryState],
+                 cap: int | None):
+        deps = _dependencies(d)
+        self.d = d
+        self.need = [sum(1 << (i - 1) for i in deps[j]) for j in range(1, d.delta + 1)]
+        self.full = (1 << d.delta) - 1
+        self.cap = cap
+        self.known = {(1 << k) - 1: state for k, state in enumerate(states)}
+        self.counts: dict[int, int] = {}
+        self.values: dict[int, int] = {}
+        self.totals: dict[str, int] = {}
+
+    def e(self, state: BoundaryState) -> int:
+        """``e_mu`` of a state.  A component id names the event that made it,
+        so each component's total Betti number is computed once per search."""
+        totals = self.totals
+        for c in state.components:
+            if c.id not in totals:
+                totals[c.id] = total_betti(c.desc)
+        return max((totals[c.id] for c in state.components), default=0)
+
+    def children(self, ideal: int) -> Iterator[int]:
+        """Admissible next positions (0-based), smallest first."""
+        free = ~ideal & self.full
+        while free:
+            low = free & -free
+            j = low.bit_length() - 1
+            if not self.need[j] & ~ideal:
+                yield j
+            free ^= low
+
+    def child_state(self, state: BoundaryState, ideal: int, j: int) -> BoundaryState:
+        known = self.known.get(ideal | 1 << j)
+        if known is not None:
+            return known
+        return attach(state, self.d.handles[j], label=f"h:{j + 1}", m=self.d.m)
+
+    def count(self, root: int) -> int:
+        """Admissible orderings of the handles outside ``root``, saturated at ``cap``."""
+        counts, cap = self.counts, self.cap
+        # Frames: [ideal, children, orderings so far]; the full ideal has one.
+        stack = [[root, self.children(root), int(root == self.full)]]
+        while root not in counts:
+            frame = stack[-1]
+            ideal, children, acc = frame
+            j = next(children, None) if cap is None or acc < cap else None
+            if j is None:
+                stack.pop()
+                counts[ideal] = acc if cap is None else min(acc, cap)
+                if stack:
+                    stack[-1][2] += counts[ideal]
+                continue
+            child = ideal | 1 << j
+            if child in counts:
+                frame[2] += counts[child]
+            else:
+                stack.append([child, self.children(child), int(child == self.full)])
+        return counts[root]
+
+    def value(self, root: int, state: BoundaryState) -> int:
+        """max(e(root), rest(root)): the smallest largest ``e_mu`` over all
+        completions of ``root``, counting ``root`` itself."""
+        values = self.values
+
+        def frame(ideal: int, state: BoundaryState) -> list:
+            # [ideal, state, children, e, rest]; nothing follows the full ideal.
+            rest = 0 if ideal == self.full else math.inf
+            return [ideal, state, self.children(ideal), self.e(state), rest]
+
+        stack = [frame(root, state)]
+        while root not in values:
+            top = stack[-1]
+            ideal, state, children, e, rest = top
+            j = next(children, None)
+            if j is None:
+                stack.pop()
+                values[ideal] = max(e, rest)
+                if stack:
+                    stack[-1][4] = min(stack[-1][4], values[ideal])
+                continue
+            child = ideal | 1 << j
+            if child in values:
+                top[4] = min(rest, values[child])
+            else:
+                stack.append(frame(child, self.child_state(state, ideal, j)))
+        return values[root]
+
+    def budgeted(self, state: BoundaryState, budget: int) -> tuple[int, list[int], int]:
+        """Best value over the first ``budget`` orderings in depth-first
+        lexicographic order, the path to the subtree that first attains it,
+        and that subtree's root ideal.
+
+        Children whose orderings all fit in the remaining budget are taken
+        whole through :meth:`value`; the first child that does not fit is
+        entered, and holds the rest of the budget.
+        """
+        ideal, path, running = 0, [], self.e(state)
+        best: tuple[int, list[int], int] | None = None
+        remaining = budget
+        while remaining:
+            for j in self.children(ideal):
+                child = ideal | 1 << j
+                child_state = self.child_state(state, ideal, j)
+                covered = self.count(child)
+                if covered > remaining:
+                    ideal, state = child, child_state
+                    path.append(j)
+                    running = max(running, self.e(child_state))
+                    break
+                candidate = max(running, self.value(child, child_state))
+                if best is None or candidate < best[0]:
+                    best = (candidate, path + [j], child)
+                remaining -= covered
+                if not remaining:
+                    break
+        if best is None:
+            raise RuntimeError("no admissible ordering covered")
+        return best
+
+    def witness(self, path: list[int], root: int, target: int) -> tuple[int, ...]:
+        """The lexicographically first ordering through ``path`` and ``root``
+        whose value stays within ``target``; needs :meth:`value` of ``root``."""
+        order = [j + 1 for j in path]
+        ideal = root
+        while ideal != self.full:
+            j = next(j for j in self.children(ideal) if self.values[ideal | 1 << j] <= target)
+            order.append(j + 1)
+            ideal |= 1 << j
+        return tuple(order)
+
+
 def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> Bound:
     """Minimize the ordering value over admissible orders of the fixed handles.
 
-    Enumeration is depth-first lexicographic; ``budget`` caps the number of
-    replayed orderings, and ``exhaustive`` reports whether the whole space
-    fit inside it.  The witness is a replayable decomposition attaining the
-    upper value.
+    The search runs over order ideals of the anchor-dependency poset (see
+    :class:`_IdealSearch`), so each set of placed handles is evaluated once
+    however many orderings reach it.  ``enumerated`` counts the admissible
+    orderings covered, without replaying them; ``budget`` caps that count,
+    taking orderings in depth-first lexicographic order, and ``exhaustive``
+    reports whether all of them fit.  The witness is the lexicographically
+    first covered ordering attaining the upper value, as a replayable
+    decomposition.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of orderings, got {budget}")
     states = replay(d)
 
-    best: int | None = None
-    best_order: tuple[int, ...] | None = None
-    enumerated = 0
-    exhaustive = True
-    for order in iter_linear_extensions(d):
-        if budget is not None and enumerated >= budget:
-            exhaustive = False
-            break
-        enumerated += 1
-        evaluation = nu_of_ordering(reorder(d, order))
-        if best is None or evaluation.nu < best:
-            best = evaluation.nu
-            best_order = order
-    if best is None or best_order is None:
-        # Unreachable: a positive budget always admits the first extension,
-        # and even a handle-free trace has the empty ordering.
-        raise RuntimeError("no admissible ordering enumerated")
+    search = _IdealSearch(d, states, cap=None if budget is None else budget + 1)
+    total = search.count(0)
+    if budget is None or total <= budget:
+        # The empty ideal's e_mu is 0 without a base, so it counts exactly
+        # when the base is non-empty, as in nu_of_ordering.
+        best, path, root = search.value(0, states[0]), [], 0
+        enumerated, exhaustive = total, True
+    else:
+        best, path, root = search.budgeted(states[0], budget)
+        enumerated, exhaustive = budget, False
+    best_order = search.witness(path, root, best)
 
     closed = not d.base and not states[-1].components
     lb = lower_bound_rules(d.m, closed=closed, trace=d)
@@ -368,7 +511,3 @@ def nu_bounds(
     summary_upper = max(b.upper for _, b in per_base) if bases_complete else None
     return NuBoundsReport(per_base, summary_lower, reasons, summary_upper, bases_complete)
 
-
-def smallest_component_key(comp_id: str) -> tuple:
-    """Sort key re-export for report consumers."""
-    return id_sort_key(comp_id)

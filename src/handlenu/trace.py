@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .homology import (
     Descriptor,
@@ -45,6 +45,7 @@ from .homology import (
     descriptor_from_json,
     descriptor_to_json,
     dimension,
+    json_int,
     normalize,
     pretty,
 )
@@ -519,7 +520,9 @@ def _attachment_from_json(data) -> Attachment:
             if curve_data["kind"] == "nonseparating":
                 curve = NonSeparating()
             elif curve_data["kind"] == "separating":
-                curve = Separating(int(curve_data["g1"]), int(curve_data["g2"]))
+                curve = Separating(
+                    json_int(curve_data["g1"], "g1"), json_int(curve_data["g2"], "g2")
+                )
             else:
                 raise TraceError(f"unknown curve kind {curve_data['kind']!r}")
             return Dim3Two(str(data["anchor"]), curve)
@@ -547,12 +550,12 @@ def trace_from_json(data) -> OrderedHandleDecomposition:
     if not isinstance(data, dict):
         raise TraceError("trace document must be a JSON object")
     try:
-        m = int(data["m"])
+        m = json_int(data["m"], "m")
         if not isinstance(data["base"], list) or not isinstance(data["handles"], list):
             raise TraceError("'base' and 'handles' must be arrays")
         base = tuple(descriptor_from_json(desc) for desc in data["base"])
         handles = tuple(
-            HandleRecord(int(h["index"]), _attachment_from_json(h["attachment"]))
+            HandleRecord(json_int(h["index"], "index"), _attachment_from_json(h["attachment"]))
             for h in data["handles"]
         )
     except KeyError as exc:
@@ -568,11 +571,3 @@ def canonical_dumps(obj) -> str:
     """Stable JSON rendering; byte-identical across runs for equal inputs."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
-
-def iter_states_pretty(states: Sequence[BoundaryState]) -> Iterator[str]:
-    for state in states:
-        if not state.components:
-            yield f"mu={state.mu}: (empty)"
-        else:
-            comps = ", ".join(f"{c.id} {pretty(c.desc)}" for c in state.components)
-            yield f"mu={state.mu}: {comps}"

@@ -19,6 +19,7 @@ from handlenu.homology import (
     Surface,
 )
 from handlenu.trace import (
+    Declared,
     Dim3One,
     Dim3Three,
     Dim3Two,
@@ -41,12 +42,22 @@ def _genus(desc: Descriptor) -> int:
     return desc.genus if isinstance(desc, Surface) else 0
 
 
-def _random_handles(rng, comps: dict[str, int], count: int, start: int):
-    """Append up to ``count`` random legal moves; ``comps`` maps id -> genus."""
+def _random_handles(rng, comps: dict[str, int], count: int, start: int, declared: float = 0.0):
+    """Append up to ``count`` random legal moves; ``comps`` maps id -> genus.
+
+    With ``declared`` > 0, each move is, with that probability, a ``Declared``
+    record restating the whole boundary as 0-2 random surfaces.
+    """
     handles = []
     for offset in range(count):
         j = start + offset
         label = f"h:{j}"
+        if declared and rng.random() < declared:
+            surfaces = [random_surface(rng) for _ in range(rng.randint(0, 2))]
+            handles.append(HandleRecord(rng.randint(0, 3), Declared(tuple(surfaces))))
+            comps.clear()
+            comps.update({f"{label}/{i}": _genus(desc) for i, desc in enumerate(surfaces)})
+            continue
         ids = sorted(comps)
         moves = ["zero"]
         if ids:
@@ -92,6 +103,7 @@ def random_trace(
     max_handles: int = 6,
     allow_base: bool = True,
     ensure_boundary: bool = False,
+    declared: float = 0.0,
 ) -> OrderedHandleDecomposition:
     while True:
         base: tuple[Descriptor, ...] = ()
@@ -100,7 +112,7 @@ def random_trace(
         comps = {f"base:{i}": _genus(desc) for i, desc in enumerate(base)}
         low = 0 if base else 1
         count = rng.randint(low, max_handles)
-        handles = _random_handles(rng, comps, count, start=1)
+        handles = _random_handles(rng, comps, count, start=1, declared=declared)
         if base and not handles and ensure_boundary:
             pass  # a bare collar still has boundary; fall through
         if comps or not ensure_boundary:

@@ -187,3 +187,61 @@ def test_malformed_documents_are_validation_failures(tmp_path, capsys):
     not_json = tmp_path / "not.json"
     not_json.write_text("not json")
     assert main(["validate", str(not_json)]) == EXIT_INVALID
+
+
+def _trace_doc(m=3, index=1, genus=1, sphere_n=2, g1=0, g2=1, explicit_dim=2, betti=(1, 0, 1)):
+    """A valid surface-calculus trace whose integer fields can be swapped out."""
+    return {
+        "m": m,
+        "base": [
+            {"type": "surface", "genus": genus},
+            {"type": "sphere", "n": sphere_n},
+            {"type": "explicit", "dim": explicit_dim, "betti": list(betti), "label": "S2"},
+        ],
+        "handles": [
+            {"index": index, "attachment": {"type": "one", "a": "base:0", "b": "base:1"}},
+            {"index": 2, "attachment": {"type": "two", "anchor": "h:1",
+                                        "curve": {"kind": "separating", "g1": g1, "g2": g2}}},
+        ],
+    }
+
+
+def test_strict_loader_accepts_the_valid_document(tmp_path, capsys):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_trace_doc()))
+    assert main(["search", str(path), "--json"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"m": 3.9, "genus": 2.7},
+        {"m": 3.0},
+        {"m": True},
+        {"m": "3"},
+        {"index": 1.0},
+        {"index": True},
+        {"index": "1"},
+        {"genus": 2.7},
+        {"genus": False},
+        {"genus": "1"},
+        {"sphere_n": 2.0},
+        {"sphere_n": True},
+        {"g1": 0.0},
+        {"g2": True},
+        {"explicit_dim": 2.0},
+        {"explicit_dim": "2"},
+        {"betti": (1, 0.0, 1)},
+        {"betti": (True, 0, 1)},
+        {"betti": (1, "0", 1)},
+    ],
+    ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()),
+)
+def test_non_integer_fields_exit_2_with_a_message(tmp_path, capsys, fields):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_trace_doc(**fields)))
+    for argv in (["search", str(path), "--json"], ["compute", str(path)]):
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer" in captured.err

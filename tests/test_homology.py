@@ -258,3 +258,12 @@ def test_chain_complex_json_round_trip():
     again = chain_complex_from_json(chain_complex_to_json(cc))
     assert again == cc
     assert chain_betti(again) == chain_betti(cc)
+
+
+@pytest.mark.parametrize("field,value", [("dim", 2.0), ("dim", True), ("cells", [4, 6.0, 4]),
+                                         ("cells", [4, 6, True]), ("cells", ["4", 6, 4])])
+def test_chain_complex_loader_requires_integers(field, value):
+    doc = chain_complex_to_json(tetrahedron_complex())
+    doc[field] = value
+    with pytest.raises(DescriptorError, match="must be an integer"):
+        chain_complex_from_json(doc)

@@ -1,0 +1,156 @@
+"""The order-ideal search against the brute-force search it replaced.
+
+``brute_force_search`` is the old loop kept as an oracle: enumerate the
+admissible orderings, reorder, replay and evaluate every one.  The ideal
+search must return the same ``Bound`` field by field, witness JSON
+included, with and without a budget.
+"""
+
+import functools
+import random
+
+from hypothesis import given, seed, settings, strategies as st
+
+from handlenu.homology import total_betti
+from handlenu.nu import (
+    Bound,
+    iter_linear_extensions,
+    lower_bound_rules,
+    nu_of_ordering,
+    search_min_nu,
+)
+from handlenu.trace import (
+    Declared,
+    Dim3One,
+    Dim3Three,
+    Dim3Two,
+    Dim3Zero,
+    HandleRecord,
+    NonSeparating,
+    OrderedHandleDecomposition,
+    replay,
+    reorder,
+    trace_to_json,
+)
+from gen import random_trace
+
+
+def brute_force_search(d: OrderedHandleDecomposition, budget: int | None = None,
+                       evaluate=None) -> Bound:
+    """``evaluate(order)`` may memoize ``nu_of_ordering(reorder(d, order)).nu``
+    when one trace is searched under many budgets."""
+    if evaluate is None:
+        evaluate = lambda order: nu_of_ordering(reorder(d, order)).nu
+    states = replay(d)
+    best = None
+    best_order = None
+    enumerated = 0
+    exhaustive = True
+    for order in iter_linear_extensions(d):
+        if budget is not None and enumerated >= budget:
+            exhaustive = False
+            break
+        enumerated += 1
+        value = evaluate(order)
+        if best is None or value < best:
+            best = value
+            best_order = order
+    closed = not d.base and not states[-1].components
+    lb = lower_bound_rules(d.m, closed=closed, trace=d)
+    return Bound(
+        lower=lb.value,
+        upper=best,
+        exhaustive=exhaustive,
+        enumerated=enumerated,
+        lower_reasons=lb.reasons,
+        witness=reorder(d, best_order) if best_order else d,
+        witness_order=best_order,
+    )
+
+
+def assert_same_bound(got: Bound, want: Bound) -> None:
+    assert got.lower == want.lower
+    assert got.upper == want.upper
+    assert got.exhaustive == want.exhaustive
+    assert got.enumerated == want.enumerated
+    assert got.lower_reasons == want.lower_reasons
+    assert got.witness_order == want.witness_order
+    assert got.witness_note == want.witness_note
+    assert trace_to_json(got.witness) == trace_to_json(want.witness)
+    assert got == want
+
+
+def genus_one_chains(count: int) -> OrderedHandleDecomposition:
+    """``count`` independent chains 0-, 1-, 2-, 3-handle, each a genus-one splitting."""
+    handles = []
+    for _ in range(count):
+        a = len(handles) + 1
+        handles += [
+            HandleRecord(0, Dim3Zero()),
+            HandleRecord(1, Dim3One(f"h:{a}", f"h:{a}")),
+            HandleRecord(2, Dim3Two(f"h:{a + 1}", NonSeparating())),
+            HandleRecord(3, Dim3Three(f"h:{a + 2}")),
+        ]
+    return OrderedHandleDecomposition(3, (), tuple(handles))
+
+
+def test_ideal_search_matches_oracle_on_seeded_traces():
+    rng = random.Random(9301)
+    declared_seen = 0
+    for k in range(400):
+        d = random_trace(rng, max_handles=7, declared=0.15 if k % 2 else 0.0)
+        declared_seen += any(isinstance(h.attachment, Declared) for h in d.handles)
+        assert_same_bound(search_min_nu(d), brute_force_search(d))
+    assert declared_seen >= 50
+
+
+def test_ideal_search_matches_oracle_on_every_budget():
+    rng = random.Random(9302)
+    for k in range(120):
+        d = random_trace(rng, max_handles=6, declared=0.15 if k % 3 == 0 else 0.0)
+        total = sum(1 for _ in iter_linear_extensions(d))
+        evaluate = functools.cache(lambda order: nu_of_ordering(reorder(d, order)).nu)
+        for budget in range(1, total + 2):
+            assert_same_bound(search_min_nu(d, budget), brute_force_search(d, budget, evaluate))
+
+
+@seed(9303)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    declared=st.sampled_from([0.0, 0.25]),
+    budget=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+)
+def test_ideal_search_matches_oracle_hypothesis(rng, declared, budget):
+    d = random_trace(rng, max_handles=6, declared=declared)
+    assert_same_bound(search_min_nu(d, budget), brute_force_search(d, budget))
+
+
+def test_search_pinned_by_declared_records():
+    d = random_trace(random.Random(9304), max_handles=6, declared=1.0)
+    assert list(iter_linear_extensions(d)) == [tuple(range(1, d.delta + 1))]
+    assert_same_bound(search_min_nu(d), brute_force_search(d))
+
+
+def test_four_chains_search_is_exhaustive():
+    # 16! / (4!)^4 orderings, far too many to replay one by one; the ideal
+    # lattice has only 5^4 elements.
+    bound = search_min_nu(genus_one_chains(4))
+    assert bound.exhaustive and bound.enumerated == 63063000
+    assert (bound.lower, bound.upper) == (4, 4)
+    assert bound.witness_order == tuple(range(1, 17))
+
+
+def test_wide_budget_search_needs_no_recursion():
+    # 1,500 independent 0-handles: far deeper than Python's recursion limit.
+    d = OrderedHandleDecomposition(3, (), tuple(HandleRecord(0, Dim3Zero()) for _ in range(1500)))
+    bound = search_min_nu(d, budget=1)
+    assert bound.enumerated == 1 and bound.exhaustive is False
+    assert bound.witness_order == tuple(range(1, 1501))
+    # The witness replays; without a base every component shows at some
+    # prefix mu >= 1, so its value is the largest total Betti number of any
+    # component, here one per 0-handle sphere.
+    states = replay(bound.witness)
+    components = {c.id: c for state in states for c in state.components}
+    assert len(components) == 1500
+    assert max(total_betti(c.desc) for c in components.values()) == bound.upper == 2
