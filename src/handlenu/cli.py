@@ -2,7 +2,8 @@
 
 Subcommands: compute, search, compose, obstruct, refute, catalog, validate.
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 a theorem
-check failed (which signals an engine bug, not bad input).  Output is
+check failed (which signals an engine bug, not bad input).  Input nested
+too deeply for the recursion limit is invalid input and exits 2.  Output is
 deterministic; ``--json`` renders the report as a stable document with no
 timestamps.
 """
@@ -10,12 +11,13 @@ timestamps.
 from __future__ import annotations
 
 import argparse
+from dataclasses import asdict
 import json
 import sys
 
 from . import catalog as catalog_mod
-from .homology import DescriptorError, pretty, total_betti
-from .nu import Bound, heegaard_upper, nu_of_ordering, search_min_nu
+from .homology import DescriptorError, json_str, pretty
+from .nu import Bound, nu_of_ordering, search_min_nu
 from .obstruction import (
     betti1_floor,
     graph_from_json,
@@ -33,7 +35,7 @@ from .trace import (
     trace_to_json,
     validate,
 )
-from .union import GlueError, GlueSpec, check_key_inequality, compose
+from .union import GlueError, GlueSpec, check_key_inequality
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,14 +103,7 @@ def _mu_table(d: OrderedHandleDecomposition) -> tuple[list[str], dict]:
             f"nu(ordering) = {evaluation.nu}   achieved at mu={evaluation.argmax_mu}"
             f" by {evaluation.argmax_component}   [{mu_note}]"
         )
-    result = {
-        "e_values": list(evaluation.e_values),
-        "mu_start": evaluation.mu_start,
-        "nu": evaluation.nu,
-        "argmax_mu": evaluation.argmax_mu,
-        "argmax_component": evaluation.argmax_component,
-    }
-    return lines, result
+    return lines, asdict(evaluation)
 
 
 def cmd_compute(args) -> int:
@@ -171,36 +166,33 @@ def cmd_compose(args) -> int:
     dn = _load_trace(args.second)
     glue_doc = _load_json(args.glue)
     try:
-        glue = GlueSpec(tuple((str(a), str(b)) for a, b in glue_doc["pairs"]))
+        pairs = [(json_str(a, "glue id"), json_str(b, "glue id")) for a, b in glue_doc["pairs"]]
     except (KeyError, TypeError) as exc:
         raise GlueError(f"glue file must contain a 'pairs' list of id pairs: {exc}") from exc
+    glue = GlueSpec(tuple(pairs))
 
-    composite = compose(dm, dn, glue)
+    report = check_key_inequality(dm, dn, glue)
+    composite = report.composite
     lines = [
-        f"first part: {dm.delta} handles, nu(ordering) = {nu_of_ordering(dm).nu}",
-        f"second part: {dn.delta} handles, nu(ordering) = {nu_of_ordering(dn).nu}",
+        f"first part: {dm.delta} handles, nu(ordering) = {report.nu_first}",
+        f"second part: {dn.delta} handles, nu(ordering) = {report.nu_second}",
         f"composite: {composite.delta} handles over {len(composite.base)} base components, "
-        f"nu(ordering) = {nu_of_ordering(composite).nu}",
+        f"nu(ordering) = {report.lhs}",
     ]
     result = {
         "composite": trace_to_json(composite),
-        "nu_first": nu_of_ordering(dm).nu,
-        "nu_second": nu_of_ordering(dn).nu,
-        "nu_composite": nu_of_ordering(composite).nu,
+        "nu_first": report.nu_first,
+        "nu_second": report.nu_second,
+        "nu_composite": report.lhs,
     }
     code = EXIT_OK
     if args.check:
-        report = check_key_inequality(dm, dn, glue)
         verdict = "holds" if report.holds else "VIOLATED (engine bug)"
         lines.append(f"check: {report.lhs} <= max({report.nu_first}, {report.nu_second}) "
                      f"= {report.rhs} {verdict}  [case: {report.case}]")
         lines.extend(f"  - {step}" for step in report.steps)
         result["check"] = {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "holds": report.holds,
-            "case": report.case,
-            "steps": list(report.steps),
+            key: getattr(report, key) for key in ("lhs", "rhs", "holds", "case", "steps")
         }
         code = inequality_exit_code(report.holds)
     if args.out:
@@ -257,12 +249,7 @@ def cmd_refute(args) -> int:
             f"refuted: target handle count {args.hW} exceeds the fixed budget "
             f"{verdict.max_pieces} pieces x {args.hmax} = {verdict.max_handles}"
         )
-    result = {
-        "decomposable_possible": verdict.decomposable_possible,
-        "max_pieces": verdict.max_pieces,
-        "max_handles": verdict.max_handles,
-        "h_w": args.hW,
-    }
+    result = {**asdict(verdict), "h_w": args.hW}
     _emit(args, {"command": "refute", "result": result, "warnings": []}, [line])
     return EXIT_OK
 
@@ -293,13 +280,7 @@ def cmd_catalog(args) -> int:
             for item in report.items
         ]
         lines.append(f"{'all checks passed' if report.ok else 'CHECKS FAILED'}")
-        result = {
-            "ok": report.ok,
-            "items": [
-                {"entry": i.entry, "check": i.check, "ok": i.ok, "detail": i.detail}
-                for i in report.items
-            ],
-        }
+        result = {"ok": report.ok, **asdict(report)}
         _emit(args, {"command": "catalog-verify", "result": result, "warnings": []}, lines)
         return EXIT_OK if report.ok else EXIT_THEOREM
 
@@ -344,11 +325,7 @@ def cmd_validate(args) -> int:
     for warning in report.warnings:
         lines.append(f"warning: {warning}")
     lines.append("OK" if report.ok else f"{len(report.violations)} violation(s)")
-    result = {
-        "ok": report.ok,
-        "violations": [{"mu": v.mu, "message": v.message} for v in report.violations],
-        "warnings": list(report.warnings),
-    }
+    result = {"ok": report.ok, **asdict(report)}
     _emit(args, {"command": "validate", "result": result, "warnings": list(report.warnings)}, lines)
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -414,6 +391,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_INVALID
 
 

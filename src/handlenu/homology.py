@@ -289,6 +289,13 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_str(value, field: str) -> str:
+    """A string field of a JSON document; other values are refused with TypeError."""
+    if type(value) is not str:
+        raise TypeError(f"{field!r} must be a string, got {value!r}")
+    return value
+
+
 def descriptor_to_json(desc: Descriptor) -> dict:
     if isinstance(desc, Sphere):
         return {"type": "sphere", "n": desc.n}
@@ -320,7 +327,10 @@ def descriptor_from_json(data) -> Descriptor:
         if kind == "sphere":
             return Sphere(json_int(data["n"], "n"))
         if kind == "surface":
-            return Surface(json_int(data["genus"], "genus"), bool(data.get("orientable", True)))
+            orientable = data.get("orientable", True)
+            if type(orientable) is not bool:
+                raise TypeError(f"'orientable' must be a boolean, got {orientable!r}")
+            return Surface(json_int(data["genus"], "genus"), orientable)
         if kind == "product":
             return Product(descriptor_from_json(data["left"]), descriptor_from_json(data["right"]))
         if kind == "connected-sum":
@@ -328,7 +338,7 @@ def descriptor_from_json(data) -> Descriptor:
         if kind == "explicit":
             dim = json_int(data["dim"], "dim")
             vec = HomologyVector(dim, tuple(json_int(b, "betti") for b in data["betti"]))
-            return Explicit(dim, vec, str(data.get("label", "")))
+            return Explicit(dim, vec, json_str(data.get("label", ""), "label"))
     except KeyError as exc:
         raise DescriptorError(f"descriptor of type {kind!r} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

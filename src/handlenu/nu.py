@@ -30,6 +30,7 @@ from .trace import (
     TraceError,
     anchors_of,
     attach,
+    id_sort_key,
     reorder,
     replay,
 )
@@ -192,7 +193,7 @@ def _dependencies(d: OrderedHandleDecomposition) -> dict[int, set[int]]:
     for j, handle in enumerate(d.handles, start=1):
         for anchor in anchors_of(handle):
             if anchor.startswith("h:"):
-                i = int(anchor[2:].partition("/")[0])
+                _, i, _ = id_sort_key(anchor)
                 if not 1 <= i < j:
                     raise TraceError(
                         f"handle {j} anchors {anchor!r}, which is not an earlier handle"
@@ -488,17 +489,13 @@ def nu_bounds(
                 )
         prev = combined.get(label)
         if prev is not None:
-            bound = Bound(
+            # The better upper side keeps its witness; the lower sides combine.
+            kept = prev if prev.upper <= bound.upper else bound
+            bound = replace(
+                kept,
                 lower=max(prev.lower, bound.lower),
-                upper=min(prev.upper, bound.upper),
-                exhaustive=prev.exhaustive if prev.upper <= bound.upper else bound.exhaustive,
                 enumerated=prev.enumerated + bound.enumerated,
                 lower_reasons=tuple(dict.fromkeys(prev.lower_reasons + bound.lower_reasons)),
-                witness=prev.witness if prev.upper <= bound.upper else bound.witness,
-                witness_order=(
-                    prev.witness_order if prev.upper <= bound.upper else bound.witness_order
-                ),
-                witness_note=prev.witness_note if prev.upper <= bound.upper else bound.witness_note,
             )
         combined[label] = bound
 

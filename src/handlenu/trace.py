@@ -32,9 +32,9 @@ bit-exactly through :func:`canonical_dumps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import json
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .homology import (
     Descriptor,
@@ -46,6 +46,7 @@ from .homology import (
     descriptor_to_json,
     dimension,
     json_int,
+    json_str,
     normalize,
     pretty,
 )
@@ -178,15 +179,27 @@ class HandleRecord:
     attachment: Attachment
 
 
+# The fields of each attachment kind that hold anchors.
+_ANCHOR_FIELDS = {Dim3One: ("a", "b"), Dim3Two: ("anchor",), Dim3Three: ("anchor",)}
+
+
 def anchors_of(record: HandleRecord) -> tuple[str, ...]:
     att = record.attachment
-    if isinstance(att, Dim3One):
-        return (att.a, att.b) if att.a != att.b else (att.a,)
-    if isinstance(att, Dim3Two):
-        return (att.anchor,)
-    if isinstance(att, Dim3Three):
-        return (att.anchor,)
-    return ()
+    return tuple(dict.fromkeys(getattr(att, f) for f in _ANCHOR_FIELDS.get(type(att), ())))
+
+
+def map_anchors(att: Attachment, fn: Callable[[str], str]) -> Attachment:
+    """The attachment with every anchor replaced by ``fn(anchor)``."""
+    return replace(att, **{f: fn(getattr(att, f)) for f in _ANCHOR_FIELDS.get(type(att), ())})
+
+
+def rename_anchor(anchor: str, relabel: dict[str, str]) -> str | None:
+    """Rename the anchor's event id through ``relabel``, keeping any ``/k``
+    suffix; ``None`` when ``relabel`` does not name the event."""
+    event, sep, sub = anchor.partition("/")
+    if event not in relabel:
+        return None
+    return relabel[event] + sep + sub
 
 
 @dataclass(frozen=True)
@@ -315,24 +328,6 @@ def replay(d: OrderedHandleDecomposition) -> tuple[BoundaryState, ...]:
     return tuple(states)
 
 
-def _remap_anchor(anchor: str, relabel: dict[str, str]) -> str:
-    main, sep, sub = anchor.partition("/")
-    if main in relabel:
-        return relabel[main] + sep + sub
-    return anchor
-
-
-def _remap_record(record: HandleRecord, relabel: dict[str, str]) -> HandleRecord:
-    att = record.attachment
-    if isinstance(att, Dim3One):
-        att = Dim3One(_remap_anchor(att.a, relabel), _remap_anchor(att.b, relabel))
-    elif isinstance(att, Dim3Two):
-        att = Dim3Two(_remap_anchor(att.anchor, relabel), att.curve)
-    elif isinstance(att, Dim3Three):
-        att = Dim3Three(_remap_anchor(att.anchor, relabel))
-    return HandleRecord(record.index, att)
-
-
 def reorder(d: OrderedHandleDecomposition, order: Sequence[int]) -> OrderedHandleDecomposition:
     """Permute handles; ``order[i]`` is the original 1-based position placed i-th.
 
@@ -344,7 +339,10 @@ def reorder(d: OrderedHandleDecomposition, order: Sequence[int]) -> OrderedHandl
     if sorted(order) != list(range(1, d.delta + 1)):
         raise TraceError(f"order must be a permutation of 1..{d.delta}, got {list(order)}")
     relabel = {f"h:{orig}": f"h:{new}" for new, orig in enumerate(order, start=1)}
-    handles = tuple(_remap_record(d.handles[orig - 1], relabel) for orig in order)
+    handles = tuple(
+        HandleRecord(h.index, map_anchors(h.attachment, lambda a: rename_anchor(a, relabel) or a))
+        for h in (d.handles[orig - 1] for orig in order)
+    )
     return OrderedHandleDecomposition(d.m, d.base, handles)
 
 
@@ -514,7 +512,7 @@ def _attachment_from_json(data) -> Attachment:
         if kind == "zero":
             return Dim3Zero()
         if kind == "one":
-            return Dim3One(str(data["a"]), str(data["b"]))
+            return Dim3One(json_str(data["a"], "a"), json_str(data["b"], "b"))
         if kind == "two":
             curve_data = data["curve"]
             if curve_data["kind"] == "nonseparating":
@@ -525,9 +523,9 @@ def _attachment_from_json(data) -> Attachment:
                 )
             else:
                 raise TraceError(f"unknown curve kind {curve_data['kind']!r}")
-            return Dim3Two(str(data["anchor"]), curve)
+            return Dim3Two(json_str(data["anchor"], "anchor"), curve)
         if kind == "three":
-            return Dim3Three(str(data["anchor"]))
+            return Dim3Three(json_str(data["anchor"], "anchor"))
         if kind == "declared":
             return Declared(tuple(descriptor_from_json(c) for c in data["components"]))
     except KeyError as exc:

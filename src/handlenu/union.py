@@ -19,15 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .homology import desc_equal, pretty, total_betti
+from .homology import desc_equal, pretty
 from .nu import NuEvaluation, e_mu, nu_of_ordering
 from .trace import (
     Declared,
-    Dim3One,
-    Dim3Three,
-    Dim3Two,
     HandleRecord,
     OrderedHandleDecomposition,
+    base_state,
+    map_anchors,
+    rename_anchor,
     replay,
 )
 
@@ -69,16 +69,17 @@ def compose(
     first-part ids; internal second-part anchors shift past the first part's
     handles, so id collisions cannot occur.  Declared records in the second
     part additionally carry the unglued first-part remainder, which stays
-    free boundary throughout the suffix.
+    free boundary throughout the suffix; declared records in the first part
+    likewise carry the unglued second-part base, which stays free boundary
+    throughout the prefix.
     """
     if dm.m != dn.m:
         raise GlueError(f"ambient dimensions differ: {dm.m} vs {dn.m}")
     final = replay(dm)[-1]
     final_by_id = {c.id: c for c in final.components}
-    n_base_count = len(dn.base)
 
-    glued_m_ids = set()
-    base_map: dict[str, str] = {}
+    # Second-part event ids to composite ids.
+    relabel = {f"h:{j}": f"h:{dm.delta + j}" for j in range(1, dn.delta + 1)}
     for m_id, n_id in glue.pairs:
         if m_id not in final_by_id:
             raise GlueError(
@@ -88,48 +89,41 @@ def compose(
         if not n_id.startswith("base:"):
             raise GlueError(f"second-side glue target must be a base id, got {n_id!r}")
         idx = int(n_id[5:])
-        if not 0 <= idx < n_base_count:
+        if not 0 <= idx < len(dn.base):
             raise GlueError(f"second part base has no component {n_id!r}")
         if not desc_equal(final_by_id[m_id].desc, dn.base[idx]):
             raise GlueError(
                 f"descriptor mismatch on pair ({m_id}, {n_id}): "
                 f"{pretty(final_by_id[m_id].desc)} vs {pretty(dn.base[idx])}"
             )
-        glued_m_ids.add(m_id)
-        base_map[n_id] = m_id
+        relabel[n_id] = m_id
 
-    kept_base = []
-    for i, desc in enumerate(dn.base):
-        n_id = f"base:{i}"
-        if n_id not in base_map:
-            base_map[n_id] = f"base:{len(dm.base) + len(kept_base)}"
-            kept_base.append(desc)
+    kept = [i for i in range(len(dn.base)) if f"base:{i}" not in relabel]
+    kept_base = tuple(dn.base[i] for i in kept)
+    handles, carried = [], [f"base:{len(dm.base) + k}" for k in range(len(kept))]
+    for j, handle in enumerate(dm.handles, start=1):
+        att = handle.attachment
+        if isinstance(att, Declared):
+            carried = [f"h:{j}/{len(att.components) + k}" for k in range(len(kept))]
+            handle = HandleRecord(handle.index, Declared(att.components + kept_base))
+        handles.append(handle)
+    relabel.update(zip((f"base:{i}" for i in kept), carried))
 
-    remainder = tuple(c.desc for c in final.components if c.id not in glued_m_ids)
-    alpha = dm.delta
-    relabel = {f"h:{j}": f"h:{alpha + j}" for j in range(1, dn.delta + 1)}
+    glued = {m_id for m_id, _ in glue.pairs}
+    remainder = tuple(c.desc for c in final.components if c.id not in glued)
 
     def remap(anchor: str) -> str:
-        main, sep, sub = anchor.partition("/")
-        if main in relabel:
-            return relabel[main] + sep + sub
-        if main in base_map:
-            return base_map[main] + sep + sub
-        raise GlueError(f"second part anchors unknown component {anchor!r}")
+        renamed = rename_anchor(anchor, relabel)
+        if renamed is None:
+            raise GlueError(f"second part anchors unknown component {anchor!r}")
+        return renamed
 
-    handles = list(dm.handles)
     for handle in dn.handles:
-        att = handle.attachment
-        if isinstance(att, Dim3One):
-            att = Dim3One(remap(att.a), remap(att.b))
-        elif isinstance(att, Dim3Two):
-            att = Dim3Two(remap(att.anchor), att.curve)
-        elif isinstance(att, Dim3Three):
-            att = Dim3Three(remap(att.anchor))
-        elif isinstance(att, Declared):
+        att = map_anchors(handle.attachment, remap)
+        if isinstance(att, Declared):
             att = Declared(att.components + remainder)
         handles.append(HandleRecord(handle.index, att))
-    return OrderedHandleDecomposition(dm.m, dm.base + tuple(kept_base), tuple(handles))
+    return OrderedHandleDecomposition(dm.m, dm.base + kept_base, tuple(handles))
 
 
 @dataclass(frozen=True)
@@ -163,9 +157,9 @@ def check_key_inequality(
     glue: GlueSpec,
 ) -> InequalityReport:
     """Build the concatenated ordering and verify lhs <= max(parts)."""
+    composite = compose(dm, dn, glue)
     nu_first = nu_of_ordering(dm).nu
     nu_second = nu_of_ordering(dn).nu
-    composite = compose(dm, dn, glue)
     evaluation = nu_of_ordering(composite)
     lhs = evaluation.nu
     rhs = max(nu_first, nu_second)
@@ -190,14 +184,13 @@ def check_key_inequality(
         )
     elif comp_id is not None and comp_id.startswith("base:") and int(comp_id[5:]) >= len(dm.base):
         case = "base-component"
-        e0_second = e_mu(replay(dn)[0])
-        base_total = total_betti(composite.base[int(comp_id[5:])])
+        e0_second = e_mu(base_state(dn))
         steps.append(
             f"maximum is a preserved base component of the second part with total "
-            f"Betti {base_total}; it already appears in that part's initial boundary, "
-            f"so {base_total} <= {e0_second} <= {nu_second}"
+            f"Betti {lhs}; it already appears in that part's initial boundary, "
+            f"so {lhs} <= {e0_second} <= {nu_second}"
         )
-        steps.append(f"chain checks: {base_total <= e0_second} and {e0_second <= nu_second}")
+        steps.append(f"chain checks: {lhs <= e0_second} and {e0_second <= nu_second}")
     else:
         case = "first-prefix"
         steps.append(

@@ -119,10 +119,11 @@ def random_trace(
             return OrderedHandleDecomposition(3, base, tuple(handles))
 
 
-def random_composable_pair(rng: random.Random, max_handles: int = 6):
+def random_composable_pair(rng: random.Random, max_handles: int = 6, declared: float = 0.0):
     """A pair of traces plus a glue matching some of the first one's final
-    boundary against the second one's base."""
-    dm = random_trace(rng, max_handles=max_handles, ensure_boundary=True)
+    boundary against the second one's base.  ``declared`` is passed on to the
+    move generator of both parts (see :func:`_random_handles`)."""
+    dm = random_trace(rng, max_handles=max_handles, ensure_boundary=True, declared=declared)
     final = replay(dm)[-1].components
     chosen = rng.sample(list(final), rng.randint(1, len(final)))
 
@@ -138,7 +139,7 @@ def random_composable_pair(rng: random.Random, max_handles: int = 6):
         if kind == "C"
     )
     comps = {f"base:{i}": _genus(desc) for i, desc in enumerate(base)}
-    handles = _random_handles(rng, comps, rng.randint(0, max_handles), start=1)
+    handles = _random_handles(rng, comps, rng.randint(0, max_handles), start=1, declared=declared)
     dn = OrderedHandleDecomposition(3, base, tuple(handles))
     return dm, dn, GlueSpec(pairs)
 

@@ -11,7 +11,19 @@ from handlenu.cli import (
     main,
 )
 from handlenu.catalog import lookup, solid_torus_trace
-from handlenu.trace import canonical_dumps, dualize, trace_from_json, trace_to_json
+from handlenu.homology import Sphere
+from handlenu.trace import (
+    Dim3One,
+    Dim3Two,
+    Dim3Zero,
+    HandleRecord,
+    NonSeparating,
+    OrderedHandleDecomposition,
+    canonical_dumps,
+    dualize,
+    trace_from_json,
+    trace_to_json,
+)
 
 
 def write_trace(tmp_path, name, trace):
@@ -245,3 +257,102 @@ def test_non_integer_fields_exit_2_with_a_message(tmp_path, capsys, fields):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be an integer" in captured.err
+
+
+def _set_in(path, value):
+    """A mutation of ``_trace_doc()`` that sets the field at ``path``."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set_in(("base", 0, "orientable"), "false"), "'orientable' must be a boolean"),
+        (_set_in(("base", 0, "orientable"), 1), "'orientable' must be a boolean"),
+        (_set_in(("base", 2, "label"), ["x"]), "'label' must be a string"),
+        (_set_in(("handles", 0, "attachment", "a"), 0), "'a' must be a string"),
+        (_set_in(("handles", 0, "attachment", "b"), ["base:1"]), "'b' must be a string"),
+        (_set_in(("handles", 1, "attachment", "anchor"), None), "'anchor' must be a string"),
+    ],
+    ids=["orientable-string", "orientable-int", "label", "a", "b", "anchor"],
+)
+def test_non_string_and_non_bool_fields_exit_2_with_a_message(tmp_path, capsys, mutate, message):
+    doc = _trace_doc()
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_explicit_orientable_true_still_loads(tmp_path, capsys):
+    doc = _trace_doc()
+    doc["base"][0]["orientable"] = True
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path)]) == EXIT_OK
+
+
+def test_non_string_glue_id_exits_2_with_a_message(tmp_path, capsys):
+    solid = solid_torus_trace()
+    first = write_trace(tmp_path, "m.json", solid)
+    second = write_trace(tmp_path, "n.json", dualize(solid))
+    glue = tmp_path / "glue.json"
+    glue.write_text(json.dumps({"pairs": [["h:2", 0]]}))
+    assert main(["compose", first, second, "--glue", str(glue), "--check"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'glue id' must be a string" in captured.err
+
+
+# 900 products of circles loads and validates as the base of an m = 902 trace
+# and then overflows the recursion limit while rendering the table; 5000
+# overflows inside the JSON decoder.
+@pytest.mark.parametrize("depth, m", [(900, 902), (5000, 3)])
+def test_deeply_nested_descriptor_exits_2(tmp_path, capsys, depth, m):
+    sphere = '{"type": "sphere", "n": 1}'
+    desc = '{"type": "product", "left": ' * depth + sphere + f', "right": {sphere}}}' * depth
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"m": {m}, "base": [{desc}], "handles": []}}')
+    assert main(["compute", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested too deeply" in captured.err
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, monkeypatch, check):
+    import handlenu.trace as trace_mod
+
+    # alpha = 3 first-part handles, beta = 2 second-part handles.
+    first = OrderedHandleDecomposition(3, (), (
+        HandleRecord(0, Dim3Zero()),
+        HandleRecord(0, Dim3Zero()),
+        HandleRecord(1, Dim3One("h:1", "h:2")),
+    ))
+    second = OrderedHandleDecomposition(3, (Sphere(2),), (
+        HandleRecord(1, Dim3One("base:0", "base:0")),
+        HandleRecord(2, Dim3Two("h:1", NonSeparating())),
+    ))
+    paths = [write_trace(tmp_path, "m.json", first), write_trace(tmp_path, "n.json", second)]
+    glue = tmp_path / "glue.json"
+    glue.write_text(json.dumps({"pairs": [["h:3", "base:0"]]}))
+    calls = []
+    attach = trace_mod.attach
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return attach(*args, **kwargs)
+
+    monkeypatch.setattr(trace_mod, "attach", counting)
+    assert main(["compose", *paths, "--glue", str(glue), "--json", *check]) == EXIT_OK
+    # The first part is replayed by its own evaluation, by compose (for its
+    # final boundary) and inside the composite; the second part twice.
+    assert len(calls) == 3 * 3 + 2 * 2

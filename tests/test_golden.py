@@ -1,0 +1,178 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Every file under ``tests/golden/`` is the exact stdout of one command (or a
+file one command wrote) on the inputs built by :func:`write_inputs`.  After
+an intended output change, rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+from contextlib import redirect_stdout
+import io
+import os
+from pathlib import Path
+import sys
+import tempfile
+
+import pytest
+
+from handlenu.catalog import solid_torus_trace
+from handlenu.cli import EXIT_INVALID, EXIT_OK, main
+from handlenu.homology import Explicit, HomologyVector, Sphere, Surface
+from handlenu.trace import (
+    Declared,
+    Dim3One,
+    Dim3Three,
+    Dim3Zero,
+    HandleRecord,
+    OrderedHandleDecomposition,
+    canonical_dumps,
+    dualize,
+    trace_to_json,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+TORUS = Explicit(2, HomologyVector(2, (1, 2, 1)), "declared torus")
+TWO_SPHERES = OrderedHandleDecomposition(
+    3, (), (HandleRecord(0, Dim3Zero()), HandleRecord(0, Dim3Zero()))
+)
+
+# Name -> (first part, second part, glue pairs); each reaches one case of
+# the union checker, and "declared" has a Declared record in its second part.
+PAIRS = {
+    "double": (solid_torus_trace(), dualize(solid_torus_trace()), [["h:2", "base:0"]]),
+    "base-component": (
+        solid_torus_trace(),
+        OrderedHandleDecomposition(3, (Surface(3), Surface(1)), ()),
+        [["h:2", "base:1"]],
+    ),
+    "second-suffix": (
+        OrderedHandleDecomposition(3, (), (HandleRecord(0, Dim3Zero()),)),
+        OrderedHandleDecomposition(
+            3,
+            (Sphere(2),),
+            (
+                HandleRecord(1, Dim3One("base:0", "base:0")),
+                HandleRecord(1, Dim3One("h:1", "h:1")),
+            ),
+        ),
+        [["h:1", "base:0"]],
+    ),
+    "declared": (
+        TWO_SPHERES,
+        OrderedHandleDecomposition(3, (Sphere(2),), (HandleRecord(2, Declared((TORUS,))),)),
+        [["h:1", "base:0"]],
+    ),
+}
+
+# A closed trace with a Declared record whose second component is later
+# capped through a "/k" anchor.
+DECLARED_TRACE = OrderedHandleDecomposition(
+    3,
+    (),
+    (
+        HandleRecord(0, Dim3Zero()),
+        HandleRecord(0, Dim3Zero()),
+        HandleRecord(1, Dim3One("h:1", "h:2")),
+        HandleRecord(2, Declared((TORUS, Sphere(2)))),
+        HandleRecord(3, Dim3Three("h:4/1")),
+        HandleRecord(3, Declared(())),
+    ),
+)
+
+
+# Structurally broken: an index that does not fit its move, and a declared
+# component of the wrong dimension.
+INVALID_TRACE = OrderedHandleDecomposition(
+    3,
+    (Surface(1),),
+    (HandleRecord(1, Dim3Zero()), HandleRecord(2, Declared((Sphere(3),)))),
+)
+
+
+def write_inputs(directory: Path) -> None:
+    def dump(name: str, doc) -> None:
+        (directory / name).write_text(canonical_dumps(doc), encoding="utf-8")
+
+    for name, (first, second, pairs) in PAIRS.items():
+        dump(f"{name}-m.json", trace_to_json(first))
+        dump(f"{name}-n.json", trace_to_json(second))
+        dump(f"{name}-glue.json", {"pairs": pairs})
+    dump("declared-trace.json", trace_to_json(DECLARED_TRACE))
+    dump("invalid-trace.json", trace_to_json(INVALID_TRACE))
+
+
+def cases() -> list[tuple[str, list[str], tuple[str, ...], int]]:
+    """(golden stdout file, argv, files the command writes, exit code)."""
+    found = []
+    for name in PAIRS:
+        argv = ["compose", f"{name}-m.json", f"{name}-n.json", "--glue", f"{name}-glue.json"]
+        for check in ([], ["--check"]):
+            for form, ext in (([], "txt"), (["--json"], "json")):
+                stem = "-".join(["compose", name] + [flag[2:] for flag in check])
+                found.append((f"{stem}.{ext}", argv + check + form, (), EXIT_OK))
+    found.append((
+        "compose-double-check-out.txt",
+        ["compose", "double-m.json", "double-n.json", "--glue", "double-glue.json",
+         "--check", "--out", "compose-double-out.json"],
+        ("compose-double-out.json",),
+        EXIT_OK,
+    ))
+    for form, ext in (([], "txt"), (["--json"], "json")):
+        for command in ("compute", "search", "validate"):
+            found.append(
+                (f"{command}-declared.{ext}", [command, "declared-trace.json"] + form, (), EXIT_OK)
+            )
+        found.append(
+            (f"validate-invalid.{ext}", ["validate", "invalid-trace.json"] + form, (), EXIT_INVALID)
+        )
+    found.append(("catalog-verify.json", ["catalog", "--verify", "--json"], (), EXIT_OK))
+    return found
+
+
+def run_case(directory: Path, argv: list[str], written: tuple[str, ...]) -> tuple[int, str, dict]:
+    """Exit code, stdout and the written files of one command run in ``directory``."""
+    cwd = os.getcwd()
+    out = io.StringIO()
+    os.chdir(directory)
+    try:
+        with redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    files = {name: (directory / name).read_text(encoding="utf-8") for name in written}
+    return code, out.getvalue(), files
+
+
+@pytest.mark.parametrize("case", cases(), ids=lambda case: case[0])
+def test_output_matches_golden(tmp_path, case):
+    golden, argv, written, expected_code = case
+    write_inputs(tmp_path)
+    code, stdout, files = run_case(tmp_path, argv, written)
+    assert code == expected_code
+    assert stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+    for name, text in files.items():
+        assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        write_inputs(directory)
+        for golden, argv, written, expected_code in cases():
+            code, stdout, files = run_case(directory, argv, written)
+            if code != expected_code:
+                sys.exit(f"{' '.join(argv)} exited {code}")
+            for name, text in {golden: stdout, **files}.items():
+                (GOLDEN / name).write_text(text, encoding="utf-8")
+                print(f"wrote {name}")
+
+
+if __name__ == "__main__":
+    record()

@@ -28,9 +28,11 @@ from handlenu.trace import (
     ReplayError,
     Separating,
     TraceError,
+    anchors_of,
     attach,
     canonical_dumps,
     dualize,
+    rename_anchor,
     reorder,
     replay,
     trace_from_json,
@@ -214,6 +216,31 @@ def test_reorder_remaps_anchors():
     ]
     with pytest.raises(TraceError):
         reorder(d, (1, 1, 2, 3))
+
+
+def test_rename_anchor_keeps_the_suffix():
+    relabel = {"h:2": "h:5", "base:0": "h:1"}
+    assert rename_anchor("h:2", relabel) == "h:5"
+    assert rename_anchor("h:2/1", relabel) == "h:5/1"
+    assert rename_anchor("base:0", relabel) == "h:1"
+    assert rename_anchor("h:20", relabel) is None
+    assert rename_anchor("h:3/0", relabel) is None
+
+
+def test_reorder_round_trips_on_seeded_traces():
+    rng = random.Random(9401)
+    suffixed = 0
+    for _ in range(300):
+        d = random_trace(rng, max_handles=7, declared=0.2)
+        order = list(range(1, d.delta + 1))
+        rng.shuffle(order)
+        inverse = [0] * d.delta
+        for new, orig in enumerate(order, start=1):
+            inverse[orig - 1] = new
+        assert reorder(reorder(d, order), inverse) == d
+        suffixed += any("/" in a for h in d.handles for a in anchors_of(h))
+    # The stream exercises anchors into split and declared components.
+    assert suffixed >= 20
 
 
 def test_validate_clean_traces():

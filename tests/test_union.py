@@ -8,8 +8,10 @@ from handlenu.nu import nu_of_ordering
 from handlenu.trace import (
     Declared,
     Dim3One,
+    Dim3Two,
     Dim3Zero,
     HandleRecord,
+    NonSeparating,
     OrderedHandleDecomposition,
     dualize,
     replay,
@@ -139,6 +141,51 @@ def test_compose_rewrites_declared_suffix():
     assert sorted(final.descriptors(), key=repr) == sorted([piece, Sphere(2)], key=repr)
 
 
+def test_compose_declared_first_part_carries_the_unglued_base():
+    # The first part's declared record restates only its own boundary; the
+    # second part's unglued genus-two base component must stay free through
+    # it, under an id the second part's anchor is rewritten to.
+    first = OrderedHandleDecomposition(
+        3, (), (HandleRecord(0, Dim3Zero()), HandleRecord(2, Declared((Sphere(2),))))
+    )
+    second = OrderedHandleDecomposition(
+        3,
+        (Sphere(2), Surface(2)),
+        (HandleRecord(2, Dim3Two("base:1", NonSeparating())),),
+    )
+    glue = GlueSpec((("h:2/0", "base:0"),))
+    composite = compose(first, second, glue)
+    assert composite.handles[1].attachment == Declared((Sphere(2), Surface(2)))
+    assert composite.handles[2].attachment == Dim3Two("h:2/1", NonSeparating())
+    assert [sorted(s.descriptors(), key=repr) for s in replay(composite)] == [
+        [Surface(2)],
+        [Sphere(2), Surface(2)],
+        [Sphere(2), Surface(2)],
+        [Sphere(2), Surface(1)],
+    ]
+    report = check_key_inequality(first, second, glue)
+    assert report.holds and report.case == "base-component" and report.lhs == 6
+
+
+def test_compose_prefix_and_suffix_reproduce_parts_with_declared_records():
+    rng = random.Random(8305)
+    for _ in range(100):
+        dm, dn, glue = random_composable_pair(rng, declared=0.25)
+        alpha = dm.delta
+        states = replay(compose(dm, dn, glue))
+        m_states, n_states = replay(dm), replay(dn)
+        glued_first = {a for a, _ in glue.pairs}
+        glued_second = {b for _, b in glue.pairs}
+        remainder = [c.desc for c in m_states[-1].components if c.id not in glued_first]
+        kept = [d for i, d in enumerate(dn.base) if f"base:{i}" not in glued_second]
+        for mu in range(alpha + 1):
+            expect = list(m_states[mu].descriptors()) + kept
+            assert sorted(states[mu].descriptors(), key=repr) == sorted(expect, key=repr)
+        for j in range(dn.delta + 1):
+            expect = list(n_states[j].descriptors()) + remainder
+            assert sorted(states[alpha + j].descriptors(), key=repr) == sorted(expect, key=repr)
+
+
 def test_inequality_base_component_case():
     # A high-genus preserved base component of the second part dominates.
     first = solid_torus_trace()
@@ -172,6 +219,19 @@ def test_inequality_on_random_pairs():
         dm, dn, glue = random_composable_pair(rng)
         report = check_key_inequality(dm, dn, glue)
         assert report.holds, report.steps
+
+
+def test_inequality_on_random_pairs_with_declared_records():
+    rng = random.Random(8304)
+    declared_parts = {"first": 0, "second": 0}
+    for _ in range(200):
+        dm, dn, glue = random_composable_pair(rng, declared=0.25)
+        for name, part in (("first", dm), ("second", dn)):
+            declared_parts[name] += any(isinstance(h.attachment, Declared) for h in part.handles)
+        report = check_key_inequality(dm, dn, glue)
+        assert report.holds, report.steps
+        assert report.lhs == nu_of_ordering(report.composite).nu
+    assert min(declared_parts.values()) >= 20, declared_parts
 
 
 def test_chain_single_part():
