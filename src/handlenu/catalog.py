@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import Explicit, HomologyVector, Product, Sphere, Surface, betti, pretty
+from .homology import Explicit, HomologyVector, Product, Sphere, Surface, pretty, total_betti
 from .nu import heegaard_upper, lower_bound_rules, nu_of_ordering
 from .trace import (
     Declared,
@@ -531,7 +531,7 @@ def _scenario_quiet_double() -> list[CheckItem]:
     trace = entry.traces[0][1]
     states = replay(trace)
     middles = [c.desc for s in states[1:-1] for c in s.components]
-    quiet = all(betti(desc).total == 2 for desc in middles)
+    quiet = all(total_betti(desc) == 2 for desc in middles)
     return [
         CheckItem(
             "double-tangent-s2",

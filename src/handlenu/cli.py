@@ -2,10 +2,10 @@
 
 Subcommands: compute, search, compose, obstruct, refute, catalog, validate.
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 a theorem
-check failed (which signals an engine bug, not bad input).  Input nested
-too deeply for the recursion limit is invalid input and exits 2.  Output is
-deterministic; ``--json`` renders the report as a stable document with no
-timestamps.
+check failed (which signals an engine bug, not bad input).  Descriptors are
+evaluated without recursion, so only reading the JSON limits nesting: deeper
+input is invalid and exits 2.  Output is deterministic; ``--json`` renders
+the report as a stable document with no timestamps.
 """
 
 from __future__ import annotations
@@ -378,10 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -2,11 +2,18 @@
 
 Descriptors form a small grammar -- spheres, orientable surfaces, products,
 connected sums, and explicit Betti data -- rich enough to name every closed
-manifold this package puts on a boundary.  Betti numbers are derived
-symbolically (Kunneth convolution for products, rank additivity for
-connected sums) and all arithmetic is exact: plain integers for Betti
-vectors, `fractions.Fraction` inside chain-complex elimination.  Ranks over
-the rationals agree with ranks over the reals, so exactness costs nothing.
+manifold this package puts on a boundary.  Each descriptor node computes its
+facts once, when it is built, from its parts' facts: ``dim``, ``ranks`` (the
+nonzero Betti numbers as sorted ``(degree, rank)`` pairs), their sum
+``total``, and the order ``key`` (sphere < surface < product < connected sum
+< explicit, then by parameters).  Products apply Kunneth over pairs of
+nonzero degrees, connected sums add middle degrees, and spheres and surfaces
+take constant work.  The facts are not dataclass fields, so equality,
+hashing and ``repr`` stay structural.  :func:`normalize`, :func:`pretty` and
+:func:`descriptor_to_json` share one bottom-up walk with an explicit stack.
+All arithmetic is exact: plain integers for Betti numbers,
+`fractions.Fraction` inside chain-complex elimination.  Ranks over the
+rationals agree with ranks over the reals, so exactness costs nothing.
 
 Descriptor equality, used for gluing compatibility elsewhere, is structural
 equality after :func:`normalize`.  This deliberately under-approximates
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 
 class DescriptorError(ValueError):
@@ -57,15 +64,26 @@ class HomologyVector:
         return self.betti == self.betti[::-1]
 
 
+def _record(node, dim: int, ranks: tuple[tuple[int, int], ...], total: int, key: tuple) -> None:
+    facts = node.__dict__  # past the frozen dataclass's __setattr__
+    facts["dim"] = dim
+    facts["ranks"] = ranks
+    facts["total"] = total
+    facts["key"] = key
+
+
 @dataclass(frozen=True)
 class Sphere:
     """The standard n-sphere, n >= 1."""
 
     n: int
+    parts = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DescriptorError(f"sphere dimension must be >= 1, got {self.n}")
+        n = self.n
+        if n < 1:
+            raise DescriptorError(f"sphere dimension must be >= 1, got {n}")
+        _record(self, n, ((0, 1), (n, 1)), 2, (0, n))
 
 
 @dataclass(frozen=True)
@@ -78,14 +96,18 @@ class Surface:
 
     genus: int
     orientable: bool = True
+    parts = ()
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise DescriptorError(f"genus must be non-negative, got {self.genus}")
+        g = self.genus
+        if g < 0:
+            raise DescriptorError(f"genus must be non-negative, got {g}")
         if not self.orientable:
             raise DescriptorError(
                 "non-orientable surfaces are only representable as Explicit descriptors"
             )
+        ranks = ((0, 1), (1, 2 * g), (2, 1)) if g else ((0, 1), (2, 1))
+        _record(self, 2, ranks, 2 + 2 * g, (1, g))
 
 
 @dataclass(frozen=True)
@@ -94,6 +116,21 @@ class Product:
 
     left: "Descriptor"
     right: "Descriptor"
+
+    def __post_init__(self):
+        left, right = self.left, self.right
+        ranks: dict[int, int] = {}
+        for i, a in left.ranks:
+            for j, b in right.ranks:
+                ranks[i + j] = ranks.get(i + j, 0) + a * b
+        _record(
+            self, left.dim + right.dim, tuple(sorted(ranks.items())), left.total * right.total,
+            (2, left.key, right.key),
+        )
+
+    @property
+    def parts(self) -> tuple["Descriptor", "Descriptor"]:
+        return (self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -106,18 +143,24 @@ class ConnectedSum:
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise DescriptorError("connected sum needs at least one summand")
-        dims = {dimension(p) for p in self.parts}
+        dims = {p.dim for p in self.parts}
         if len(dims) != 1:
             raise DescriptorError(f"connected-sum summands have mixed dimensions {sorted(dims)}")
         (n,) = dims
         if n < 2:
             raise DescriptorError(f"connected sum needs dimension >= 2, got {n}")
+        ranks = {0: 1, n: 1}
         for p in self.parts:
-            if not betti(p).palindromic:
+            if not palindromic(p):
                 raise DescriptorError(
                     "connected-sum summands must be closed orientable "
                     f"(non-palindromic Betti vector in {p!r})"
                 )
+            for k, r in p.ranks:
+                if 0 < k < n:
+                    ranks[k] = ranks.get(k, 0) + r
+        key = (3, tuple(p.key for p in self.parts))
+        _record(self, n, tuple(sorted(ranks.items())), sum(ranks.values()), key)
 
 
 @dataclass(frozen=True)
@@ -127,82 +170,77 @@ class Explicit:
     dim: int
     homology: HomologyVector
     label: str = ""
+    parts = ()
 
     def __post_init__(self):
+        betti = self.homology.betti
         if self.dim != self.homology.dim:
             raise DescriptorError(
                 f"declared dimension {self.dim} disagrees with Betti data "
                 f"of dimension {self.homology.dim}"
             )
+        ranks = tuple((k, b) for k, b in enumerate(betti) if b)
+        _record(self, self.dim, ranks, sum(betti), (4, self.dim, betti, self.label))
 
 
 Descriptor = Union[Sphere, Surface, Product, ConnectedSum, Explicit]
 
 
 def dimension(desc: Descriptor) -> int:
-    if isinstance(desc, Sphere):
-        return desc.n
-    if isinstance(desc, Surface):
-        return 2
-    if isinstance(desc, Product):
-        return dimension(desc.left) + dimension(desc.right)
-    if isinstance(desc, ConnectedSum):
-        return dimension(desc.parts[0])
-    if isinstance(desc, Explicit):
-        return desc.dim
-    raise DescriptorError(f"not a descriptor: {desc!r}")
+    return desc.dim
 
 
 def betti(desc: Descriptor) -> HomologyVector:
     """Rational Betti vector of the closed manifold the descriptor names."""
-    if isinstance(desc, Sphere):
-        b = [0] * (desc.n + 1)
-        b[0] = 1
-        b[desc.n] += 1  # n = 1 stacks both generators in one degree pair (1, 1)
-        return HomologyVector(desc.n, tuple(b))
-    if isinstance(desc, Surface):
-        return HomologyVector(2, (1, 2 * desc.genus, 1))
-    if isinstance(desc, Product):
-        lv, rv = betti(desc.left), betti(desc.right)
-        d = lv.dim + rv.dim
-        b = [0] * (d + 1)
-        for i, bi in enumerate(lv.betti):
-            for j, bj in enumerate(rv.betti):
-                b[i + j] += bi * bj
-        return HomologyVector(d, tuple(b))
-    if isinstance(desc, ConnectedSum):
-        n = dimension(desc)
-        b = [0] * (n + 1)
-        b[0] = b[n] = 1
-        for p in desc.parts:
-            pv = betti(p)
-            for k in range(1, n):
-                b[k] += pv.betti[k]
-        return HomologyVector(n, tuple(b))
-    if isinstance(desc, Explicit):
-        return desc.homology
-    raise DescriptorError(f"not a descriptor: {desc!r}")
+    b = [0] * (desc.dim + 1)
+    for k, r in desc.ranks:
+        b[k] = r
+    return HomologyVector(desc.dim, tuple(b))
 
 
 def total_betti(desc: Descriptor) -> int:
     """Sum of all rational Betti numbers of the descriptor's manifold."""
-    return betti(desc).total
+    return desc.total
 
 
-def _key(desc: Descriptor) -> tuple:
-    # Fixed total order on variants: Sphere < Surface < Product < ConnectedSum
-    # < Explicit, then lexicographic on parameters.
-    if isinstance(desc, Sphere):
-        return (0, desc.n)
-    if isinstance(desc, Surface):
-        return (1, desc.genus)
+def palindromic(desc: Descriptor) -> bool:
+    """Whether b_k = b_{dim-k} throughout (rational Poincare duality)."""
+    n = desc.dim
+    return desc.ranks == tuple((n - k, r) for k, r in reversed(desc.ranks))
+
+
+def _bottom_up(desc: Descriptor, combine: Callable) -> object:
+    """``combine(node, results for node.parts)`` at every node, parts first;
+    returns the root's result.  Iterative, so depth costs no recursion."""
+    if not desc.parts:
+        return combine(desc, ())
+    preorder, stack = [], [desc]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(node.parts)
+    done: dict[int, object] = {}
+    for node in reversed(preorder):  # every part comes before its node
+        done[id(node)] = combine(node, [done[id(p)] for p in node.parts])
+    return done[id(desc)]
+
+
+def _normal_form(desc: Descriptor, parts: list) -> Descriptor:
+    if isinstance(desc, Surface) and desc.genus == 0:
+        return Sphere(2)
     if isinstance(desc, Product):
-        return (2, _key(desc.left), _key(desc.right))
+        left, right = parts
+        if right.key < left.key:
+            left, right = right, left
+        return Product(left, right)
     if isinstance(desc, ConnectedSum):
-        return (3, tuple(_key(p) for p in desc.parts))
-    if isinstance(desc, Explicit):
-        return (4, desc.dim, desc.homology.betti, desc.label)
-    raise DescriptorError(f"not a descriptor: {desc!r}")
+        parts = [p for p in parts if not isinstance(p, Sphere)]
+        if not parts:
+            return Sphere(desc.dim)
+        if len(parts) == 1:
+            return parts[0]
+        return ConnectedSum(tuple(sorted(parts, key=lambda p: p.key)))
+    return desc
 
 
 def normalize(desc: Descriptor) -> Descriptor:
@@ -213,63 +251,38 @@ def normalize(desc: Descriptor) -> Descriptor:
     genus-zero surface becomes the 2-sphere it is, and one-summand sums
     collapse.
     """
-    if isinstance(desc, Sphere):
-        return desc
-    if isinstance(desc, Surface):
-        return Sphere(2) if desc.genus == 0 else desc
-    if isinstance(desc, Product):
-        left, right = normalize(desc.left), normalize(desc.right)
-        if _key(right) < _key(left):
-            left, right = right, left
-        return Product(left, right)
-    if isinstance(desc, ConnectedSum):
-        n = dimension(desc)
-        parts = [normalize(p) for p in desc.parts]
-        parts = [p for p in parts if not isinstance(p, Sphere)]
-        if not parts:
-            return Sphere(n)
-        if len(parts) == 1:
-            return parts[0]
-        return ConnectedSum(tuple(sorted(parts, key=_key)))
-    if isinstance(desc, Explicit):
-        return desc
-    raise DescriptorError(f"not a descriptor: {desc!r}")
+    return _bottom_up(desc, _normal_form)
 
 
 def desc_equal(a: Descriptor, b: Descriptor) -> bool:
-    """Structural equality after normalization; the gluing-compatibility test."""
-    return normalize(a) == normalize(b)
+    """Structural equality after normalization; the gluing-compatibility test.
+    Keys tell structures apart and, unlike ``==``, need no call per level."""
+    return normalize(a).key == normalize(b).key
 
 
 def canonical_key(desc: Descriptor) -> tuple:
     """Deterministic sort key; equal descriptors get equal keys."""
-    return _key(normalize(desc))
+    return normalize(desc).key
 
 
-def pretty(desc: Descriptor) -> str:
+def _pretty(desc: Descriptor, parts: list) -> str:
     if isinstance(desc, Sphere):
         return f"S^{desc.n}"
     if isinstance(desc, Surface):
-        if desc.genus == 0:
-            return "S^2"
-        if desc.genus == 1:
-            return "T^2"
-        return f"Sigma_{desc.genus}"
+        return ("S^2", "T^2")[desc.genus] if desc.genus < 2 else f"Sigma_{desc.genus}"
     if isinstance(desc, Product):
-        def wrap(d):
-            s = pretty(d)
-            return f"({s})" if isinstance(d, (ConnectedSum, Product)) else s
-        return f"{wrap(desc.left)} x {wrap(desc.right)}"
-    if isinstance(desc, ConnectedSum):
-        def wrap(d):
-            s = pretty(d)
-            return f"({s})" if isinstance(d, Product) else s
-        return " # ".join(wrap(p) for p in desc.parts)
-    if isinstance(desc, Explicit):
-        if desc.label:
-            return desc.label
-        return f"explicit(betti={list(desc.homology.betti)})"
-    raise DescriptorError(f"not a descriptor: {desc!r}")
+        bracketed, sep = (ConnectedSum, Product), " x "
+    elif isinstance(desc, ConnectedSum):
+        bracketed, sep = Product, " # "
+    else:
+        return desc.label or f"explicit(betti={list(desc.homology.betti)})"
+    return sep.join(
+        f"({s})" if isinstance(p, bracketed) else s for p, s in zip(desc.parts, parts)
+    )
+
+
+def pretty(desc: Descriptor) -> str:
+    return _bottom_up(desc, _pretty)
 
 
 # --- JSON schema ----------------------------------------------------------
@@ -296,27 +309,25 @@ def json_str(value, field: str) -> str:
     return value
 
 
-def descriptor_to_json(desc: Descriptor) -> dict:
+def _to_json(desc: Descriptor, parts: list) -> dict:
     if isinstance(desc, Sphere):
         return {"type": "sphere", "n": desc.n}
     if isinstance(desc, Surface):
         return {"type": "surface", "genus": desc.genus}
     if isinstance(desc, Product):
-        return {
-            "type": "product",
-            "left": descriptor_to_json(desc.left),
-            "right": descriptor_to_json(desc.right),
-        }
+        return {"type": "product", "left": parts[0], "right": parts[1]}
     if isinstance(desc, ConnectedSum):
-        return {"type": "connected-sum", "parts": [descriptor_to_json(p) for p in desc.parts]}
-    if isinstance(desc, Explicit):
-        return {
-            "type": "explicit",
-            "dim": desc.dim,
-            "betti": list(desc.homology.betti),
-            "label": desc.label,
-        }
-    raise DescriptorError(f"not a descriptor: {desc!r}")
+        return {"type": "connected-sum", "parts": parts}
+    return {
+        "type": "explicit",
+        "dim": desc.dim,
+        "betti": list(desc.homology.betti),
+        "label": desc.label,
+    }
+
+
+def descriptor_to_json(desc: Descriptor) -> dict:
+    return _bottom_up(desc, _to_json)
 
 
 def descriptor_from_json(data) -> Descriptor:

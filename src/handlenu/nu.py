@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import math
 from typing import Iterator, Sequence
 
-from .homology import betti, total_betti
+from .homology import palindromic, total_betti
 from .trace import (
     BoundaryState,
     Declared,
@@ -134,7 +134,7 @@ def lower_bound_rules(
         # Ids name the event that made a component, so this lists each once.
         comps = list({c.id: c for s in states for c in s.components}.values())
         visible = bool(comps)
-        orientable_ok = oriented and all(betti(c.desc).palindromic for c in comps)
+        orientable_ok = oriented and all(palindromic(c.desc) for c in comps)
         evenness_ok = (
             orientable_ok
             and m == 3
@@ -273,16 +273,6 @@ class _IdealSearch:
         self.known = {(1 << k) - 1: state for k, state in enumerate(states)}
         self.counts: dict[int, int] = {}
         self.values: dict[int, int] = {}
-        self.totals: dict[str, int] = {}
-
-    def e(self, state: BoundaryState) -> int:
-        """``e_mu`` of a state.  A component id names the event that made it,
-        so each component's total Betti number is computed once per search."""
-        totals = self.totals
-        for c in state.components:
-            if c.id not in totals:
-                totals[c.id] = total_betti(c.desc)
-        return max((totals[c.id] for c in state.components), default=0)
 
     def children(self, ideal: int) -> Iterator[int]:
         """Admissible next positions (0-based), smallest first."""
@@ -330,7 +320,7 @@ class _IdealSearch:
         def frame(ideal: int, state: BoundaryState) -> list:
             # [ideal, state, children, e, rest]; nothing follows the full ideal.
             rest = 0 if ideal == self.full else math.inf
-            return [ideal, state, self.children(ideal), self.e(state), rest]
+            return [ideal, state, self.children(ideal), e_mu(state), rest]
 
         stack = [frame(root, state)]
         while root not in values:
@@ -359,7 +349,7 @@ class _IdealSearch:
         whole through :meth:`value`; the first child that does not fit is
         entered, and holds the rest of the budget.
         """
-        ideal, path, running = 0, [], self.e(state)
+        ideal, path, running = 0, [], e_mu(state)
         best: tuple[int, list[int], int] | None = None
         remaining = budget
         while remaining:
@@ -370,7 +360,7 @@ class _IdealSearch:
                 if covered > remaining:
                     ideal, state = child, child_state
                     path.append(j)
-                    running = max(running, self.e(child_state))
+                    running = max(running, e_mu(child_state))
                     break
                 candidate = max(running, self.value(child, child_state))
                 if best is None or candidate < best[0]:

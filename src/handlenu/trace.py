@@ -38,13 +38,10 @@ from typing import Callable, Sequence, Union
 
 from .homology import (
     Descriptor,
-    DescriptorError,
     Sphere,
     Surface,
-    betti,
     descriptor_from_json,
     descriptor_to_json,
-    dimension,
     json_int,
     json_str,
     normalize,
@@ -219,9 +216,6 @@ class OrderedHandleDecomposition:
     @property
     def delta(self) -> int:
         return len(self.handles)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(f"h:{j}" for j in range(1, self.delta + 1))
 
 
 def _surface(genus: int) -> Descriptor:
@@ -413,6 +407,10 @@ class ValidationReport:
         return not self.violations
 
 
+def _connected(desc: Descriptor) -> bool:
+    return desc.ranks[:1] == ((0, 1),)  # b_0 = 1
+
+
 def validate(d: OrderedHandleDecomposition) -> ValidationReport:
     """Diagnostics only; never raises.  Empty violations iff replay succeeds
     and the structural checks pass."""
@@ -420,15 +418,10 @@ def validate(d: OrderedHandleDecomposition) -> ValidationReport:
     warnings: list[str] = []
 
     for i, desc in enumerate(d.base):
-        try:
-            if dimension(desc) != d.m - 1:
-                violations.append(
-                    Violation(0, f"base:{i} has dimension {dimension(desc)}, need {d.m - 1}")
-                )
-            elif betti(desc).betti[0] != 1:
-                violations.append(Violation(0, f"base:{i}: components must be connected"))
-        except DescriptorError as exc:
-            violations.append(Violation(0, f"base:{i}: {exc}"))
+        if desc.dim != d.m - 1:
+            violations.append(Violation(0, f"base:{i} has dimension {desc.dim}, need {d.m - 1}"))
+        elif not _connected(desc):
+            violations.append(Violation(0, f"base:{i}: components must be connected"))
 
     for j, handle in enumerate(d.handles, start=1):
         if not 0 <= handle.index <= d.m:
@@ -438,19 +431,14 @@ def validate(d: OrderedHandleDecomposition) -> ValidationReport:
         att = handle.attachment
         if isinstance(att, Declared):
             for i, desc in enumerate(att.components):
-                try:
-                    if dimension(desc) != d.m - 1:
-                        violations.append(
-                            Violation(
-                                j,
-                                f"declared component {i} has dimension {dimension(desc)}, "
-                                f"need {d.m - 1}",
-                            )
+                if desc.dim != d.m - 1:
+                    violations.append(
+                        Violation(
+                            j, f"declared component {i} has dimension {desc.dim}, need {d.m - 1}"
                         )
-                    elif betti(desc).betti[0] != 1:
-                        violations.append(Violation(j, "components must be connected"))
-                except DescriptorError as exc:
-                    violations.append(Violation(j, f"declared component {i}: {exc}"))
+                    )
+                elif not _connected(desc):
+                    violations.append(Violation(j, "components must be connected"))
         else:
             if d.m != 3:
                 violations.append(

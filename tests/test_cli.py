@@ -312,19 +312,48 @@ def test_non_string_glue_id_exits_2_with_a_message(tmp_path, capsys):
     assert "'glue id' must be a string" in captured.err
 
 
-# 900 products of circles loads and validates as the base of an m = 902 trace
-# and then overflows the recursion limit while rendering the table; 5000
-# overflows inside the JSON decoder.
-@pytest.mark.parametrize("depth, m", [(900, 902), (5000, 3)])
-def test_deeply_nested_descriptor_exits_2(tmp_path, capsys, depth, m):
+def nested_circles_trace(tmp_path, depth, m):
     sphere = '{"type": "sphere", "n": 1}'
     desc = '{"type": "product", "left": ' * depth + sphere + f', "right": {sphere}}}' * depth
     path = tmp_path / "deep.json"
     path.write_text(f'{{"m": {m}, "base": [{desc}], "handles": []}}')
-    assert main(["compute", str(path)]) == EXIT_INVALID
+    return str(path)
+
+
+# 5000 nested products overflow the JSON decoder, or on CPython 3.13 the loader
+# reading its output.
+@pytest.mark.parametrize("depth, m", [(5000, 3)])
+def test_deeply_nested_descriptor_exits_2(tmp_path, capsys, depth, m):
+    assert main(["compute", nested_circles_trace(tmp_path, depth, m)]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nested too deeply" in captured.err
+
+
+# The base is the 901-torus: its total Betti number is 2^901.
+def test_nested_products_compute(tmp_path, capsys):
+    assert main(["compute", "--json", nested_circles_trace(tmp_path, 900, 902)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["nu"] == 2**901
+
+
+# Betti numbers are stored by nonzero degree, so these take no time.
+@pytest.mark.parametrize("m, base, expected", [
+    (2000001, {"type": "sphere", "n": 2000000}, 2),
+    (8001, {"type": "product", "left": {"type": "sphere", "n": 4000},
+            "right": {"type": "sphere", "n": 4000}}, 4),
+])
+def test_high_dimensional_base_computes(tmp_path, capsys, m, base, expected):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"m": m, "base": [base], "handles": []}))
+    assert main(["compute", "--json", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["e_values"] == [expected]
+
+
+def test_usage_error_leaves_the_parser_usable(lens_file, capsys):
+    assert main(["compute", "--no-such-flag", lens_file]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["compute", lens_file]) == EXIT_OK
+    assert "nu(ordering) = 4" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("check", [[], ["--check"]])

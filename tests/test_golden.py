@@ -20,9 +20,9 @@ import tempfile
 
 import pytest
 
-from handlenu.catalog import solid_torus_trace
+from handlenu.catalog import lookup, names, solid_torus_trace
 from handlenu.cli import EXIT_INVALID, EXIT_OK, main
-from handlenu.homology import Explicit, HomologyVector, Sphere, Surface
+from handlenu.homology import ConnectedSum, Explicit, HomologyVector, Product, Sphere, Surface
 from handlenu.trace import (
     Declared,
     Dim3One,
@@ -86,6 +86,44 @@ DECLARED_TRACE = OrderedHandleDecomposition(
 )
 
 
+# An m = 5 trace whose components reach every rule of ``pretty``: nested
+# products and sums in both bracketing positions, the three surface names
+# (``Surface(0)`` prints as S^2), and labelled and unlabelled Explicit data.
+CIRCLE = Sphere(1)
+WIDE_TRACE = OrderedHandleDecomposition(
+    5,
+    (Product(CIRCLE, Product(CIRCLE, Surface(1))),),
+    (
+        HandleRecord(2, Declared((
+            ConnectedSum((
+                Product(Sphere(2), Sphere(2)),
+                Product(Surface(1), Surface(2)),
+                Sphere(4),
+            )),
+            Product(ConnectedSum((Surface(1), Surface(2))), Surface(0)),
+        ))),
+        HandleRecord(3, Declared((
+            Explicit(4, HomologyVector(4, (1, 0, 3, 0, 1))),
+            Explicit(4, HomologyVector(4, (1, 0, 2, 0, 1)), "CP^2 # CP^2"),
+        ))),
+    ),
+)
+
+# An m = 4 pair glued across S^2 x S^1 against S^1 x S^2, which only
+# ``normalize`` matches.
+FLIPPED_PAIR = (
+    OrderedHandleDecomposition(4, (), (
+        HandleRecord(0, Declared((Sphere(3),))),
+        HandleRecord(1, Declared((Product(Sphere(2), CIRCLE),))),
+    )),
+    OrderedHandleDecomposition(4, (Product(CIRCLE, Sphere(2)),), (
+        HandleRecord(3, Declared((Sphere(3),))),
+        HandleRecord(4, Declared(())),
+    )),
+    [["h:2/0", "base:0"]],
+)
+
+
 # Structurally broken: an index that does not fit its move, and a declared
 # component of the wrong dimension.
 INVALID_TRACE = OrderedHandleDecomposition(
@@ -104,6 +142,11 @@ def write_inputs(directory: Path) -> None:
         dump(f"{name}-n.json", trace_to_json(second))
         dump(f"{name}-glue.json", {"pairs": pairs})
     dump("declared-trace.json", trace_to_json(DECLARED_TRACE))
+    dump("wide-trace.json", trace_to_json(WIDE_TRACE))
+    first, second, pairs = FLIPPED_PAIR
+    dump("flipped-m.json", trace_to_json(first))
+    dump("flipped-n.json", trace_to_json(second))
+    dump("flipped-glue.json", {"pairs": pairs})
     dump("invalid-trace.json", trace_to_json(INVALID_TRACE))
 
 
@@ -125,13 +168,30 @@ def cases() -> list[tuple[str, list[str], tuple[str, ...], int]]:
     ))
     for form, ext in (([], "txt"), (["--json"], "json")):
         for command in ("compute", "search", "validate"):
-            found.append(
-                (f"{command}-declared.{ext}", [command, "declared-trace.json"] + form, (), EXIT_OK)
-            )
+            for trace in ("declared", "wide"):
+                found.append(
+                    (f"{command}-{trace}.{ext}", [command, f"{trace}-trace.json"] + form, (), EXIT_OK)
+                )
         found.append(
             (f"validate-invalid.{ext}", ["validate", "invalid-trace.json"] + form, (), EXIT_INVALID)
         )
+        found.append((f"catalog.{ext}", ["catalog"] + form, (), EXIT_OK))
+        found.append((
+            f"compose-flipped-check.{ext}",
+            ["compose", "flipped-m.json", "flipped-n.json", "--glue", "flipped-glue.json",
+             "--check"] + form,
+            (),
+            EXIT_OK,
+        ))
     found.append(("catalog-verify.json", ["catalog", "--verify", "--json"], (), EXIT_OK))
+    for name in names():
+        for label, _ in lookup(name).traces:
+            found.append((
+                f"export-{name}-{label}.json",
+                ["catalog", "--export", name, "--base", label],
+                (),
+                EXIT_OK,
+            ))
     return found
 
 

@@ -105,6 +105,15 @@ def test_desc_equal_is_structural():
     assert not desc_equal(Product(Sphere(1), Sphere(1)), Surface(1))
 
 
+def test_desc_equal_on_deep_nesting():
+    point = Explicit(0, HomologyVector(0, (1,)), "pt")
+    a = b = Sphere(2)
+    for _ in range(900):
+        a, b = Product(point, a), Product(b, point)
+    assert desc_equal(a, b)
+    assert not desc_equal(a, Product(point, b))
+
+
 def test_pretty():
     assert pretty(Surface(1)) == "T^2"
     assert pretty(Surface(2)) == "Sigma_2"
