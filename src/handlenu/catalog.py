@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import Explicit, HomologyVector, Product, Sphere, Surface, pretty, total_betti
-from .nu import heegaard_upper, lower_bound_rules, nu_of_ordering
+from .nu import evaluate, heegaard_upper, lower_bound_rules
 from .trace import (
     Declared,
     Dim3One,
@@ -414,10 +414,9 @@ def _entry_items(entry: CatalogEntry) -> list[CheckItem]:
         )
         if not report.ok:
             continue
-        evaluation = nu_of_ordering(trace)
+        evaluation, final = evaluate(trace)
         values[label] = evaluation.nu
-        states = replay(trace)
-        closed = not trace.base and not states[-1].components
+        closed = not trace.base and not final
         floors[label] = lower_bound_rules(trace.m, closed=closed, trace=trace).value
 
     cert = entry.certified

@@ -16,16 +16,8 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from .homology import DescriptorError, json_str, pretty
-from .nu import Bound, nu_of_ordering, search_min_nu
-from .obstruction import (
-    betti1_floor,
-    graph_from_json,
-    HandleBudget,
-    interface_lower_bound,
-    pieces_ceiling,
-    refute,
-)
+from .homology import json_str, pretty
+from .nu import Bound, NuEvaluation, nu_of_ordering, search_min_nu
 from .trace import (
     OrderedHandleDecomposition,
     TraceError,
@@ -87,9 +79,8 @@ def _require_valid(d: OrderedHandleDecomposition) -> list[str]:
     return list(report.warnings)
 
 
-def _mu_table(d: OrderedHandleDecomposition) -> tuple[list[str], dict]:
+def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[str]:
     states = replay(d)
-    evaluation = nu_of_ordering(d)
     lines = ["   mu  e_mu  free boundary"]
     for state in states:
         marker = "*" if state.mu == evaluation.argmax_mu else " "
@@ -103,16 +94,18 @@ def _mu_table(d: OrderedHandleDecomposition) -> tuple[list[str], dict]:
             f"nu(ordering) = {evaluation.nu}   achieved at mu={evaluation.argmax_mu}"
             f" by {evaluation.argmax_component}   [{mu_note}]"
         )
-    return lines, asdict(evaluation)
+    return lines
 
 
 def cmd_compute(args) -> int:
     d = _load_trace(args.trace)
     warnings = _require_valid(d)
-    lines, result = _mu_table(d)
+    evaluation = nu_of_ordering(d)
+    # Only the human table needs every state.
+    lines = [] if args.json else _mu_table(d, evaluation)
     _emit(
         args,
-        {"command": "compute", "result": result, "warnings": warnings},
+        {"command": "compute", "result": asdict(evaluation), "warnings": warnings},
         lines + [f"warning: {w}" for w in warnings],
     )
     return EXIT_OK
@@ -204,6 +197,15 @@ def cmd_compose(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
+    from .obstruction import (
+        HandleBudget,
+        betti1_floor,
+        graph_from_json,
+        interface_lower_bound,
+        pieces_ceiling,
+        refute,
+    )
+
     graph = graph_from_json(_load_json(args.graph))
     interface = interface_lower_bound(graph)
     l_floor = betti1_floor(graph)
@@ -238,6 +240,8 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_refute(args) -> int:
+    from .obstruction import HandleBudget, refute
+
     verdict = refute(HandleBudget(args.hmax, args.l, args.z), args.hW)
     if verdict.decomposable_possible:
         line = (
@@ -388,10 +392,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (TraceError, DescriptorError, GlueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # TraceError, DescriptorError, GlueError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except RecursionError:

@@ -10,7 +10,8 @@ nonzero Betti numbers as sorted ``(degree, rank)`` pairs), their sum
 nonzero degrees, connected sums add middle degrees, and spheres and surfaces
 take constant work.  The facts are not dataclass fields, so equality,
 hashing and ``repr`` stay structural.  :func:`normalize`, :func:`pretty` and
-:func:`descriptor_to_json` share one bottom-up walk with an explicit stack.
+:func:`descriptor_to_json` share one bottom-up walk with an explicit stack,
+and :func:`descriptor_from_json` reads with one of its own.
 All arithmetic is exact: plain integers for Betti numbers,
 `fractions.Fraction` inside chain-complex elimination.  Ranks over the
 rationals agree with ranks over the reals, so exactness costs nothing.
@@ -25,9 +26,15 @@ same way.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Union
+import operator
+from typing import TYPE_CHECKING, Callable, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 class DescriptorError(ValueError):
@@ -228,18 +235,24 @@ def _bottom_up(desc: Descriptor, combine: Callable) -> object:
 def _normal_form(desc: Descriptor, parts: list) -> Descriptor:
     if isinstance(desc, Surface) and desc.genus == 0:
         return Sphere(2)
+    # A node whose normal parts are its own parts, in order, is normal itself
+    # and is kept, so its facts are not computed again.
     if isinstance(desc, Product):
         left, right = parts
         if right.key < left.key:
             left, right = right, left
+        if left is desc.left and right is desc.right:
+            return desc
         return Product(left, right)
     if isinstance(desc, ConnectedSum):
-        parts = [p for p in parts if not isinstance(p, Sphere)]
+        parts = sorted((p for p in parts if not isinstance(p, Sphere)), key=lambda p: p.key)
         if not parts:
             return Sphere(desc.dim)
         if len(parts) == 1:
             return parts[0]
-        return ConnectedSum(tuple(sorted(parts, key=lambda p: p.key)))
+        if len(parts) == len(desc.parts) and all(map(operator.is_, parts, desc.parts)):
+            return desc
+        return ConnectedSum(tuple(parts))
     return desc
 
 
@@ -330,11 +343,27 @@ def descriptor_to_json(desc: Descriptor) -> dict:
     return _bottom_up(desc, _to_json)
 
 
-def descriptor_from_json(data) -> Descriptor:
+@contextmanager
+def _reading(kind):
+    """Report a descriptor document's own field errors under its type tag."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DescriptorError(f"descriptor of type {kind!r} is missing field {exc}") from exc
+    except DescriptorError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DescriptorError(f"malformed {kind!r} descriptor: {exc}") from exc
+
+
+def _read_node(data):
+    """One descriptor document's own fields: a leaf descriptor, or, for a
+    product or a connected sum, an open frame ``[kind, iterator over the part
+    documents, parts read so far]``."""
     if not isinstance(data, dict) or "type" not in data:
         raise DescriptorError(f"descriptor must be an object with a 'type' tag: {data!r}")
     kind = data["type"]
-    try:
+    with _reading(kind):
         if kind == "sphere":
             return Sphere(json_int(data["n"], "n"))
         if kind == "surface":
@@ -343,28 +372,51 @@ def descriptor_from_json(data) -> Descriptor:
                 raise TypeError(f"'orientable' must be a boolean, got {orientable!r}")
             return Surface(json_int(data["genus"], "genus"), orientable)
         if kind == "product":
-            return Product(descriptor_from_json(data["left"]), descriptor_from_json(data["right"]))
+            return [kind, (data[side] for side in ("left", "right")), []]
         if kind == "connected-sum":
-            return ConnectedSum(tuple(descriptor_from_json(p) for p in data["parts"]))
+            return [kind, iter(data["parts"]), []]
         if kind == "explicit":
             dim = json_int(data["dim"], "dim")
             vec = HomologyVector(dim, tuple(json_int(b, "betti") for b in data["betti"]))
             return Explicit(dim, vec, json_str(data.get("label", ""), "label"))
-    except KeyError as exc:
-        raise DescriptorError(f"descriptor of type {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, DescriptorError):
-            raise
-        raise DescriptorError(f"malformed {kind!r} descriptor: {exc}") from exc
     raise DescriptorError(f"unknown descriptor type {kind!r}")
 
 
-# --- explicit chain complexes ---------------------------------------------
+_END = object()
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+
+def descriptor_from_json(data) -> Descriptor:
+    """Read a descriptor document, parts first and left to right, with an
+    explicit stack of open products and connected sums, so nesting costs no
+    recursion."""
+    stack: list[list] = []
+    node = _read_node(data)
+    while True:
+        if isinstance(node, list):
+            stack.append(node)
+        elif stack:
+            stack[-1][2].append(node)
+        else:
+            return node
+        kind, part_docs, parts = stack[-1]
+        with _reading(kind):
+            doc = next(part_docs, _END)
+            if doc is _END:
+                stack.pop()
+                node = Product(*parts) if kind == "product" else ConnectedSum(tuple(parts))
+            else:
+                node = _read_node(doc)
+
+
+# --- explicit chain complexes ---------------------------------------------
+#
+# Only these functions need `fractions`, so they import it themselves and
+# no descriptor or trace command loads it.
 
 
 def _as_matrix(rows, n_rows: int, n_cols: int) -> Matrix:
+    from fractions import Fraction
+
     out = tuple(tuple(Fraction(x) for x in row) for row in rows)
     if len(out) != n_rows or any(len(row) != n_cols for row in out):
         raise DescriptorError(
@@ -375,6 +427,8 @@ def _as_matrix(rows, n_rows: int, n_cols: int) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    from fractions import Fraction
+
     if not a or not b:
         return ()
     inner = len(b)
@@ -467,6 +521,8 @@ def chain_complex_to_json(cc: RationalChainComplex) -> dict:
 
 
 def chain_complex_from_json(data) -> RationalChainComplex:
+    from fractions import Fraction
+
     try:
         return RationalChainComplex(
             json_int(data["dim"], "dim"),

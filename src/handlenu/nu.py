@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 from .homology import palindromic, total_betti
 from .trace import (
+    BoundaryComponent,
     BoundaryState,
     Declared,
     Dim3One,
@@ -33,6 +34,7 @@ from .trace import (
     id_sort_key,
     reorder,
     replay,
+    walk,
 )
 
 
@@ -57,22 +59,49 @@ class NuEvaluation:
             raise ValueError("nu must equal the maximum of the considered e values")
 
 
-def nu_of_ordering(d: OrderedHandleDecomposition) -> NuEvaluation:
-    """Evaluate one ordering.  Ties break to the smallest prefix, then the
-    smallest component id."""
-    states = replay(d)
-    e_values = tuple(e_mu(s) for s in states)
+def evaluate(
+    d: OrderedHandleDecomposition,
+) -> tuple[NuEvaluation, dict[str, BoundaryComponent]]:
+    """Evaluate one ordering in one walk over its handles; also return the
+    final free boundary, by id.
+
+    The walk keeps the live components and a count of them per total Betti
+    number, so a prefix costs the components its handle consumed and made,
+    not the whole state.  Ties break to the smallest prefix, then the
+    smallest component id.  At the prefix where the running maximum first
+    reaches ``nu`` every older component is smaller, so the argmax
+    component is among those that prefix's handle made, which come in id
+    order.
+    """
     mu_start = 0 if d.base else 1
-    considered = e_values[mu_start:]
-    if not considered:
-        return NuEvaluation(e_values, mu_start, 0, None, None)
-    nu = max(considered)
-    argmax_mu = next(i for i in range(mu_start, len(e_values)) if e_values[i] == nu)
-    comp = next(
-        (c.id for c in states[argmax_mu].components if total_betti(c.desc) == nu),
-        None,
-    )
-    return NuEvaluation(e_values, mu_start, nu, argmax_mu, comp)
+    counts: dict[int, int] = {}
+    top = 0
+    e_values: list[int] = []
+    nu, argmax_mu, argmax_component = 0, None, None
+    for mu, (gone, made, live) in enumerate(walk(d)):
+        for comp in gone:
+            total = comp.desc.total
+            if counts[total] > 1:
+                counts[total] -= 1
+            else:
+                del counts[total]
+                if total == top:
+                    top = max(counts, default=0)
+        for comp in made:
+            total = comp.desc.total
+            counts[total] = counts.get(total, 0) + 1
+            if total > top:
+                top = total
+        e_values.append(top)
+        if mu >= mu_start and (argmax_mu is None or top > nu):
+            nu, argmax_mu = top, mu
+            argmax_component = next((c.id for c in made if c.desc.total == top), None)
+    return NuEvaluation(tuple(e_values), mu_start, nu, argmax_mu, argmax_component), live
+
+
+def nu_of_ordering(d: OrderedHandleDecomposition) -> NuEvaluation:
+    """Evaluate one ordering; see :func:`evaluate`."""
+    return evaluate(d)[0]
 
 
 @dataclass(frozen=True)
@@ -114,12 +143,15 @@ def lower_bound_rules(
     oriented: bool = True,
     trace: OrderedHandleDecomposition | None = None,
     raw_floor: int = 0,
+    states: Sequence[BoundaryState] | None = None,
 ) -> LowerBound:
     """Best provable floor for the invariant in the given context.
 
     With a trace supplied, the trace-derived rules apply to reorderings of
     that fixed handle multiset; the justification strings say which kind of
-    floor fired.  Without a trace the caller vouches for the flags.
+    floor fired.  The rules read every component the trace's replay shows:
+    from ``states``, its replay, when the caller has them, and otherwise
+    from one walk.  Without a trace the caller vouches for the flags.
     """
     floor = max(0, int(raw_floor))
     reasons: list[str] = []
@@ -130,9 +162,12 @@ def lower_bound_rules(
     orientable_ok = oriented
     evenness_ok = oriented and m == 3
     if trace is not None:
-        states = replay(trace)
+        if states is None:
+            shown = (c for _, made, _ in walk(trace) for c in made)
+        else:
+            shown = (c for s in states for c in s.components)
         # Ids name the event that made a component, so this lists each once.
-        comps = list({c.id: c for s in states for c in s.components}.values())
+        comps = list({c.id: c for c in shown}.values())
         visible = bool(comps)
         orientable_ok = oriented and all(palindromic(c.desc) for c in comps)
         evenness_ok = (
@@ -413,7 +448,7 @@ def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> B
     best_order = search.witness(path, root, best)
 
     closed = not d.base and not states[-1].components
-    lb = lower_bound_rules(d.m, closed=closed, trace=d)
+    lb = lower_bound_rules(d.m, closed=closed, trace=d, states=states)
     return Bound(
         lower=lb.value,
         upper=best,

@@ -15,8 +15,12 @@ interface floor below is exactly what that hypothesis buys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .trace import OrderedHandleDecomposition
+from .homology import json_int
+
+if TYPE_CHECKING:
+    from .trace import OrderedHandleDecomposition
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -170,12 +174,18 @@ def graph_to_json(g: DecompositionGraph) -> dict:
 
 
 def graph_from_json(data) -> DecompositionGraph:
+    """Read a decomposition-graph document; every number must be a JSON integer."""
     try:
         return DecompositionGraph(
-            tuple(int(c) for c in data["boundary_counts"]),
-            tuple((int(e["i"]), int(e["j"]), int(e["count"])) for e in data["interfaces"]),
-            int(data["z"]),
-            tuple(int(c) for c in data["handle_costs"]) if "handle_costs" in data else None,
+            tuple(json_int(c, "boundary_counts") for c in data["boundary_counts"]),
+            tuple(
+                (json_int(e["i"], "i"), json_int(e["j"], "j"), json_int(e["count"], "count"))
+                for e in data["interfaces"]
+            ),
+            json_int(data["z"], "z"),
+            tuple(json_int(c, "handle_costs") for c in data["handle_costs"])
+            if "handle_costs" in data
+            else None,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed decomposition-graph document: {exc}") from exc

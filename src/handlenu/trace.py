@@ -7,6 +7,12 @@ of connected closed components of the free boundary -- the part of the
 boundary still available for later attachments.  The base itself is kept
 on the fixed side of a collar and never consumed.
 
+One function, :func:`attachment_step`, says what each attachment does to
+the live components.  :func:`attach` applies it to one state, and
+:func:`walk` applies it handle after handle to a single dict of live
+components, in time linear in the handles; :func:`replay` builds its
+states from the walk.
+
 Two attachment styles exist:
 
 * dimension-3 surface calculus (``Dim3Zero`` .. ``Dim3Three``): every
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import json
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .homology import (
     Descriptor,
@@ -81,6 +87,10 @@ def id_sort_key(comp_id: str) -> tuple:
     return (0 if kind == "base" else 1, int(main), int(sub) if sub else -1)
 
 
+def in_id_order(comps: Iterable[BoundaryComponent]) -> tuple[BoundaryComponent, ...]:
+    return tuple(sorted(comps, key=lambda c: id_sort_key(c.id)))
+
+
 @dataclass(frozen=True)
 class BoundaryState:
     """Free boundary after mu handles: a finite set of connected components."""
@@ -89,7 +99,7 @@ class BoundaryState:
     components: tuple[BoundaryComponent, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.components, key=lambda c: id_sort_key(c.id)))
+        ordered = in_id_order(self.components)
         object.__setattr__(self, "components", ordered)
         ids = [c.id for c in ordered]
         if len(set(ids)) != len(ids):
@@ -233,11 +243,66 @@ def _genus_of(comp: BoundaryComponent) -> int:
     )
 
 
-def _resolve(state: BoundaryState, anchor: str) -> BoundaryComponent:
-    comp = state.find(anchor)
+def _resolve(live: Mapping[str, BoundaryComponent], anchor: str) -> BoundaryComponent:
+    comp = live.get(anchor)
     if comp is None:
-        raise AttachError(f"dangling anchor {anchor!r}; live components: {list(state.ids())}")
+        live_ids = sorted(live, key=id_sort_key)
+        raise AttachError(f"dangling anchor {anchor!r}; live components: {live_ids}")
     return comp
+
+
+def attachment_step(
+    att: Attachment, live: Mapping[str, BoundaryComponent], *, label: str, m: int
+) -> tuple[tuple[str, ...], tuple[BoundaryComponent, ...]]:
+    """The one switch over attachment kinds: the ids of the live components an
+    attachment consumes, and the components it makes, named after ``label``.
+
+    ``live`` maps the ids of the free boundary's components to them and is
+    only read.  Raises AttachError when the attachment is illegal there.
+    """
+    if not isinstance(att, Declared) and m != 3:
+        raise AttachError(
+            f"surface-calculus attachments need ambient dimension 3, trace has m={m}"
+        )
+    if isinstance(att, Dim3Zero):
+        return (), (BoundaryComponent(label, Sphere(2), label),)
+    if isinstance(att, Dim3One):
+        ca = _resolve(live, att.a)
+        if att.a == att.b:
+            consumed, genus = (ca.id,), _genus_of(ca) + 1
+        else:
+            cb = _resolve(live, att.b)
+            consumed, genus = (ca.id, cb.id), _genus_of(ca) + _genus_of(cb)
+        return consumed, (BoundaryComponent(label, _surface(genus), label),)
+    if isinstance(att, Dim3Two):
+        ca = _resolve(live, att.anchor)
+        genus = _genus_of(ca)
+        if isinstance(att.curve, NonSeparating):
+            if genus < 1:
+                raise AttachError(
+                    f"non-separating surgery needs genus >= 1; {ca.id} is a sphere"
+                )
+            return (ca.id,), (BoundaryComponent(label, _surface(genus - 1), label),)
+        if att.curve.g1 + att.curve.g2 != genus:
+            raise AttachError(
+                f"separating split ({att.curve.g1}, {att.curve.g2}) does not add up "
+                f"to genus {genus} of {ca.id}"
+            )
+        return (ca.id,), (
+            BoundaryComponent(f"{label}/0", _surface(att.curve.g1), label),
+            BoundaryComponent(f"{label}/1", _surface(att.curve.g2), label),
+        )
+    if isinstance(att, Dim3Three):
+        ca = _resolve(live, att.anchor)
+        if _genus_of(ca) != 0:
+            raise AttachError(f"a cap may only close a sphere; {ca.id} is {pretty(ca.desc)}")
+        return (ca.id,), ()
+    if isinstance(att, Declared):
+        return tuple(live), tuple(
+            BoundaryComponent(f"{label}/{i}", desc, label)
+            for i, desc in enumerate(att.components)
+        )
+    raise AttachError(f"unknown attachment {att!r}")
 
 
 def attach(state: BoundaryState, handle: HandleRecord, *, label: str, m: int) -> BoundaryState:
@@ -247,79 +312,59 @@ def attach(state: BoundaryState, handle: HandleRecord, *, label: str, m: int) ->
     not referenced by an anchor pass through untouched, ids included (a
     ``Declared`` record replaces everything by definition).
     """
-    att = handle.attachment
-    if not isinstance(att, Declared) and m != 3:
-        raise AttachError(
-            f"surface-calculus attachments need ambient dimension 3, trace has m={m}"
-        )
     keep = {c.id: c for c in state.components}
+    consumed, made = attachment_step(handle.attachment, keep, label=label, m=m)
+    for comp_id in consumed:
+        del keep[comp_id]
+    return BoundaryState(state.mu + 1, (*keep.values(), *made))
 
-    if isinstance(att, Dim3Zero):
-        new = [BoundaryComponent(label, Sphere(2), label)]
-    elif isinstance(att, Dim3One):
-        ca = _resolve(state, att.a)
-        if att.a == att.b:
-            genus = _genus_of(ca) + 1
-            del keep[ca.id]
-        else:
-            cb = _resolve(state, att.b)
-            genus = _genus_of(ca) + _genus_of(cb)
-            del keep[ca.id], keep[cb.id]
-        new = [BoundaryComponent(label, _surface(genus), label)]
-    elif isinstance(att, Dim3Two):
-        ca = _resolve(state, att.anchor)
-        genus = _genus_of(ca)
-        del keep[ca.id]
-        if isinstance(att.curve, NonSeparating):
-            if genus < 1:
-                raise AttachError(
-                    f"non-separating surgery needs genus >= 1; {ca.id} is a sphere"
-                )
-            new = [BoundaryComponent(label, _surface(genus - 1), label)]
-        else:
-            if att.curve.g1 + att.curve.g2 != genus:
-                raise AttachError(
-                    f"separating split ({att.curve.g1}, {att.curve.g2}) does not add up "
-                    f"to genus {genus} of {ca.id}"
-                )
-            new = [
-                BoundaryComponent(f"{label}/0", _surface(att.curve.g1), label),
-                BoundaryComponent(f"{label}/1", _surface(att.curve.g2), label),
-            ]
-    elif isinstance(att, Dim3Three):
-        ca = _resolve(state, att.anchor)
-        if _genus_of(ca) != 0:
-            raise AttachError(f"a cap may only close a sphere; {ca.id} is {pretty(ca.desc)}")
-        del keep[ca.id]
-        new = []
-    elif isinstance(att, Declared):
-        keep = {}
-        new = [
-            BoundaryComponent(f"{label}/{i}", desc, label)
-            for i, desc in enumerate(att.components)
-        ]
-    else:
-        raise AttachError(f"unknown attachment {att!r}")
 
-    return BoundaryState(state.mu + 1, tuple(keep.values()) + tuple(new))
+def _base_components(d: OrderedHandleDecomposition) -> tuple[BoundaryComponent, ...]:
+    return tuple(
+        BoundaryComponent(f"base:{i}", desc, f"base:{i}") for i, desc in enumerate(d.base)
+    )
 
 
 def base_state(d: OrderedHandleDecomposition) -> BoundaryState:
-    comps = tuple(
-        BoundaryComponent(f"base:{i}", desc, f"base:{i}") for i, desc in enumerate(d.base)
-    )
-    return BoundaryState(0, comps)
+    return BoundaryState(0, _base_components(d))
+
+
+def walk(d: OrderedHandleDecomposition) -> Iterator[
+    tuple[list[BoundaryComponent], tuple[BoundaryComponent, ...], dict[str, BoundaryComponent]]
+]:
+    """Replay without building states, in time linear in the handles.
+
+    Yields, for mu = 0..delta, the components the mu-th event consumed, the
+    components it made (event 0 makes the base), and the live components by
+    id afterwards.  That dict is the walk's own and changes as it goes on.
+    Raises ReplayError like :func:`replay`.
+    """
+    base = _base_components(d)
+    live = {c.id: c for c in base}
+    yield [], base, live
+    for j, handle in enumerate(d.handles, start=1):
+        try:
+            consumed, made = attachment_step(handle.attachment, live, label=f"h:{j}", m=d.m)
+        except AttachError as exc:
+            raise ReplayError(j, str(exc)) from exc
+        gone = [live.pop(comp_id) for comp_id in consumed]
+        for comp in made:
+            live[comp.id] = comp
+        yield gone, made, live
+
+
+def final_boundary(d: OrderedHandleDecomposition) -> dict[str, BoundaryComponent]:
+    """The free boundary after every handle, by id, from one walk."""
+    for _, _, live in walk(d):
+        pass
+    return live
 
 
 def replay(d: OrderedHandleDecomposition) -> tuple[BoundaryState, ...]:
     """States for mu = 0..delta; deterministic, raises ReplayError on failure."""
-    states = [base_state(d)]
-    for j, handle in enumerate(d.handles, start=1):
-        try:
-            states.append(attach(states[-1], handle, label=f"h:{j}", m=d.m))
-        except AttachError as exc:
-            raise ReplayError(j, str(exc)) from exc
-    return tuple(states)
+    return tuple(
+        BoundaryState(mu, tuple(live.values())) for mu, (_, _, live) in enumerate(walk(d))
+    )
 
 
 def reorder(d: OrderedHandleDecomposition, order: Sequence[int]) -> OrderedHandleDecomposition:
@@ -369,8 +414,8 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
                 datt = Dim3Two(anchor, NonSeparating())
                 dmap[att.a] = label
             else:
-                g1 = _genus_of(_resolve(before, att.a))
-                g2 = _genus_of(_resolve(before, att.b))
+                g1 = _genus_of(before.find(att.a))
+                g2 = _genus_of(before.find(att.b))
                 datt = Dim3Two(anchor, Separating(g1, g2))
                 dmap[att.a] = f"{label}/0"
                 dmap[att.b] = f"{label}/1"
@@ -456,11 +501,11 @@ def validate(d: OrderedHandleDecomposition) -> ValidationReport:
 
     if not violations:
         try:
-            states = replay(d)
+            final = final_boundary(d)
         except ReplayError as exc:
             violations.append(Violation(exc.mu, str(exc)))
         else:
-            closed = not d.base and not states[-1].components
+            closed = not d.base and not final
             if closed and d.m == 3:
                 euler = sum((-1) ** h.index for h in d.handles)
                 if euler != 0:

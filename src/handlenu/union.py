@@ -17,18 +17,20 @@ callers are expected to fail hard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .homology import desc_equal, pretty
-from .nu import NuEvaluation, e_mu, nu_of_ordering
+from .nu import NuEvaluation, e_mu, evaluate, nu_of_ordering
 from .trace import (
+    BoundaryComponent,
     Declared,
     HandleRecord,
     OrderedHandleDecomposition,
     base_state,
+    final_boundary,
+    in_id_order,
     map_anchors,
     rename_anchor,
-    replay,
 )
 
 
@@ -56,10 +58,17 @@ class GlueSpec:
             raise GlueError(f"glue pairing must be injective on both sides: {self.pairs}")
 
 
+def _same_dimension(dm: OrderedHandleDecomposition, dn: OrderedHandleDecomposition) -> None:
+    if dm.m != dn.m:
+        raise GlueError(f"ambient dimensions differ: {dm.m} vs {dn.m}")
+
+
 def compose(
     dm: OrderedHandleDecomposition,
     dn: OrderedHandleDecomposition,
     glue: GlueSpec,
+    *,
+    final: Mapping[str, BoundaryComponent] | None = None,
 ) -> OrderedHandleDecomposition:
     """Concatenate: first part's handles, then the second part's, re-anchored.
 
@@ -72,11 +81,12 @@ def compose(
     free boundary throughout the suffix; declared records in the first part
     likewise carry the unglued second-part base, which stays free boundary
     throughout the prefix.
+
+    ``final`` is the first part's final free boundary by id, for a caller
+    that already walked the first part; without it, compose walks it.
     """
-    if dm.m != dn.m:
-        raise GlueError(f"ambient dimensions differ: {dm.m} vs {dn.m}")
-    final = replay(dm)[-1]
-    final_by_id = {c.id: c for c in final.components}
+    _same_dimension(dm, dn)
+    final_by_id = final_boundary(dm) if final is None else final
 
     # Second-part event ids to composite ids.
     relabel = {f"h:{j}": f"h:{dm.delta + j}" for j in range(1, dn.delta + 1)}
@@ -110,7 +120,7 @@ def compose(
     relabel.update(zip((f"base:{i}" for i in kept), carried))
 
     glued = {m_id for m_id, _ in glue.pairs}
-    remainder = tuple(c.desc for c in final.components if c.id not in glued)
+    remainder = tuple(c.desc for c in in_id_order(final_by_id.values()) if c.id not in glued)
 
     def remap(anchor: str) -> str:
         renamed = rename_anchor(anchor, relabel)
@@ -156,9 +166,15 @@ def check_key_inequality(
     dn: OrderedHandleDecomposition,
     glue: GlueSpec,
 ) -> InequalityReport:
-    """Build the concatenated ordering and verify lhs <= max(parts)."""
-    composite = compose(dm, dn, glue)
-    nu_first = nu_of_ordering(dm).nu
+    """Build the concatenated ordering and verify lhs <= max(parts).
+
+    Each part and the composite is walked once; the first part's walk also
+    gives compose its final boundary.
+    """
+    _same_dimension(dm, dn)
+    first, final = evaluate(dm)
+    composite = compose(dm, dn, glue, final=final)
+    nu_first = first.nu
     nu_second = nu_of_ordering(dn).nu
     evaluation = nu_of_ordering(composite)
     lhs = evaluation.nu

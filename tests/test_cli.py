@@ -356,10 +356,22 @@ def test_usage_error_leaves_the_parser_usable(lens_file, capsys):
     assert "nu(ordering) = 4" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("check", [[], ["--check"]])
-def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, monkeypatch, check):
+def _count_steps(monkeypatch):
     import handlenu.trace as trace_mod
 
+    calls = []
+    step = trace_mod.attachment_step
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["label"])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(trace_mod, "attachment_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, monkeypatch, check):
     # alpha = 3 first-part handles, beta = 2 second-part handles.
     first = OrderedHandleDecomposition(3, (), (
         HandleRecord(0, Dim3Zero()),
@@ -373,15 +385,77 @@ def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, mo
     paths = [write_trace(tmp_path, "m.json", first), write_trace(tmp_path, "n.json", second)]
     glue = tmp_path / "glue.json"
     glue.write_text(json.dumps({"pairs": [["h:3", "base:0"]]}))
-    calls = []
-    attach = trace_mod.attach
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return attach(*args, **kwargs)
-
-    monkeypatch.setattr(trace_mod, "attach", counting)
+    calls = _count_steps(monkeypatch)
     assert main(["compose", *paths, "--glue", str(glue), "--json", *check]) == EXIT_OK
-    # The first part is replayed by its own evaluation, by compose (for its
-    # final boundary) and inside the composite; the second part twice.
-    assert len(calls) == 3 * 3 + 2 * 2
+    # The first part is walked by its own evaluation, which also gives compose
+    # its final boundary, and inside the composite; the second part twice.
+    assert len(calls) == 2 * 3 + 2 * 2
+
+
+def test_compute_json_walks_the_trace_twice_and_builds_no_state(lens_file, capsys, monkeypatch):
+    import handlenu.trace as trace_mod
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("compute --json built a boundary state")
+
+    calls = _count_steps(monkeypatch)
+    monkeypatch.setattr(trace_mod, "BoundaryState", no_state)
+    assert main(["compute", lens_file, "--json"]) == EXIT_OK
+    # The lens trace has 4 handles: one walk validates, one evaluates.
+    assert calls == ["h:1", "h:2", "h:3", "h:4"] * 2
+    assert json.loads(capsys.readouterr().out)["result"]["nu"] == 4
+
+
+def test_search_replays_the_trace_once(lens_file, capsys, monkeypatch):
+    import handlenu.nu as nu_mod
+
+    replays = []
+    replay = nu_mod.replay
+    monkeypatch.setattr(nu_mod, "replay", lambda d: replays.append(d) or replay(d))
+    calls = _count_steps(monkeypatch)
+    assert main(["search", lens_file, "--json", "--all-orderings"]) == EXIT_OK
+    # The lens trace is a chain of 4 handles, so its only ideals are its
+    # prefixes: validation walks it once and the search replays it once, and
+    # the floor rules read the search's states.
+    assert len(replays) == 1
+    assert calls == ["h:1", "h:2", "h:3", "h:4"] * 2
+    assert json.loads(capsys.readouterr().out)["result"]["upper"] == 4
+
+
+_GRAPH = {
+    "boundary_counts": [3, 3, 3],
+    "interfaces": [{"i": 0, "j": 1, "count": 1}, {"i": 1, "j": 2, "count": 1}],
+    "z": 5,
+    "handle_costs": [2, 3, 4],
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_set_in(("boundary_counts", 0), 3.9), "boundary_counts"),
+        (_set_in(("interfaces", 0, "i"), "0"), "i"),
+        (_set_in(("interfaces", 1, "j"), 2.0), "j"),
+        (_set_in(("interfaces", 0, "count"), 1.5), "count"),
+        (_set_in(("z",), True), "z"),
+        (_set_in(("handle_costs", 0), 2.2), "handle_costs"),
+    ],
+    ids=["boundary_counts", "i", "j", "count", "z", "handle_costs"],
+)
+def test_obstruct_refuses_non_integer_graph_fields(tmp_path, capsys, mutate, field):
+    doc = json.loads(json.dumps(_GRAPH))
+    mutate(doc)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["obstruct", str(path), "--json"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field!r} must be an integer" in captured.err
+
+
+def test_obstruct_accepts_the_integer_graph(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(_GRAPH))
+    assert main(["obstruct", str(path), "--json"]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["w"], result["pieces_ceiling"], result["max_handles"]) == (3, 3, 12)

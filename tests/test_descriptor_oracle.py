@@ -203,7 +203,9 @@ def assert_matches_oracle(desc):
     assert palindromic(desc) == dense.palindromic
     assert total_betti(desc) == dense.total
     assert desc.key == oracle_key(desc)
-    assert normalize(desc) == oracle_normalize(desc)
+    normal = normalize(desc)
+    assert normal == oracle_normalize(desc)
+    assert normalize(normal) is normal
     assert canonical_key(desc) == oracle_key(oracle_normalize(desc))
     assert pretty(desc) == oracle_pretty(desc)
     assert descriptor_to_json(desc) == oracle_to_json(desc)

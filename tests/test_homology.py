@@ -114,6 +114,48 @@ def test_desc_equal_on_deep_nesting():
     assert not desc_equal(a, Product(point, b))
 
 
+def test_normalize_keeps_a_normal_chain_as_it_is():
+    # The parts of every node of this chain are already in normal order, so
+    # normalize rebuilds no node and reruns no Kunneth product.
+    chain = Sphere(1)
+    for _ in range(900):
+        chain = Product(Sphere(1), chain)
+    assert normalize(chain) is chain
+    assert desc_equal(chain, chain)
+    flipped = normalize(Product(chain, Sphere(1)))
+    assert isinstance(flipped, Product)
+    assert flipped.left == Sphere(1) and flipped.right is chain
+
+
+def test_deep_connected_sum_document_loads_without_recursion():
+    doc = {"type": "sphere", "n": 2}
+    for _ in range(3000):
+        doc = {"type": "connected-sum", "parts": [doc]}
+    desc = descriptor_from_json(doc)
+    assert (desc.dim, total_betti(desc)) == (2, 2)
+    depth, node = 0, descriptor_to_json(desc)
+    while node["type"] == "connected-sum":
+        depth, (node,) = depth + 1, node["parts"]
+    assert (depth, node) == (3000, {"type": "sphere", "n": 2})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"type": "product", "right": {"type": "sphere", "n": 1}}, "missing field 'left'"),
+    ({"type": "product", "left": {"type": "sphere", "n": 0}}, "sphere dimension must be >= 1"),
+    ({"type": "product", "left": {"type": "sphere", "n": 1}}, "missing field 'right'"),
+    ({"type": "connected-sum", "parts": 3}, "malformed 'connected-sum' descriptor"),
+    ({"type": "connected-sum", "parts": []}, "at least one summand"),
+    ({"type": "connected-sum", "parts": [{"type": "sphere", "n": 2}, {"type": "sphere", "n": 3}]},
+     "mixed dimensions"),
+    ({"type": "connected-sum", "parts": [{"type": "sphere", "n": 2}, ["x"]]},
+     "must be an object with a 'type' tag"),
+    ({"type": "product", "left": {"type": "torus"}, "right": 1}, "unknown descriptor type 'torus'"),
+])
+def test_nested_document_errors_name_the_first_bad_part(doc, message):
+    with pytest.raises(DescriptorError, match=message):
+        descriptor_from_json(doc)
+
+
 def test_pretty():
     assert pretty(Surface(1)) == "T^2"
     assert pretty(Surface(2)) == "Sigma_2"

@@ -128,3 +128,13 @@ def test_graph_json_round_trip():
     assert again == g
     with pytest.raises(ValueError):
         graph_from_json({"boundary_counts": [3]})
+
+
+@pytest.mark.parametrize("costs", [None, (5, 2, 7)])
+def test_graph_json_round_trips_through_text(costs):
+    import json
+
+    g = DecompositionGraph((3, 4, 3), ((0, 1, 2), (1, 2, 1)), z=4, handle_costs=costs)
+    text = json.dumps(graph_to_json(g))
+    assert graph_from_json(json.loads(text)) == g
+    assert json.dumps(graph_to_json(graph_from_json(json.loads(text)))) == text

@@ -1,0 +1,94 @@
+"""Every subcommand in a fresh interpreter, and what importing costs.
+
+In-process tests share one interpreter whose modules are already loaded, so
+they cannot see a lazy import that is missing or one that loads too much.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+
+import pytest
+
+import handlenu
+from handlenu.catalog import lookup, solid_torus_trace
+from handlenu.trace import canonical_dumps, dualize, trace_to_json
+
+SRC = str(Path(handlenu.__file__).resolve().parent.parent)
+
+
+def run_python(*args: str, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    files = {
+        "lens": lookup("lens").traces[0][1],
+        "first": solid_torus_trace(),
+        "second": dualize(solid_torus_trace()),
+    }
+    for name, trace in files.items():
+        (root / f"{name}.json").write_text(canonical_dumps(trace_to_json(trace)))
+    (root / "glue.json").write_text(json.dumps({"pairs": [["h:2", "base:0"]]}))
+    graph = {"boundary_counts": [3, 3], "interfaces": [{"i": 0, "j": 1, "count": 1}], "z": 4}
+    (root / "graph.json").write_text(json.dumps(graph))
+    return root
+
+
+COMMANDS = {
+    "compute": ["compute", "lens.json"],
+    "search": ["search", "lens.json", "--json"],
+    "compose": ["compose", "first.json", "second.json", "--glue", "glue.json", "--check"],
+    "obstruct": ["obstruct", "graph.json"],
+    "refute": ["refute", "--l", "1", "--z", "2", "--hmax", "5", "--hW", "11"],
+    "catalog": ["catalog", "--verify"],
+    "validate": ["validate", "lens.json"],
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_subcommand_runs_in_a_fresh_interpreter(inputs, argv):
+    proc = run_python("-m", "handlenu.cli", *argv, cwd=inputs)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
+
+
+def loaded_after(code: str, cwd) -> list[str]:
+    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('handlenu')))"
+    proc = run_python("-c", probe, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1].replace("'", '"'))
+
+
+def test_importing_the_package_loads_no_module(inputs):
+    assert loaded_after("import handlenu", inputs) == ["handlenu"]
+    assert loaded_after("from handlenu import Sphere", inputs) == [
+        "handlenu", "handlenu.homology",
+    ]
+
+
+def test_every_exported_name_resolves():
+    for name in handlenu.__all__:
+        assert getattr(handlenu, name) is not None
+    with pytest.raises(AttributeError):
+        handlenu.no_such_name
+
+
+def test_compute_loads_neither_the_obstruction_module_nor_fractions(inputs):
+    code = (
+        "from handlenu.cli import main\n"
+        "assert main(['compute', 'lens.json', '--json']) == 0\n"
+        "import sys\n"
+        "assert 'fractions' not in sys.modules, 'fractions loaded'"
+    )
+    assert "handlenu.obstruction" not in loaded_after(code, inputs)
