@@ -18,12 +18,12 @@ _EXPORTS = {
     "trace": (
         "AttachError BoundaryComponent BoundaryState Declared Dim3One "
         "Dim3Three Dim3Two Dim3Zero HandleRecord NonSeparating "
-        "OrderedHandleDecomposition ReplayError Separating TraceError attach "
+        "OrderedHandleDecomposition ReplayError Separating TraceError "
         "canonical_dumps dualize reorder replay trace_from_json trace_to_json "
         "validate walk"
     ).split(),
     "nu": (
-        "Bound NuBoundsReport NuEvaluation e_mu evaluate heegaard_upper "
+        "Bound NuBoundsReport NuEvaluation evaluate heegaard_upper "
         "iter_linear_extensions lower_bound_rules nu_bounds nu_of_ordering "
         "search_min_nu"
     ).split(),

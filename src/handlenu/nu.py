@@ -5,7 +5,8 @@ any single free-boundary component after mu handles, and the ordering value
 is the maximum of the ``e_mu``.  The prefix mu = 0 participates exactly when
 the base is non-empty: the initial collar already shows the base as free
 boundary, and the concatenation argument in the union checker relies on
-counting it.
+counting it.  Every value here is read off live-component dicts stepped by
+:func:`trace.attachment_step`; no boundary state is built.
 
 The true invariant of a manifold minimizes over all decompositions and then
 maximizes over all bases; neither extreme is computable in general, so
@@ -19,28 +20,22 @@ from dataclasses import dataclass, replace
 import math
 from typing import Iterator, Sequence
 
-from .homology import palindromic, total_betti
+from .homology import json_int, palindromic
 from .trace import (
     BoundaryComponent,
-    BoundaryState,
     Declared,
     Dim3One,
+    Dim3Three,
     Dim3Two,
     NonSeparating,
     OrderedHandleDecomposition,
     TraceError,
     anchors_of,
-    attach,
+    attachment_step,
     id_sort_key,
     reorder,
-    replay,
     walk,
 )
-
-
-def e_mu(state: BoundaryState) -> int:
-    """Largest total Betti number over the state's components; 0 when empty."""
-    return max((total_betti(c.desc) for c in state.components), default=0)
 
 
 @dataclass(frozen=True)
@@ -125,17 +120,6 @@ def _forces_positive_genus(d: OrderedHandleDecomposition) -> bool:
     return False
 
 
-def _declared_floor(d: OrderedHandleDecomposition) -> int:
-    # Declared records are order-pinned (see iter_linear_extensions), so each
-    # declared component appears in every enumerated ordering.
-    floor = 0
-    for h in d.handles:
-        if isinstance(h.attachment, Declared):
-            for desc in h.attachment.components:
-                floor = max(floor, total_betti(desc))
-    return floor
-
-
 def lower_bound_rules(
     m: int,
     *,
@@ -143,17 +127,17 @@ def lower_bound_rules(
     oriented: bool = True,
     trace: OrderedHandleDecomposition | None = None,
     raw_floor: int = 0,
-    states: Sequence[BoundaryState] | None = None,
 ) -> LowerBound:
     """Best provable floor for the invariant in the given context.
 
     With a trace supplied, the trace-derived rules apply to reorderings of
     that fixed handle multiset; the justification strings say which kind of
-    floor fired.  The rules read every component the trace's replay shows:
-    from ``states``, its replay, when the caller has them, and otherwise
-    from one walk.  Without a trace the caller vouches for the flags.
+    floor fired.  The rules read the handles without replaying them, so the
+    trace must replay; both callers validate or walk it first.  Without a
+    trace the caller vouches for the flags.
     """
-    floor = max(0, int(raw_floor))
+    raw_floor = json_int(raw_floor, "raw_floor")
+    floor = max(0, raw_floor)
     reasons: list[str] = []
     if raw_floor > 0:
         reasons.append(f"caller-supplied floor {raw_floor}")
@@ -161,20 +145,22 @@ def lower_bound_rules(
     visible = True
     orientable_ok = oriented
     evenness_ok = oriented and m == 3
+    declared_floor = 0
     if trace is not None:
-        if states is None:
-            shown = (c for _, made, _ in walk(trace) for c in made)
-        else:
-            shown = (c for s in states for c in s.components)
-        # Ids name the event that made a component, so this lists each once.
-        comps = list({c.id: c for c in shown}.values())
-        visible = bool(comps)
-        orientable_ok = oriented and all(palindromic(c.desc) for c in comps)
-        evenness_ok = (
-            orientable_ok
-            and m == 3
-            and all(total_betti(c.desc) % 2 == 0 for c in comps)
+        # Declared records are order-pinned (see iter_linear_extensions), so
+        # each declared component appears in every enumerated ordering.
+        pinned = (h.attachment for h in trace.handles if isinstance(h.attachment, Declared))
+        declared = [desc for att in pinned for desc in att.components]
+        declared_floor = max((desc.total for desc in declared), default=0)
+        # Besides these and the base, the replay shows only spheres and
+        # orientable surfaces (palindromic, even total), made by every handle
+        # but a 3-handle or an empty declared record.
+        stated = (*trace.base, *declared)
+        visible = bool(stated) or any(
+            not isinstance(h.attachment, (Declared, Dim3Three)) for h in trace.handles
         )
+        orientable_ok = oriented and all(palindromic(desc) for desc in stated)
+        evenness_ok = orientable_ok and m == 3 and all(desc.total % 2 == 0 for desc in stated)
 
     if closed and m >= 3 and visible and orientable_ok:
         if floor < 2:
@@ -190,14 +176,12 @@ def lower_bound_rules(
                 "fixed handles force a positive-genus surface boundary in every "
                 "admissible order"
             )
-    if trace is not None:
-        declared = _declared_floor(trace)
-        if declared > floor:
-            floor = declared
-            reasons.append(
-                "an order-pinned declared boundary component has total Betti "
-                f"number {declared}"
-            )
+    if declared_floor > floor:
+        floor = declared_floor
+        reasons.append(
+            "an order-pinned declared boundary component has total Betti "
+            f"number {declared_floor}"
+        )
     if m == 3 and evenness_ok and floor % 2 == 1:
         floor += 1
         reasons.append(
@@ -214,7 +198,7 @@ def heegaard_upper(genus: int) -> int:
     decomposition whose intermediate boundaries never exceed that surface,
     so the invariant is at most 2g + 2.  The genus itself is user-asserted.
     """
-    if genus < 0:
+    if json_int(genus, "genus") < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
     return 2 * genus + 2
 
@@ -286,6 +270,14 @@ class Bound:
             raise ValueError(f"inconsistent bound: lower {self.lower} exceeds upper {self.upper}")
 
 
+Live = dict[str, BoundaryComponent]
+
+
+def _largest(live: Live) -> int:
+    """Largest total Betti number over the live components; 0 when empty."""
+    return max((c.desc.total for c in live.values()), default=0)
+
+
 class _IdealSearch:
     """Memoized walk over the lattice of order ideals of the dependency poset.
 
@@ -293,19 +285,20 @@ class _IdealSearch:
     for handle ``j``).  In a valid trace every component id is consumed at
     most once and every move is local, so the free boundary after placing an
     ideal depends only on the ideal, not on the order its handles went in;
-    children are built by attaching the handle under its original label,
-    which is what anchors name.  Walks keep only the states of the ideals on
-    their stack, plus the replay's own prefix states, which are free.
+    a child's live components by id are a copy of its parent's, stepped by
+    :func:`attachment_step` under the handle's original label, which is what
+    anchors name.  Walks keep only the dicts of the ideals on their stack,
+    plus the snapshots in ``known``, which seed the prefixes of the given
+    order.
     """
 
-    def __init__(self, d: OrderedHandleDecomposition, states: Sequence[BoundaryState],
-                 cap: int | None):
+    def __init__(self, d: OrderedHandleDecomposition, known: dict[int, Live], cap: int | None):
         deps = _dependencies(d)
         self.d = d
         self.need = [sum(1 << (i - 1) for i in deps[j]) for j in range(1, d.delta + 1)]
         self.full = (1 << d.delta) - 1
         self.cap = cap
-        self.known = {(1 << k) - 1: state for k, state in enumerate(states)}
+        self.known = known
         self.counts: dict[int, int] = {}
         self.values: dict[int, int] = {}
 
@@ -319,11 +312,19 @@ class _IdealSearch:
                 yield j
             free ^= low
 
-    def child_state(self, state: BoundaryState, ideal: int, j: int) -> BoundaryState:
+    def child_live(self, live: Live, ideal: int, j: int) -> Live:
         known = self.known.get(ideal | 1 << j)
         if known is not None:
             return known
-        return attach(state, self.d.handles[j], label=f"h:{j + 1}", m=self.d.m)
+        consumed, made = attachment_step(
+            self.d.handles[j].attachment, live, label=f"h:{j + 1}", m=self.d.m
+        )
+        live = dict(live)
+        for comp_id in consumed:
+            del live[comp_id]
+        for comp in made:
+            live[comp.id] = comp
+        return live
 
     def count(self, root: int) -> int:
         """Admissible orderings of the handles outside ``root``, saturated at ``cap``."""
@@ -347,20 +348,20 @@ class _IdealSearch:
                 stack.append([child, self.children(child), int(child == self.full)])
         return counts[root]
 
-    def value(self, root: int, state: BoundaryState) -> int:
+    def value(self, root: int, live: Live) -> int:
         """max(e(root), rest(root)): the smallest largest ``e_mu`` over all
         completions of ``root``, counting ``root`` itself."""
         values = self.values
 
-        def frame(ideal: int, state: BoundaryState) -> list:
-            # [ideal, state, children, e, rest]; nothing follows the full ideal.
+        def frame(ideal: int, live: Live) -> list:
+            # [ideal, live, children, e, rest]; nothing follows the full ideal.
             rest = 0 if ideal == self.full else math.inf
-            return [ideal, state, self.children(ideal), e_mu(state), rest]
+            return [ideal, live, self.children(ideal), _largest(live), rest]
 
-        stack = [frame(root, state)]
+        stack = [frame(root, live)]
         while root not in values:
             top = stack[-1]
-            ideal, state, children, e, rest = top
+            ideal, live, children, e, rest = top
             j = next(children, None)
             if j is None:
                 stack.pop()
@@ -372,10 +373,10 @@ class _IdealSearch:
             if child in values:
                 top[4] = min(rest, values[child])
             else:
-                stack.append(frame(child, self.child_state(state, ideal, j)))
+                stack.append(frame(child, self.child_live(live, ideal, j)))
         return values[root]
 
-    def budgeted(self, state: BoundaryState, budget: int) -> tuple[int, list[int], int]:
+    def budgeted(self, live: Live, budget: int) -> tuple[int, list[int], int]:
         """Best value over the first ``budget`` orderings in depth-first
         lexicographic order, the path to the subtree that first attains it,
         and that subtree's root ideal.
@@ -384,20 +385,20 @@ class _IdealSearch:
         whole through :meth:`value`; the first child that does not fit is
         entered, and holds the rest of the budget.
         """
-        ideal, path, running = 0, [], e_mu(state)
+        ideal, path, running = 0, [], _largest(live)
         best: tuple[int, list[int], int] | None = None
         remaining = budget
         while remaining:
             for j in self.children(ideal):
                 child = ideal | 1 << j
-                child_state = self.child_state(state, ideal, j)
+                child_live = self.child_live(live, ideal, j)
                 covered = self.count(child)
                 if covered > remaining:
-                    ideal, state = child, child_state
+                    ideal, live = child, child_live
                     path.append(j)
-                    running = max(running, e_mu(child_state))
+                    running = max(running, _largest(child_live))
                     break
-                candidate = max(running, self.value(child, child_state))
+                candidate = max(running, self.value(child, child_live))
                 if best is None or candidate < best[0]:
                     best = (candidate, path + [j], child)
                 remaining -= covered
@@ -433,22 +434,24 @@ def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> B
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of orderings, got {budget}")
-    states = replay(d)
+    # One walk seeds the prefix ideals {1..k}, and raises the trace's own
+    # ReplayError before any search work.
+    known = {(1 << k) - 1: dict(live) for k, (_, _, live) in enumerate(walk(d))}
 
-    search = _IdealSearch(d, states, cap=None if budget is None else budget + 1)
+    search = _IdealSearch(d, known, cap=None if budget is None else budget + 1)
     total = search.count(0)
     if budget is None or total <= budget:
         # The empty ideal's e_mu is 0 without a base, so it counts exactly
         # when the base is non-empty, as in nu_of_ordering.
-        best, path, root = search.value(0, states[0]), [], 0
+        best, path, root = search.value(0, known[0]), [], 0
         enumerated, exhaustive = total, True
     else:
-        best, path, root = search.budgeted(states[0], budget)
+        best, path, root = search.budgeted(known[0], budget)
         enumerated, exhaustive = budget, False
     best_order = search.witness(path, root, best)
 
-    closed = not d.base and not states[-1].components
-    lb = lower_bound_rules(d.m, closed=closed, trace=d, states=states)
+    closed = not d.base and not known[search.full]
+    lb = lower_bound_rules(d.m, closed=closed, trace=d)
     return Bound(
         lower=lb.value,
         upper=best,

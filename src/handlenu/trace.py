@@ -8,10 +8,11 @@ boundary still available for later attachments.  The base itself is kept
 on the fixed side of a collar and never consumed.
 
 One function, :func:`attachment_step`, says what each attachment does to
-the live components.  :func:`attach` applies it to one state, and
-:func:`walk` applies it handle after handle to a single dict of live
-components, in time linear in the handles; :func:`replay` builds its
-states from the walk.
+the live components, a dict by id.  :func:`walk` applies it handle after
+handle to a single such dict, in time linear in the handles; the ordering
+search in ``nu`` applies it to copies.  :func:`replay` builds sorted
+:class:`BoundaryState` snapshots from the walk, for readers that want
+every prefix at once.
 
 Two attachment styles exist:
 
@@ -258,7 +259,9 @@ def attachment_step(
     attachment consumes, and the components it makes, named after ``label``.
 
     ``live`` maps the ids of the free boundary's components to them and is
-    only read.  Raises AttachError when the attachment is illegal there.
+    only read.  Components not consumed keep their ids; a ``Declared`` record
+    consumes them all.  Raises AttachError when the attachment is illegal
+    there.
     """
     if not isinstance(att, Declared) and m != 3:
         raise AttachError(
@@ -305,28 +308,10 @@ def attachment_step(
     raise AttachError(f"unknown attachment {att!r}")
 
 
-def attach(state: BoundaryState, handle: HandleRecord, *, label: str, m: int) -> BoundaryState:
-    """Apply one handle record to a boundary state.
-
-    ``label`` is the event id the new components are named after.  Components
-    not referenced by an anchor pass through untouched, ids included (a
-    ``Declared`` record replaces everything by definition).
-    """
-    keep = {c.id: c for c in state.components}
-    consumed, made = attachment_step(handle.attachment, keep, label=label, m=m)
-    for comp_id in consumed:
-        del keep[comp_id]
-    return BoundaryState(state.mu + 1, (*keep.values(), *made))
-
-
 def _base_components(d: OrderedHandleDecomposition) -> tuple[BoundaryComponent, ...]:
     return tuple(
         BoundaryComponent(f"base:{i}", desc, f"base:{i}") for i, desc in enumerate(d.base)
     )
-
-
-def base_state(d: OrderedHandleDecomposition) -> BoundaryState:
-    return BoundaryState(0, _base_components(d))
 
 
 def walk(d: OrderedHandleDecomposition) -> Iterator[

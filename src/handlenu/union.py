@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .homology import desc_equal, pretty
-from .nu import NuEvaluation, e_mu, evaluate, nu_of_ordering
+from .nu import NuEvaluation, evaluate, nu_of_ordering
 from .trace import (
     BoundaryComponent,
     Declared,
     HandleRecord,
     OrderedHandleDecomposition,
-    base_state,
     final_boundary,
     in_id_order,
     map_anchors,
@@ -96,9 +95,11 @@ def compose(
                 f"first part has no final boundary component {m_id!r}; "
                 f"components: {sorted(final_by_id)}"
             )
-        if not n_id.startswith("base:"):
+        digits = n_id[5:] if n_id.startswith("base:") else ""
+        # Only "base:<i>" in canonical form: "base:00" would glue base:0 and keep it free.
+        if not (digits.isascii() and digits.isdigit()) or n_id != f"base:{int(digits)}":
             raise GlueError(f"second-side glue target must be a base id, got {n_id!r}")
-        idx = int(n_id[5:])
+        idx = int(digits)
         if not 0 <= idx < len(dn.base):
             raise GlueError(f"second part base has no component {n_id!r}")
         if not desc_equal(final_by_id[m_id].desc, dn.base[idx]):
@@ -174,8 +175,8 @@ def check_key_inequality(
     _same_dimension(dm, dn)
     first, final = evaluate(dm)
     composite = compose(dm, dn, glue, final=final)
-    nu_first = first.nu
-    nu_second = nu_of_ordering(dn).nu
+    second = nu_of_ordering(dn)
+    nu_first, nu_second = first.nu, second.nu
     evaluation = nu_of_ordering(composite)
     lhs = evaluation.nu
     rhs = max(nu_first, nu_second)
@@ -200,7 +201,7 @@ def check_key_inequality(
         )
     elif comp_id is not None and comp_id.startswith("base:") and int(comp_id[5:]) >= len(dm.base):
         case = "base-component"
-        e0_second = e_mu(base_state(dn))
+        e0_second = second.e_values[0]
         steps.append(
             f"maximum is a preserved base component of the second part with total "
             f"Betti {lhs}; it already appears in that part's initial boundary, "

@@ -125,6 +125,22 @@ def test_compose_bad_glue_is_validation_failure(tmp_path, capsys):
     assert main(["compose", first, second, "--glue", str(glue)]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("target", ["base:00", "base: 0", "base:+0"])
+def test_compose_refuses_a_non_canonical_glue_target(tmp_path, capsys, target):
+    # int() reads each of these as 0, which glued base:0 of the solid-torus
+    # double and still kept it as a free base component of the composite.
+    assert main(["catalog", "--export", "solid-torus", "--base", "torus"]) == EXIT_OK
+    second = tmp_path / "n.json"
+    second.write_text(capsys.readouterr().out)
+    first = write_trace(tmp_path, "m.json", solid_torus_trace())
+    glue = tmp_path / "glue.json"
+    glue.write_text(json.dumps({"pairs": [["h:2", target]]}))
+    assert main(["compose", first, str(second), "--glue", str(glue), "--check"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"second-side glue target must be a base id, got {target!r}" in captured.err
+
+
 def test_inequality_exit_code_mapping():
     assert inequality_exit_code(True) == EXIT_OK
     assert inequality_exit_code(False) == EXIT_THEOREM
@@ -357,6 +373,7 @@ def test_usage_error_leaves_the_parser_usable(lens_file, capsys):
 
 
 def _count_steps(monkeypatch):
+    import handlenu.nu as nu_mod
     import handlenu.trace as trace_mod
 
     calls = []
@@ -366,7 +383,9 @@ def _count_steps(monkeypatch):
         calls.append(kwargs["label"])
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(trace_mod, "attachment_step", counting)
+    # The ordering search steps its own dicts through nu's binding.
+    for module in (trace_mod, nu_mod):
+        monkeypatch.setattr(module, "attachment_step", counting)
     return calls
 
 
@@ -408,16 +427,18 @@ def test_compute_json_walks_the_trace_twice_and_builds_no_state(lens_file, capsy
 
 def test_search_replays_the_trace_once(lens_file, capsys, monkeypatch):
     import handlenu.nu as nu_mod
+    import handlenu.trace as trace_mod
 
-    replays = []
-    replay = nu_mod.replay
-    monkeypatch.setattr(nu_mod, "replay", lambda d: replays.append(d) or replay(d))
+    walks = []
+    walk = trace_mod.walk
+    for module in (trace_mod, nu_mod):
+        monkeypatch.setattr(module, "walk", lambda d: walks.append(d) or walk(d))
     calls = _count_steps(monkeypatch)
     assert main(["search", lens_file, "--json", "--all-orderings"]) == EXIT_OK
     # The lens trace is a chain of 4 handles, so its only ideals are its
-    # prefixes: validation walks it once and the search replays it once, and
-    # the floor rules read the search's states.
-    assert len(replays) == 1
+    # prefixes: validation walks it once and the search walks it once, and
+    # the floor rules read the handles without a walk.
+    assert len(walks) == 2
     assert calls == ["h:1", "h:2", "h:3", "h:4"] * 2
     assert json.loads(capsys.readouterr().out)["result"]["upper"] == 4
 

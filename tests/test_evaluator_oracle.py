@@ -2,6 +2,8 @@
 walk-built ``replay`` against the replay they replaced, kept here as the
 oracle: a state-copying ``attach`` with its own switch over attachment kinds,
 a ``replay`` that calls it once per handle, and ``e_mu`` scanning every state.
+The floor rules, which read the handles, are checked against the reading of
+every component a walk shows, and the search against replay's errors.
 """
 
 from __future__ import annotations
@@ -10,8 +12,25 @@ import random
 
 from hypothesis import given, seed, settings, strategies as st
 
-from handlenu.homology import Sphere, Surface, normalize, pretty, total_betti
-from handlenu.nu import evaluate, lower_bound_rules, nu_of_ordering
+from handlenu.catalog import lookup, names
+from handlenu.homology import (
+    Explicit,
+    HomologyVector,
+    Sphere,
+    Surface,
+    normalize,
+    palindromic,
+    pretty,
+    total_betti,
+)
+from handlenu.nu import (
+    LowerBound,
+    _forces_positive_genus,
+    evaluate,
+    lower_bound_rules,
+    nu_of_ordering,
+    search_min_nu,
+)
 from handlenu.trace import (
     AttachError,
     BoundaryComponent,
@@ -25,12 +44,12 @@ from handlenu.trace import (
     NonSeparating,
     OrderedHandleDecomposition,
     ReplayError,
-    base_state,
     final_boundary,
     replay,
     validate,
+    walk,
 )
-from gen import random_trace
+from gen import random_descriptor, random_trace
 
 
 # --- oracle: the state-copying replay -----------------------------------------
@@ -109,7 +128,8 @@ def oracle_attach(state, handle, *, label, m):
 
 
 def oracle_replay(d):
-    states = [base_state(d)]
+    base = (BoundaryComponent(f"base:{i}", desc, f"base:{i}") for i, desc in enumerate(d.base))
+    states = [BoundaryState(0, tuple(base))]
     for j, handle in enumerate(d.handles, start=1):
         try:
             states.append(oracle_attach(states[-1], handle, label=f"h:{j}", m=d.m))
@@ -214,13 +234,111 @@ def test_evaluator_matches_oracle_hypothesis(rng, declared, breaking):
     assert_matches_oracle(broken(rng, d) if breaking else d)
 
 
-def test_floor_rules_read_the_same_components_from_a_walk_and_from_states():
+# --- oracle: the floor rules reading every component a walk shows ----------------
+
+
+def oracle_lower_bound_rules(m, *, closed, oriented, trace):
+    # The rules as they read every component a walk shows; the genus rule
+    # never replayed, so it is shared.
+    floor, reasons = 0, []
+    comps = list({c.id: c for _, made, _ in walk(trace) for c in made}.values())
+    visible = bool(comps)
+    orientable_ok = oriented and all(palindromic(c.desc) for c in comps)
+    evenness_ok = orientable_ok and m == 3 and all(total_betti(c.desc) % 2 == 0 for c in comps)
+    if closed and m >= 3 and visible and orientable_ok:
+        floor = 2
+        reasons.append(
+            "closed trace: some prefix shows a closed orientable boundary "
+            "component, which has total Betti number at least 2"
+        )
+    if m == 3 and orientable_ok and _forces_positive_genus(trace) and floor < 4:
+        floor = 4
+        reasons.append(
+            "fixed handles force a positive-genus surface boundary in every admissible order"
+        )
+    declared = max(
+        (
+            total_betti(desc)
+            for h in trace.handles
+            if isinstance(h.attachment, Declared)
+            for desc in h.attachment.components
+        ),
+        default=0,
+    )
+    if declared > floor:
+        floor = declared
+        reasons.append(
+            f"an order-pinned declared boundary component has total Betti number {declared}"
+        )
+    if m == 3 and evenness_ok and floor % 2 == 1:
+        floor += 1
+        reasons.append(
+            "orientable surface boundaries have even total Betti number; floor rounded up"
+        )
+    return LowerBound(floor, tuple(reasons))
+
+
+def stated_descriptors(rng):
+    """0-2 closed descriptors: palindromic or not, with odd or even total."""
+    return tuple(
+        Explicit(2, HomologyVector(2, (1, rng.randint(0, 3), 0)), "lopsided")
+        if rng.random() < 0.3
+        else random_descriptor(rng)
+        for _ in range(rng.randint(0, 2))
+    )
+
+
+def stated_trace(rng):
+    """A trace whose base and declared record hold arbitrary descriptors."""
+    m = rng.choice((3, 4))
+    handles = [HandleRecord(0, Dim3Zero()) for _ in range(rng.randint(0, 2) if m == 3 else 0)]
+    if handles and rng.random() < 0.5:
+        handles.append(HandleRecord(3, Dim3Three("h:1")))
+    if rng.random() < 0.7:
+        handles.append(HandleRecord(2, Declared(stated_descriptors(rng))))
+    return OrderedHandleDecomposition(m, stated_descriptors(rng), tuple(handles))
+
+
+def floor_rule_traces():
     rng = random.Random(77)
+    for declared in (0.2, 0.5):
+        for _ in range(150):
+            d = random_trace(rng, max_handles=8, declared=declared)
+            yield d
+            tail = HandleRecord(2, Declared(stated_descriptors(rng)))
+            yield OrderedHandleDecomposition(d.m, d.base, d.handles + (tail,))
     for _ in range(150):
-        d = random_trace(rng, max_handles=8, declared=0.2)
+        yield stated_trace(rng)
+    for name in names():
+        for _, trace in lookup(name).traces:
+            if outcome(replay, trace)[0] == "ok":
+                yield trace
+
+
+def test_floor_rules_match_the_walk_based_oracle():
+    checked = 0
+    for d in floor_rule_traces():
         for closed in (False, True):
-            walked = lower_bound_rules(d.m, closed=closed, trace=d)
-            assert walked == lower_bound_rules(d.m, closed=closed, trace=d, states=replay(d))
+            for oriented in (False, True):
+                want = oracle_lower_bound_rules(d.m, closed=closed, oriented=oriented, trace=d)
+                got = lower_bound_rules(d.m, closed=closed, oriented=oriented, trace=d)
+                assert got == want
+                checked += 1
+    assert checked > 3000
+
+
+def test_search_raises_the_replay_error_of_a_broken_trace():
+    rng = random.Random(5150)
+    failures = 0
+    for _ in range(200):
+        d = broken(rng, random_trace(rng, max_handles=7, declared=0.2))
+        want = outcome(replay, d)
+        if want[0] != "ReplayError":
+            continue
+        failures += 1
+        for budget in (None, 1, 3):
+            assert outcome(lambda t: search_min_nu(t, budget=budget), d) == want
+    assert failures > 30
 
 
 def test_wide_trace_evaluates_in_linear_time():

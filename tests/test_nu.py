@@ -13,7 +13,6 @@ from handlenu.catalog import (
 )
 from handlenu.homology import Sphere, Surface
 from handlenu.nu import (
-    e_mu,
     heegaard_upper,
     iter_linear_extensions,
     lower_bound_rules,
@@ -22,8 +21,6 @@ from handlenu.nu import (
     search_min_nu,
 )
 from handlenu.trace import (
-    BoundaryComponent,
-    BoundaryState,
     Dim3One,
     Dim3Three,
     Dim3Zero,
@@ -36,17 +33,14 @@ from handlenu.trace import (
 from gen import random_trace
 
 
-def as_state(*descs):
-    comps = tuple(
-        BoundaryComponent(f"base:{i}", d, f"base:{i}") for i, d in enumerate(descs)
-    )
-    return BoundaryState(0, comps)
+def e_0(*base):
+    return nu_of_ordering(OrderedHandleDecomposition(3, base, ())).e_values[0]
 
 
 def test_e_mu_values():
-    assert e_mu(as_state(Surface(1))) == 4
-    assert e_mu(as_state()) == 0
-    assert e_mu(as_state(Sphere(2), Surface(3))) == 8
+    assert e_0(Surface(1)) == 4
+    assert e_0() == 0
+    assert e_0(Sphere(2), Surface(3)) == 8
 
 
 def test_nu_of_two_handle_sphere():
@@ -197,6 +191,12 @@ def test_lower_bound_rules_examples():
     assert lower_bound_rules(3, closed=False, trace=solid_torus_trace()).value == 4
 
 
+@pytest.mark.parametrize("raw_floor", [2.7, 2.0, True, "2", None])
+def test_lower_bound_rules_refuse_a_non_integer_floor(raw_floor):
+    with pytest.raises(TypeError, match="'raw_floor' must be an integer"):
+        lower_bound_rules(3, raw_floor=raw_floor)
+
+
 def test_declared_components_floor_the_search():
     bound = search_min_nu(sphere_times_circle_trace(4))
     assert (bound.lower, bound.upper) == (4, 4)
@@ -216,6 +216,12 @@ def test_heegaard_upper():
     assert heegaard_upper(0) == 2
     with pytest.raises(ValueError):
         heegaard_upper(-1)
+
+
+@pytest.mark.parametrize("genus", [1.5, 1.0, True, "1", None])
+def test_heegaard_upper_refuses_a_non_integer_genus(genus):
+    with pytest.raises(TypeError, match="'genus' must be an integer"):
+        heegaard_upper(genus)
 
 
 def test_dual_consistency_on_closed_traces():

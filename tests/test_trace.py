@@ -15,8 +15,6 @@ from handlenu.catalog import (
     sphere_trace,
 )
 from handlenu.trace import (
-    BoundaryComponent,
-    BoundaryState,
     Declared,
     Dim3One,
     Dim3Three,
@@ -29,7 +27,6 @@ from handlenu.trace import (
     Separating,
     TraceError,
     anchors_of,
-    attach,
     canonical_dumps,
     dualize,
     rename_anchor,
@@ -42,11 +39,10 @@ from handlenu.trace import (
 from gen import random_trace
 
 
-def state_of(*descs):
-    comps = tuple(
-        BoundaryComponent(f"base:{i}", desc, f"base:{i}") for i, desc in enumerate(descs)
-    )
-    return BoundaryState(0, comps)
+def attach_one(base, attachment, index, m=3):
+    """The free boundary after one handle over ``base``, through replay."""
+    d = OrderedHandleDecomposition(m, tuple(base), (HandleRecord(index, attachment),))
+    return replay(d)[-1]
 
 
 def descriptors(state):
@@ -60,54 +56,47 @@ def desc_multiset(state):
 
 
 def test_attach_one_same_component_adds_genus():
-    out = attach(state_of(Sphere(2)), HandleRecord(1, Dim3One("base:0", "base:0")),
-                 label="h:1", m=3)
+    out = attach_one([Sphere(2)], Dim3One("base:0", "base:0"), 1)
     assert descriptors(out) == (Surface(1),)
     assert out.components[0].id == "h:1"
 
 
 def test_attach_nonseparating_drops_genus():
-    out = attach(state_of(Surface(1)), HandleRecord(2, Dim3Two("base:0", NonSeparating())),
-                 label="h:1", m=3)
+    out = attach_one([Surface(1)], Dim3Two("base:0", NonSeparating()), 2)
     assert descriptors(out) == (Sphere(2),)
 
 
 def test_attach_separating_splits_genus():
-    out = attach(state_of(Surface(3)), HandleRecord(2, Dim3Two("base:0", Separating(1, 2))),
-                 label="h:1", m=3)
+    out = attach_one([Surface(3)], Dim3Two("base:0", Separating(1, 2)), 2)
     assert descriptors(out) == (Surface(1), Surface(2))
     assert out.ids() == ("h:1/0", "h:1/1")
 
 
 def test_attach_declared_replaces_everything():
     qhs = Explicit(2, HomologyVector(2, (1, 0, 1)), "declared piece")
-    out = attach(state_of(Sphere(2)), HandleRecord(2, Declared((qhs,))), label="h:1", m=3)
+    out = attach_one([Sphere(2)], Declared((qhs,)), 2)
     assert descriptors(out) == (qhs,)
     assert out.ids() == ("h:1/0",)
     assert out.components[0].origin == "h:1"
 
 
 def test_attach_is_local():
-    state = state_of(Sphere(2), Surface(2))
-    out = attach(state, HandleRecord(1, Dim3One("base:0", "base:0")), label="h:1", m=3)
+    out = attach_one([Sphere(2), Surface(2)], Dim3One("base:0", "base:0"), 1)
     untouched = out.find("base:1")
     assert untouched is not None and untouched.desc == Surface(2)
 
 
 def test_attach_errors():
     with pytest.raises(TraceError):
-        attach(state_of(Sphere(2)), HandleRecord(1, Dim3One("base:7", "base:7")),
-               label="h:1", m=3)
+        attach_one([Sphere(2)], Dim3One("base:7", "base:7"), 1)
     with pytest.raises(TraceError):
-        attach(state_of(Surface(1)), HandleRecord(3, Dim3Three("base:0")), label="h:1", m=3)
+        attach_one([Surface(1)], Dim3Three("base:0"), 3)
     with pytest.raises(TraceError):
-        attach(state_of(Sphere(2)), HandleRecord(2, Dim3Two("base:0", NonSeparating())),
-               label="h:1", m=3)
+        attach_one([Sphere(2)], Dim3Two("base:0", NonSeparating()), 2)
     with pytest.raises(TraceError):
-        attach(state_of(Surface(2)), HandleRecord(2, Dim3Two("base:0", Separating(1, 2))),
-               label="h:1", m=3)
+        attach_one([Surface(2)], Dim3Two("base:0", Separating(1, 2)), 2)
     with pytest.raises(TraceError):
-        attach(state_of(Sphere(3)), HandleRecord(0, Dim3Zero()), label="h:1", m=4)
+        attach_one([Sphere(3)], Dim3Zero(), 0, m=4)
 
 
 def test_replay_two_handle_sphere():
