@@ -33,7 +33,7 @@ from .trace import (
     OrderedHandleDecomposition,
     dualize,
     replay,
-    validate,
+    validated,
 )
 from .union import GlueSpec, check_key_inequality
 
@@ -403,7 +403,7 @@ def _entry_items(entry: CatalogEntry) -> list[CheckItem]:
     values: dict[str, int] = {}
     floors: dict[str, int] = {}
     for label, trace in entry.traces:
-        report = validate(trace)
+        report, result = validated(trace, evaluate)
         items.append(
             CheckItem(
                 entry.name,
@@ -414,7 +414,7 @@ def _entry_items(entry: CatalogEntry) -> list[CheckItem]:
         )
         if not report.ok:
             continue
-        evaluation, final = evaluate(trace)
+        evaluation, final = result
         values[label] = evaluation.nu
         closed = not trace.base and not final
         floors[label] = lower_bound_rules(trace.m, closed=closed, trace=trace).value

@@ -17,7 +17,7 @@ import sys
 
 from . import catalog as catalog_mod
 from .homology import json_str, pretty
-from .nu import Bound, NuEvaluation, nu_of_ordering, search_min_nu
+from .nu import Bound, NuEvaluation, evaluate, search_min_nu
 from .trace import (
     OrderedHandleDecomposition,
     TraceError,
@@ -26,6 +26,7 @@ from .trace import (
     trace_from_json,
     trace_to_json,
     validate,
+    validated,
 )
 from .union import GlueError, GlueSpec, check_key_inequality
 
@@ -69,14 +70,13 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
             print(line)
 
 
-def _require_valid(d: OrderedHandleDecomposition) -> list[str]:
-    report = validate(d)
+def _require_valid(d: OrderedHandleDecomposition) -> tuple[list[str], NuEvaluation]:
+    report, result = validated(d, evaluate)
     if not report.ok:
         for violation in report.violations:
-            where = "structure" if violation.mu is None else f"prefix {violation.mu}"
-            print(f"invalid trace ({where}): {violation.message}", file=sys.stderr)
+            print(f"invalid trace (prefix {violation.mu}): {violation.message}", file=sys.stderr)
         raise TraceError("trace failed validation")
-    return list(report.warnings)
+    return list(report.warnings), result[0]
 
 
 def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[str]:
@@ -99,8 +99,7 @@ def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[s
 
 def cmd_compute(args) -> int:
     d = _load_trace(args.trace)
-    warnings = _require_valid(d)
-    evaluation = nu_of_ordering(d)
+    warnings, evaluation = _require_valid(d)
     # Only the human table needs every state.
     lines = [] if args.json else _mu_table(d, evaluation)
     _emit(
@@ -129,7 +128,7 @@ def _bound_lines(bound: Bound) -> list[str]:
 
 def cmd_search(args) -> int:
     d = _load_trace(args.trace)
-    warnings = _require_valid(d)
+    warnings, _ = _require_valid(d)
     budget = None if args.all_orderings else args.budget
     bound = search_min_nu(d, budget=budget)
     result = {
@@ -324,8 +323,7 @@ def cmd_validate(args) -> int:
     report = validate(d)
     lines = []
     for violation in report.violations:
-        where = "structure" if violation.mu is None else f"prefix {violation.mu}"
-        lines.append(f"violation ({where}): {violation.message}")
+        lines.append(f"violation (prefix {violation.mu}): {violation.message}")
     for warning in report.warnings:
         lines.append(f"warning: {warning}")
     lines.append("OK" if report.ok else f"{len(report.violations)} violation(s)")

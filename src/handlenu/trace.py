@@ -423,7 +423,7 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
 
 @dataclass(frozen=True)
 class Violation:
-    mu: int | None
+    mu: int
     message: str
 
 
@@ -441,9 +441,9 @@ def _connected(desc: Descriptor) -> bool:
     return desc.ranks[:1] == ((0, 1),)  # b_0 = 1
 
 
-def validate(d: OrderedHandleDecomposition) -> ValidationReport:
-    """Diagnostics only; never raises.  Empty violations iff replay succeeds
-    and the structural checks pass."""
+def validated(d: OrderedHandleDecomposition, run: Callable[[OrderedHandleDecomposition], tuple]):
+    """Structural checks, then the caller's walk ``run(d)``, a tuple ending in the final
+    boundary; its ReplayError is a violation.  Returns (report, run(d) or None if invalid)."""
     violations: list[Violation] = []
     warnings: list[str] = []
 
@@ -484,13 +484,14 @@ def validate(d: OrderedHandleDecomposition) -> ValidationReport:
                     )
                 )
 
+    result = None
     if not violations:
         try:
-            final = final_boundary(d)
+            result = run(d)
         except ReplayError as exc:
             violations.append(Violation(exc.mu, str(exc)))
         else:
-            closed = not d.base and not final
+            closed = not d.base and not result[-1]
             if closed and d.m == 3:
                 euler = sum((-1) ** h.index for h in d.handles)
                 if euler != 0:
@@ -498,7 +499,12 @@ def validate(d: OrderedHandleDecomposition) -> ValidationReport:
                         "closed trace has handle-count alternating sum "
                         f"{euler}, expected 0"
                     )
-    return ValidationReport(tuple(violations), tuple(warnings))
+    return ValidationReport(tuple(violations), tuple(warnings)), result
+
+
+def validate(d: OrderedHandleDecomposition) -> ValidationReport:
+    """Diagnostics only; never raises.  The replay check walks to the final boundary."""
+    return validated(d, lambda t: (final_boundary(t),))[0]
 
 
 # --- JSON ------------------------------------------------------------------

@@ -26,10 +26,12 @@ from .trace import (
     Declared,
     HandleRecord,
     OrderedHandleDecomposition,
+    TraceError,
     final_boundary,
     in_id_order,
     map_anchors,
     rename_anchor,
+    validated,
 )
 
 
@@ -57,9 +59,13 @@ class GlueSpec:
             raise GlueError(f"glue pairing must be injective on both sides: {self.pairs}")
 
 
-def _same_dimension(dm: OrderedHandleDecomposition, dn: OrderedHandleDecomposition) -> None:
-    if dm.m != dn.m:
-        raise GlueError(f"ambient dimensions differ: {dm.m} vs {dn.m}")
+def _evaluate_part(d: OrderedHandleDecomposition, part: str) -> tuple[NuEvaluation, dict]:
+    """``nu.evaluate(d)`` from the walk that validates ``d``; TraceError if it is invalid."""
+    report, result = validated(d, evaluate)
+    if not report.ok:
+        v = report.violations[0]
+        raise TraceError(f"{part} is invalid (prefix {v.mu}): {v.message}")
+    return result
 
 
 def compose(
@@ -84,7 +90,8 @@ def compose(
     ``final`` is the first part's final free boundary by id, for a caller
     that already walked the first part; without it, compose walks it.
     """
-    _same_dimension(dm, dn)
+    if dm.m != dn.m:
+        raise GlueError(f"ambient dimensions differ: {dm.m} vs {dn.m}")
     final_by_id = final_boundary(dm) if final is None else final
 
     # Second-part event ids to composite ids.
@@ -169,13 +176,12 @@ def check_key_inequality(
 ) -> InequalityReport:
     """Build the concatenated ordering and verify lhs <= max(parts).
 
-    Each part and the composite is walked once; the first part's walk also
-    gives compose its final boundary.
+    Each part and the composite is walked once; each part's walk validates
+    it, and the first part's also gives compose its final boundary.
     """
-    _same_dimension(dm, dn)
-    first, final = evaluate(dm)
+    first, final = _evaluate_part(dm, "first part")
+    second, _ = _evaluate_part(dn, "second part")
     composite = compose(dm, dn, glue, final=final)
-    second = nu_of_ordering(dn)
     nu_first, nu_second = first.nu, second.nu
     evaluation = nu_of_ordering(composite)
     lhs = evaluation.nu
@@ -246,11 +252,12 @@ def check_chain(
     parts: Sequence[OrderedHandleDecomposition],
     glues: Sequence[GlueSpec],
 ) -> ChainReport:
-    """Left fold of compose; one glue per junction; a single part is its own union."""
+    """Left fold of compose over validated parts; one glue per junction."""
     if not parts:
         raise GlueError("need at least one part")
     if len(glues) != len(parts) - 1:
         raise GlueError(f"{len(parts)} parts need {len(parts) - 1} glue specs, got {len(glues)}")
+    part_values = tuple(_evaluate_part(p, f"part {i}")[0].nu for i, p in enumerate(parts, 1))
     accumulated = parts[0]
     stages = [f"stage 1: part with {parts[0].delta} handles"]
     for stage, (nxt, glue) in enumerate(zip(parts[1:], glues), start=2):
@@ -259,7 +266,6 @@ def check_chain(
         except GlueError as exc:
             raise GlueError(f"stage {stage}: {exc}") from exc
         stages.append(f"stage {stage}: composite now has {accumulated.delta} handles")
-    part_values = tuple(nu_of_ordering(p).nu for p in parts)
     lhs = nu_of_ordering(accumulated).nu
     rhs = max(part_values)
     return ChainReport(lhs, rhs, part_values, lhs <= rhs, accumulated, tuple(stages))

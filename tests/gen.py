@@ -7,6 +7,7 @@ through an explicit ``random.Random`` so failures reproduce exactly.
 
 from __future__ import annotations
 
+from dataclasses import replace
 import random
 
 from handlenu.homology import (
@@ -169,3 +170,23 @@ def random_descriptor(rng: random.Random, depth: int = 2) -> Descriptor:
         else:
             parts.append(Sphere(n))
     return ConnectedSum(tuple(parts))
+
+
+DEFECTS = ("index", "base-dimension", "disconnected", "replay")
+
+
+def with_defect(d: OrderedHandleDecomposition, defect: str):
+    """``d`` (m = 3, first handle a surface move) with one defect from
+    :data:`DEFECTS`, and the prefix at which validation reports it."""
+    two_spheres = Explicit(2, HomologyVector(2, (2, 0, 2)), "two spheres")
+    after = d.delta + 1
+    if defect == "index":
+        first, *rest = d.handles
+        return replace(d, handles=(HandleRecord(first.index + 2, first.attachment), *rest)), 1
+    if defect == "base-dimension":
+        return replace(d, base=d.base + (Sphere(3),)), 0
+    if defect == "disconnected":
+        return replace(d, handles=d.handles + (HandleRecord(2, Declared((two_spheres,))),)), after
+    if defect == "replay":
+        return replace(d, handles=d.handles + (HandleRecord(3, Dim3Three("h:99")),)), after
+    raise ValueError(f"unknown defect {defect!r}")

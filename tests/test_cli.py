@@ -24,6 +24,7 @@ from handlenu.trace import (
     trace_from_json,
     trace_to_json,
 )
+from gen import DEFECTS, with_defect
 
 
 def write_trace(tmp_path, name, trace):
@@ -411,7 +412,7 @@ def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, mo
     assert len(calls) == 2 * 3 + 2 * 2
 
 
-def test_compute_json_walks_the_trace_twice_and_builds_no_state(lens_file, capsys, monkeypatch):
+def test_compute_json_walks_the_trace_once_and_builds_no_state(lens_file, capsys, monkeypatch):
     import handlenu.trace as trace_mod
 
     def no_state(*args, **kwargs):
@@ -420,8 +421,8 @@ def test_compute_json_walks_the_trace_twice_and_builds_no_state(lens_file, capsy
     calls = _count_steps(monkeypatch)
     monkeypatch.setattr(trace_mod, "BoundaryState", no_state)
     assert main(["compute", lens_file, "--json"]) == EXIT_OK
-    # The lens trace has 4 handles: one walk validates, one evaluates.
-    assert calls == ["h:1", "h:2", "h:3", "h:4"] * 2
+    # The lens trace has 4 handles: the walk that evaluates also validates.
+    assert calls == ["h:1", "h:2", "h:3", "h:4"]
     assert json.loads(capsys.readouterr().out)["result"]["nu"] == 4
 
 
@@ -441,6 +442,58 @@ def test_search_replays_the_trace_once(lens_file, capsys, monkeypatch):
     assert len(walks) == 2
     assert calls == ["h:1", "h:2", "h:3", "h:4"] * 2
     assert json.loads(capsys.readouterr().out)["result"]["upper"] == 4
+
+
+def test_catalog_verify_walks_each_stored_trace_once_for_its_entry_checks(capsys, monkeypatch):
+    import handlenu.catalog as catalog_mod
+    import handlenu.nu as nu_mod
+    import handlenu.trace as trace_mod
+
+    walked, steps, inside = [], [], []
+    walk, step, entry_items = trace_mod.walk, trace_mod.attachment_step, catalog_mod._entry_items
+
+    def counting_walk(d):
+        if inside:
+            walked.append(d)
+        return walk(d)
+
+    def counting_step(*args, **kwargs):
+        if inside:
+            steps.append(kwargs["label"])
+        return step(*args, **kwargs)
+
+    def entry_checks(entry):
+        inside.append(entry)
+        try:
+            return entry_items(entry)
+        finally:
+            inside.pop()
+
+    for module in (trace_mod, nu_mod):
+        monkeypatch.setattr(module, "walk", counting_walk)
+        monkeypatch.setattr(module, "attachment_step", counting_step)
+    monkeypatch.setattr(catalog_mod, "_entry_items", entry_checks)
+    assert main(["catalog", "--verify", "--json"]) == EXIT_OK
+    # The walk that validates a stored trace also evaluates it.
+    stored = [trace for name in catalog_mod.names() for _, trace in lookup(name).traces]
+    assert [id(d) for d in walked] == [id(d) for d in stored]
+    assert steps == [f"h:{j}" for d in stored for j in range(1, d.delta + 1)]
+    assert json.loads(capsys.readouterr().out)["result"]["ok"] is True
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_compose_refuses_an_invalid_part(tmp_path, capsys, side, defect):
+    parts = {"first": solid_torus_trace(), "second": dualize(solid_torus_trace())}
+    parts[side], mu = with_defect(parts[side], defect)
+    paths = [write_trace(tmp_path, f"{name}.json", d) for name, d in parts.items()]
+    glue = tmp_path / "glue.json"
+    glue.write_text(json.dumps({"pairs": [["h:2", "base:0"]]}))
+    assert main(["compose", *paths, "--glue", str(glue), "--check"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {side} part is invalid (prefix {mu}): ")
+    assert "Traceback" not in captured.err
 
 
 _GRAPH = {

@@ -4,6 +4,8 @@ oracle: a state-copying ``attach`` with its own switch over attachment kinds,
 a ``replay`` that calls it once per handle, and ``e_mu`` scanning every state.
 The floor rules, which read the handles, are checked against the reading of
 every component a walk shows, and the search against replay's errors.
+Validation inside the evaluating walk (``trace.validated``) is checked
+against ``validate`` as its own walk followed by ``evaluate``.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ from handlenu.trace import (
     NonSeparating,
     OrderedHandleDecomposition,
     ReplayError,
+    ValidationReport,
+    Violation,
     final_boundary,
     replay,
     validate,
+    validated,
     walk,
 )
 from gen import random_descriptor, random_trace
@@ -348,3 +353,101 @@ def test_wide_trace_evaluates_in_linear_time():
     evaluation = nu_of_ordering(d)
     assert evaluation.e_values == (0,) + (2,) * 4000
     assert (evaluation.nu, evaluation.argmax_mu, evaluation.argmax_component) == (2, 1, "h:1")
+
+
+# --- oracle: validation as a walk of its own, before the evaluation -----------
+
+_INDEX = {Dim3Zero: 0, Dim3One: 1, Dim3Two: 2, Dim3Three: 3}
+
+
+def oracle_validate(d):
+    """``validate`` as it was before it shared the caller's walk."""
+    violations = []
+    warnings = []
+
+    def connected(desc):
+        return desc.ranks[:1] == ((0, 1),)
+
+    for i, desc in enumerate(d.base):
+        if desc.dim != d.m - 1:
+            violations.append(Violation(0, f"base:{i} has dimension {desc.dim}, need {d.m - 1}"))
+        elif not connected(desc):
+            violations.append(Violation(0, f"base:{i}: components must be connected"))
+    for j, handle in enumerate(d.handles, start=1):
+        if not 0 <= handle.index <= d.m:
+            violations.append(Violation(j, f"handle index {handle.index} outside 0..{d.m}"))
+        att = handle.attachment
+        if isinstance(att, Declared):
+            for i, desc in enumerate(att.components):
+                if desc.dim != d.m - 1:
+                    violations.append(Violation(
+                        j, f"declared component {i} has dimension {desc.dim}, need {d.m - 1}"
+                    ))
+                elif not connected(desc):
+                    violations.append(Violation(j, "components must be connected"))
+        else:
+            if d.m != 3:
+                violations.append(Violation(j, f"surface-calculus attachment in an m={d.m} trace"))
+            expected = _INDEX[type(att)]
+            if handle.index != expected:
+                violations.append(Violation(
+                    j, f"attachment {type(att).__name__} needs index {expected}, got {handle.index}"
+                ))
+    if not violations:
+        try:
+            final = final_boundary(d)
+        except ReplayError as exc:
+            violations.append(Violation(exc.mu, str(exc)))
+        else:
+            euler = sum((-1) ** h.index for h in d.handles)
+            if not d.base and not final and d.m == 3 and euler != 0:
+                warnings.append(
+                    f"closed trace has handle-count alternating sum {euler}, expected 0"
+                )
+    return ValidationReport(tuple(violations), tuple(warnings))
+
+
+def structural_mutant(rng, d):
+    """A variant of ``d`` that may fail a check made without a walk: a handle
+    index moved, a component of the wrong dimension or a disconnected one, or
+    the surface moves put in another dimension."""
+    handles = list(d.handles)
+    choice = rng.randrange(3)
+    if choice == 0 and handles:
+        j = rng.randrange(len(handles))
+        index = rng.choice([-1, d.m + 1, (handles[j].index + 1) % (d.m + 1)])
+        handles[j] = HandleRecord(index, handles[j].attachment)
+    elif choice == 1:
+        wrong = rng.choice([Sphere(1), Sphere(3), Explicit(2, HomologyVector(2, (2, 0, 2)))])
+        if handles and rng.random() < 0.5:
+            j = rng.randrange(len(handles))
+            handles.insert(j, HandleRecord(rng.randint(0, 3), Declared((wrong,))))
+        else:
+            return OrderedHandleDecomposition(d.m, d.base + (wrong,), d.handles)
+    else:
+        return OrderedHandleDecomposition(rng.choice([2, 4]), d.base, d.handles)
+    return OrderedHandleDecomposition(d.m, d.base, tuple(handles))
+
+
+def test_validation_in_the_evaluating_walk_matches_validate_then_evaluate():
+    rng = random.Random(12012)
+    traces = [random_trace(rng, max_handles=9, declared=0.25) for _ in range(200)]
+    traces += [broken(rng, random_trace(rng, max_handles=8, declared=0.2)) for _ in range(150)]
+    traces += [
+        structural_mutant(rng, random_trace(rng, max_handles=8, declared=0.2)) for _ in range(150)
+    ]
+    seen = {"ok": 0, "warned": 0, "replay": 0, "static": 0}
+    for d in traces:
+        want = oracle_validate(d)
+        report, result = validated(d, evaluate)
+        assert report == want == validate(d)
+        if not report.ok:
+            assert result is None
+            seen["replay" if report.violations[0].message.startswith("prefix ") else "static"] += 1
+            continue
+        evaluation, final = evaluate(d)
+        assert fields(result[0]) == fields(evaluation)
+        assert result[1] == final
+        seen["ok"] += 1
+        seen["warned"] += bool(report.warnings)
+    assert min(seen.values()) >= 5, seen

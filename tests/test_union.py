@@ -13,6 +13,7 @@ from handlenu.trace import (
     HandleRecord,
     NonSeparating,
     OrderedHandleDecomposition,
+    TraceError,
     dualize,
     replay,
 )
@@ -23,7 +24,7 @@ from handlenu.union import (
     check_key_inequality,
     compose,
 )
-from gen import random_composable_pair
+from gen import DEFECTS, random_composable_pair, with_defect
 
 
 def torus_glue():
@@ -271,6 +272,19 @@ def test_chain_errors_name_the_stage():
         check_chain([], [])
     with pytest.raises(GlueError):
         check_chain([first], [torus_glue()])
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_union_checks_refuse_an_invalid_part(defect):
+    first, second = solid_torus_trace(), dualize(solid_torus_trace())
+    bad_first, mu_first = with_defect(first, defect)
+    bad_second, mu_second = with_defect(second, defect)
+    with pytest.raises(TraceError, match=rf"^first part is invalid \(prefix {mu_first}\): "):
+        check_key_inequality(bad_first, second, torus_glue())
+    with pytest.raises(TraceError, match=rf"^second part is invalid \(prefix {mu_second}\): "):
+        check_key_inequality(first, bad_second, torus_glue())
+    with pytest.raises(TraceError, match=rf"^part 2 is invalid \(prefix {mu_second}\): "):
+        check_chain([first, bad_second], [torus_glue()])
 
 
 def test_sphere_union_strict_drop_numbers():
