@@ -20,7 +20,7 @@ _EXPORTS = {
         "Dim3Three Dim3Two Dim3Zero HandleRecord NonSeparating "
         "OrderedHandleDecomposition ReplayError Separating TraceError "
         "canonical_dumps dualize reorder replay trace_from_json trace_to_json "
-        "validate walk"
+        "validate validated walk"
     ).split(),
     "nu": (
         "Bound NuBoundsReport NuEvaluation evaluate heegaard_upper "
