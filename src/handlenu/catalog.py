@@ -32,6 +32,7 @@ from .trace import (
     NonSeparating,
     OrderedHandleDecomposition,
     dualize,
+    in_id_order,
     replay,
     validated,
 )
@@ -496,8 +497,8 @@ def _scenario_doubled_half() -> list[CheckItem]:
     entry = lookup("s1xsigma2")
     half = dict(entry.traces)["half-empty"]
     dual = dict(entry.traces)["half-torus"]
-    forward = [s.descriptors() for s in replay(half)]
-    backward = [s.descriptors() for s in replay(dual)]
+    forward = [[c.desc for c in in_id_order(live.values())] for live in replay(half)]
+    backward = [[c.desc for c in in_id_order(live.values())] for live in replay(dual)]
     reversed_ok = forward == backward[::-1]
     glue = GlueSpec((("h:6", "base:0"),))
     report = check_key_inequality(half, dual, glue)
@@ -528,8 +529,7 @@ def _scenario_doubled_half() -> list[CheckItem]:
 def _scenario_quiet_double() -> list[CheckItem]:
     entry = lookup("double-tangent-s2")
     trace = entry.traces[0][1]
-    states = replay(trace)
-    middles = [c.desc for s in states[1:-1] for c in s.components]
+    middles = [c.desc for live in replay(trace)[1:-1] for c in in_id_order(live.values())]
     quiet = all(total_betti(desc) == 2 for desc in middles)
     return [
         CheckItem(

@@ -22,11 +22,12 @@ from .trace import (
     OrderedHandleDecomposition,
     TraceError,
     canonical_dumps,
-    replay,
+    in_id_order,
     trace_from_json,
     trace_to_json,
     validate,
     validated,
+    walk,
 )
 from .union import GlueError, GlueSpec, check_key_inequality
 
@@ -80,12 +81,11 @@ def _require_valid(d: OrderedHandleDecomposition) -> tuple[list[str], NuEvaluati
 
 
 def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[str]:
-    states = replay(d)
     lines = ["   mu  e_mu  free boundary"]
-    for state in states:
-        marker = "*" if state.mu == evaluation.argmax_mu else " "
-        comps = ", ".join(f"{c.id} {pretty(c.desc)}" for c in state.components) or "(empty)"
-        lines.append(f" {marker} {state.mu:>3} {evaluation.e_values[state.mu]:>5}  {comps}")
+    for mu, (_, _, live) in enumerate(walk(d)):
+        marker = "*" if mu == evaluation.argmax_mu else " "
+        comps = ", ".join(f"{c.id} {pretty(c.desc)}" for c in in_id_order(live.values()))
+        lines.append(f" {marker} {mu:>3} {evaluation.e_values[mu]:>5}  {comps or '(empty)'}")
     mu_note = f"mu range {evaluation.mu_start}..{d.delta}"
     if evaluation.argmax_mu is None:
         lines.append(f"nu(ordering) = {evaluation.nu}   [{mu_note}]")
@@ -100,7 +100,7 @@ def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[s
 def cmd_compute(args) -> int:
     d = _load_trace(args.trace)
     warnings, evaluation = _require_valid(d)
-    # Only the human table needs every state.
+    # Only the human table needs every prefix.
     lines = [] if args.json else _mu_table(d, evaluation)
     _emit(
         args,

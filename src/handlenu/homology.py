@@ -49,9 +49,9 @@ class HomologyVector:
     betti: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim < 0:
+        if json_int(self.dim, "dim") < 0:
             raise DescriptorError(f"dimension must be non-negative, got {self.dim}")
-        object.__setattr__(self, "betti", tuple(int(b) for b in self.betti))
+        object.__setattr__(self, "betti", tuple(json_int(b, "betti") for b in self.betti))
         if len(self.betti) != self.dim + 1:
             raise DescriptorError(
                 f"need {self.dim + 1} Betti numbers for dimension {self.dim}, "
@@ -308,8 +308,8 @@ def pretty(desc: Descriptor) -> str:
 
 
 def json_int(value, field: str) -> int:
-    """An integer field of a JSON document.  Floats, numeric strings and
-    booleans are refused with TypeError rather than coerced."""
+    """An integer field of a JSON document or a constructor.  Floats, numeric
+    strings and booleans are refused with TypeError rather than coerced."""
     if type(value) is not int:
         raise TypeError(f"{field!r} must be an integer, got {value!r}")
     return value
@@ -476,9 +476,9 @@ class RationalChainComplex:
     boundaries: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if self.dim < 0:
+        if json_int(self.dim, "dim") < 0:
             raise DescriptorError(f"dimension must be non-negative, got {self.dim}")
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
+        object.__setattr__(self, "cells", tuple(json_int(c, "cells") for c in self.cells))
         if len(self.cells) != self.dim + 1:
             raise DescriptorError(
                 f"need {self.dim + 1} cell counts for dimension {self.dim}, got {len(self.cells)}"

@@ -34,6 +34,7 @@ from .trace import (
     attachment_step,
     id_sort_key,
     reorder,
+    replay,
     walk,
 )
 
@@ -288,8 +289,8 @@ class _IdealSearch:
     a child's live components by id are a copy of its parent's, stepped by
     :func:`attachment_step` under the handle's original label, which is what
     anchors name.  Walks keep only the dicts of the ideals on their stack,
-    plus the snapshots in ``known``, which seed the prefixes of the given
-    order.
+    plus the :func:`replay` snapshots in ``known``, which seed the prefixes
+    of the given order.
     """
 
     def __init__(self, d: OrderedHandleDecomposition, known: dict[int, Live], cap: int | None):
@@ -434,9 +435,9 @@ def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> B
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of orderings, got {budget}")
-    # One walk seeds the prefix ideals {1..k}, and raises the trace's own
+    # One replay seeds the prefix ideals {1..k}, and raises the trace's own
     # ReplayError before any search work.
-    known = {(1 << k) - 1: dict(live) for k, (_, _, live) in enumerate(walk(d))}
+    known = {(1 << k) - 1: live for k, live in enumerate(replay(d))}
 
     search = _IdealSearch(d, known, cap=None if budget is None else budget + 1)
     total = search.count(0)

@@ -42,10 +42,13 @@ class DecompositionGraph:
     handle_costs: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary_counts", tuple(int(c) for c in self.boundary_counts))
-        object.__setattr__(
-            self, "interfaces", tuple((int(i), int(j), int(c)) for i, j, c in self.interfaces)
+        counts = tuple(json_int(c, "boundary_counts") for c in self.boundary_counts)
+        edges = tuple(
+            (json_int(i, "i"), json_int(j, "j"), json_int(n, "count"))
+            for i, j, n in self.interfaces
         )
+        object.__setattr__(self, "boundary_counts", counts)
+        object.__setattr__(self, "interfaces", edges)
         w = len(self.boundary_counts)
         if w < 1:
             raise ValueError("need at least one piece")
@@ -66,13 +69,13 @@ class DecompositionGraph:
                 raise ValueError(
                     f"piece {i} glues {used} boundary components but only has {total}"
                 )
-        if self.z != sum(self.boundary_counts) - 2 * self.rho:
+        if json_int(self.z, "z") != sum(self.boundary_counts) - 2 * self.rho:
             raise ValueError(
                 f"free boundary count {self.z} breaks 2*rho + z = total boundary "
                 f"({2 * self.rho} + {self.z} != {sum(self.boundary_counts)})"
             )
         if self.handle_costs is not None:
-            costs = tuple(int(c) for c in self.handle_costs)
+            costs = tuple(json_int(c, "handle_costs") for c in self.handle_costs)
             object.__setattr__(self, "handle_costs", costs)
             if len(costs) != w:
                 raise ValueError(f"need {w} handle costs, got {len(costs)}")

@@ -10,9 +10,8 @@ on the fixed side of a collar and never consumed.
 One function, :func:`attachment_step`, says what each attachment does to
 the live components, a dict by id.  :func:`walk` applies it handle after
 handle to a single such dict, in time linear in the handles; the ordering
-search in ``nu`` applies it to copies.  :func:`replay` builds sorted
-:class:`BoundaryState` snapshots from the walk, for readers that want
-every prefix at once.
+search in ``nu`` applies it to copies.  :func:`replay` keeps a copy of the
+walk's dict after every prefix, for readers that want every prefix at once.
 
 Two attachment styles exist:
 
@@ -78,7 +77,6 @@ class BoundaryComponent:
 
     id: str
     desc: Descriptor
-    origin: str
 
 
 def id_sort_key(comp_id: str) -> tuple:
@@ -90,33 +88,6 @@ def id_sort_key(comp_id: str) -> tuple:
 
 def in_id_order(comps: Iterable[BoundaryComponent]) -> tuple[BoundaryComponent, ...]:
     return tuple(sorted(comps, key=lambda c: id_sort_key(c.id)))
-
-
-@dataclass(frozen=True)
-class BoundaryState:
-    """Free boundary after mu handles: a finite set of connected components."""
-
-    mu: int
-    components: tuple[BoundaryComponent, ...]
-
-    def __post_init__(self):
-        ordered = in_id_order(self.components)
-        object.__setattr__(self, "components", ordered)
-        ids = [c.id for c in ordered]
-        if len(set(ids)) != len(ids):
-            raise TraceError(f"duplicate component ids in state {self.mu}: {ids}")
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.components)
-
-    def find(self, comp_id: str) -> BoundaryComponent | None:
-        for c in self.components:
-            if c.id == comp_id:
-                return c
-        return None
-
-    def descriptors(self) -> tuple[Descriptor, ...]:
-        return tuple(c.desc for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -268,7 +239,7 @@ def attachment_step(
             f"surface-calculus attachments need ambient dimension 3, trace has m={m}"
         )
     if isinstance(att, Dim3Zero):
-        return (), (BoundaryComponent(label, Sphere(2), label),)
+        return (), (BoundaryComponent(label, Sphere(2)),)
     if isinstance(att, Dim3One):
         ca = _resolve(live, att.a)
         if att.a == att.b:
@@ -276,7 +247,7 @@ def attachment_step(
         else:
             cb = _resolve(live, att.b)
             consumed, genus = (ca.id, cb.id), _genus_of(ca) + _genus_of(cb)
-        return consumed, (BoundaryComponent(label, _surface(genus), label),)
+        return consumed, (BoundaryComponent(label, _surface(genus)),)
     if isinstance(att, Dim3Two):
         ca = _resolve(live, att.anchor)
         genus = _genus_of(ca)
@@ -285,15 +256,15 @@ def attachment_step(
                 raise AttachError(
                     f"non-separating surgery needs genus >= 1; {ca.id} is a sphere"
                 )
-            return (ca.id,), (BoundaryComponent(label, _surface(genus - 1), label),)
+            return (ca.id,), (BoundaryComponent(label, _surface(genus - 1)),)
         if att.curve.g1 + att.curve.g2 != genus:
             raise AttachError(
                 f"separating split ({att.curve.g1}, {att.curve.g2}) does not add up "
                 f"to genus {genus} of {ca.id}"
             )
         return (ca.id,), (
-            BoundaryComponent(f"{label}/0", _surface(att.curve.g1), label),
-            BoundaryComponent(f"{label}/1", _surface(att.curve.g2), label),
+            BoundaryComponent(f"{label}/0", _surface(att.curve.g1)),
+            BoundaryComponent(f"{label}/1", _surface(att.curve.g2)),
         )
     if isinstance(att, Dim3Three):
         ca = _resolve(live, att.anchor)
@@ -302,22 +273,19 @@ def attachment_step(
         return (ca.id,), ()
     if isinstance(att, Declared):
         return tuple(live), tuple(
-            BoundaryComponent(f"{label}/{i}", desc, label)
-            for i, desc in enumerate(att.components)
+            BoundaryComponent(f"{label}/{i}", desc) for i, desc in enumerate(att.components)
         )
     raise AttachError(f"unknown attachment {att!r}")
 
 
 def _base_components(d: OrderedHandleDecomposition) -> tuple[BoundaryComponent, ...]:
-    return tuple(
-        BoundaryComponent(f"base:{i}", desc, f"base:{i}") for i, desc in enumerate(d.base)
-    )
+    return tuple(BoundaryComponent(f"base:{i}", desc) for i, desc in enumerate(d.base))
 
 
 def walk(d: OrderedHandleDecomposition) -> Iterator[
     tuple[list[BoundaryComponent], tuple[BoundaryComponent, ...], dict[str, BoundaryComponent]]
 ]:
-    """Replay without building states, in time linear in the handles.
+    """Replay without copying the live components, in time linear in the handles.
 
     Yields, for mu = 0..delta, the components the mu-th event consumed, the
     components it made (event 0 makes the base), and the live components by
@@ -345,11 +313,10 @@ def final_boundary(d: OrderedHandleDecomposition) -> dict[str, BoundaryComponent
     return live
 
 
-def replay(d: OrderedHandleDecomposition) -> tuple[BoundaryState, ...]:
-    """States for mu = 0..delta; deterministic, raises ReplayError on failure."""
-    return tuple(
-        BoundaryState(mu, tuple(live.values())) for mu, (_, _, live) in enumerate(walk(d))
-    )
+def replay(d: OrderedHandleDecomposition) -> tuple[dict[str, BoundaryComponent], ...]:
+    """The live components by id after each prefix mu = 0..delta, a copy of
+    the walk's dict each; deterministic, raises ReplayError on failure."""
+    return tuple(dict(live) for _, _, live in walk(d))
 
 
 def reorder(d: OrderedHandleDecomposition, order: Sequence[int]) -> OrderedHandleDecomposition:
@@ -379,9 +346,9 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
     original counterpart.
     """
     states = replay(d)
-    final = states[-1]
-    dual_base = tuple(c.desc for c in final.components)
-    dmap = {c.id: f"base:{i}" for i, c in enumerate(final.components)}
+    final = in_id_order(states[-1].values())
+    dual_base = tuple(c.desc for c in final)
+    dmap = {c.id: f"base:{i}" for i, c in enumerate(final)}
     dual_handles = []
     for new_pos, orig_pos in enumerate(range(d.delta, 0, -1), start=1):
         handle = d.handles[orig_pos - 1]
@@ -399,8 +366,8 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
                 datt = Dim3Two(anchor, NonSeparating())
                 dmap[att.a] = label
             else:
-                g1 = _genus_of(before.find(att.a))
-                g2 = _genus_of(before.find(att.b))
+                g1 = _genus_of(before[att.a])
+                g2 = _genus_of(before[att.b])
                 datt = Dim3Two(anchor, Separating(g1, g2))
                 dmap[att.a] = f"{label}/0"
                 dmap[att.b] = f"{label}/1"
@@ -412,8 +379,9 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
                 datt = Dim3One(dmap.pop(f"h:{orig_pos}/0"), dmap.pop(f"h:{orig_pos}/1"))
             dmap[att.anchor] = label
         else:
-            datt = Declared(tuple(c.desc for c in before.components))
-            dmap = {c.id: f"{label}/{i}" for i, c in enumerate(before.components)}
+            pre = in_id_order(before.values())
+            datt = Declared(tuple(c.desc for c in pre))
+            dmap = {c.id: f"{label}/{i}" for i, c in enumerate(pre)}
         dual_handles.append(HandleRecord(d.m - handle.index, datt))
     return OrderedHandleDecomposition(d.m, dual_base, tuple(dual_handles))
 

@@ -20,6 +20,7 @@ from handlenu.homology import (
     Surface,
 )
 from handlenu.trace import (
+    BoundaryComponent,
     Declared,
     Dim3One,
     Dim3Three,
@@ -29,9 +30,19 @@ from handlenu.trace import (
     NonSeparating,
     OrderedHandleDecomposition,
     Separating,
+    in_id_order,
     replay,
 )
 from handlenu.union import GlueSpec
+
+
+def states(d: OrderedHandleDecomposition) -> list[tuple[BoundaryComponent, ...]]:
+    """Each prefix's free-boundary components, in id order, from ``replay``."""
+    return [in_id_order(live.values()) for live in replay(d)]
+
+
+def descriptors(comps: tuple[BoundaryComponent, ...]) -> tuple[Descriptor, ...]:
+    return tuple(c.desc for c in comps)
 
 
 def random_surface(rng: random.Random, max_genus: int = 3) -> Descriptor:
@@ -125,7 +136,7 @@ def random_composable_pair(rng: random.Random, max_handles: int = 6, declared: f
     boundary against the second one's base.  ``declared`` is passed on to the
     move generator of both parts (see :func:`_random_handles`)."""
     dm = random_trace(rng, max_handles=max_handles, ensure_boundary=True, declared=declared)
-    final = replay(dm)[-1].components
+    final = states(dm)[-1]
     chosen = rng.sample(list(final), rng.randint(1, len(final)))
 
     slots = [("C", comp) for comp in chosen]

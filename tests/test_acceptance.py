@@ -23,9 +23,9 @@ from handlenu.nu import (
     search_min_nu,
 )
 from handlenu.obstruction import HandleBudget, pieces_ceiling, refute
-from handlenu.trace import dualize, reorder, replay, validate
+from handlenu.trace import dualize, reorder, validate
 from handlenu.union import GlueSpec, check_key_inequality
-from gen import random_composable_pair, random_descriptor, random_trace
+from gen import descriptors, random_composable_pair, random_descriptor, random_trace, states
 
 from test_homology import FIXTURES
 
@@ -68,7 +68,7 @@ def test_criterion_03_union_of_solid_tori_shows_the_strict_drop():
         check.holds
         and check.lhs == 4
         and not closed.base
-        and not replay(closed)[-1].components
+        and not states(closed)[-1]
         and certified is not None
         and certified.upper == 2
         and certified.upper < check.lhs
@@ -91,8 +91,7 @@ def test_criterion_04_genus_one_pattern_under_every_order():
 
 def test_criterion_05_circle_times_genus_two():
     half = circle_times_genus_two_half_trace()
-    states = replay(half)
-    sequence = [s.descriptors() for s in states[1:]]
+    sequence = [descriptors(s) for s in states(half)[1:]]
     expected = [
         (Sphere(2),), (Surface(1),), (Surface(2),),
         (Surface(3),), (Surface(2),), (Surface(1),),
@@ -100,8 +99,8 @@ def test_criterion_05_circle_times_genus_two():
     value = nu_of_ordering(half).nu
     dual = dualize(half)
     dual_ok = validate(dual).ok
-    reversed_ok = [s.descriptors() for s in replay(dual)] == [
-        s.descriptors() for s in replay(half)
+    reversed_ok = [descriptors(s) for s in states(dual)] == [
+        descriptors(s) for s in states(half)
     ][::-1]
     entry = lookup("s1xsigma2")
     cap = heegaard_upper(entry.heegaard_genus)
@@ -121,7 +120,7 @@ def test_criterion_05_circle_times_genus_two():
 def test_criterion_06_doubled_disc_bundle_stays_at_two():
     trace = doubled_disc_bundle_trace(1)
     evaluation = nu_of_ordering(trace)
-    middles = [c.desc for s in replay(trace)[1:-1] for c in s.components]
+    middles = [c.desc for s in states(trace)[1:-1] for c in s]
     ok = (
         evaluation.nu == 2
         and len(middles) == 3

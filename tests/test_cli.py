@@ -413,13 +413,15 @@ def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, mo
 
 
 def test_compute_json_walks_the_trace_once_and_builds_no_state(lens_file, capsys, monkeypatch):
+    import handlenu.nu as nu_mod
     import handlenu.trace as trace_mod
 
     def no_state(*args, **kwargs):
-        raise AssertionError("compute --json built a boundary state")
+        raise AssertionError("compute --json replayed the per-prefix boundaries")
 
     calls = _count_steps(monkeypatch)
-    monkeypatch.setattr(trace_mod, "BoundaryState", no_state)
+    for module in (trace_mod, nu_mod):
+        monkeypatch.setattr(module, "replay", no_state)
     assert main(["compute", lens_file, "--json"]) == EXIT_OK
     # The lens trace has 4 handles: the walk that evaluates also validates.
     assert calls == ["h:1", "h:2", "h:3", "h:4"]

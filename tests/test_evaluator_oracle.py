@@ -1,11 +1,13 @@
 """The one-walk evaluator (``nu.evaluate`` / ``nu_of_ordering``) and the
 walk-built ``replay`` against the replay they replaced, kept here as the
 oracle: a state-copying ``attach`` with its own switch over attachment kinds,
-a ``replay`` that calls it once per handle, and ``e_mu`` scanning every state.
-The floor rules, which read the handles, are checked against the reading of
-every component a walk shows, and the search against replay's errors.
-Validation inside the evaluating walk (``trace.validated``) is checked
-against ``validate`` as its own walk followed by ``evaluate``.
+a ``replay`` that calls it once per handle, each state a new dict of the live
+components by id, and ``e_mu`` scanning every state.  ``dualize`` is checked
+against its form over id-sorted states of that replay.  The floor rules,
+which read the handles, are checked against the reading of every component
+a walk shows, and the search against replay's errors.  Validation inside the
+evaluating walk (``trace.validated``) is checked against ``validate`` as its
+own walk followed by ``evaluate``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from handlenu.nu import (
 from handlenu.trace import (
     AttachError,
     BoundaryComponent,
-    BoundaryState,
     Declared,
     Dim3One,
     Dim3Three,
@@ -46,10 +47,14 @@ from handlenu.trace import (
     NonSeparating,
     OrderedHandleDecomposition,
     ReplayError,
+    Separating,
     ValidationReport,
     Violation,
+    dualize,
     final_boundary,
+    id_sort_key,
     replay,
+    trace_to_json,
     validate,
     validated,
     walk,
@@ -74,9 +79,10 @@ def _genus_of(comp):
 
 
 def _resolve(state, anchor):
-    comp = state.find(anchor)
+    comp = state.get(anchor)
     if comp is None:
-        raise AttachError(f"dangling anchor {anchor!r}; live components: {list(state.ids())}")
+        live_ids = sorted(state, key=id_sort_key)
+        raise AttachError(f"dangling anchor {anchor!r}; live components: {live_ids}")
     return comp
 
 
@@ -86,9 +92,9 @@ def oracle_attach(state, handle, *, label, m):
         raise AttachError(
             f"surface-calculus attachments need ambient dimension 3, trace has m={m}"
         )
-    keep = {c.id: c for c in state.components}
+    keep = dict(state)
     if isinstance(att, Dim3Zero):
-        new = [BoundaryComponent(label, Sphere(2), label)]
+        new = [BoundaryComponent(label, Sphere(2))]
     elif isinstance(att, Dim3One):
         ca = _resolve(state, att.a)
         if att.a == att.b:
@@ -98,7 +104,7 @@ def oracle_attach(state, handle, *, label, m):
             cb = _resolve(state, att.b)
             genus = _genus_of(ca) + _genus_of(cb)
             del keep[ca.id], keep[cb.id]
-        new = [BoundaryComponent(label, _surface(genus), label)]
+        new = [BoundaryComponent(label, _surface(genus))]
     elif isinstance(att, Dim3Two):
         ca = _resolve(state, att.anchor)
         genus = _genus_of(ca)
@@ -106,7 +112,7 @@ def oracle_attach(state, handle, *, label, m):
         if isinstance(att.curve, NonSeparating):
             if genus < 1:
                 raise AttachError(f"non-separating surgery needs genus >= 1; {ca.id} is a sphere")
-            new = [BoundaryComponent(label, _surface(genus - 1), label)]
+            new = [BoundaryComponent(label, _surface(genus - 1))]
         else:
             if att.curve.g1 + att.curve.g2 != genus:
                 raise AttachError(
@@ -114,8 +120,8 @@ def oracle_attach(state, handle, *, label, m):
                     f"to genus {genus} of {ca.id}"
                 )
             new = [
-                BoundaryComponent(f"{label}/0", _surface(att.curve.g1), label),
-                BoundaryComponent(f"{label}/1", _surface(att.curve.g2), label),
+                BoundaryComponent(f"{label}/0", _surface(att.curve.g1)),
+                BoundaryComponent(f"{label}/1", _surface(att.curve.g2)),
             ]
     elif isinstance(att, Dim3Three):
         ca = _resolve(state, att.anchor)
@@ -125,16 +131,12 @@ def oracle_attach(state, handle, *, label, m):
         new = []
     else:
         keep = {}
-        new = [
-            BoundaryComponent(f"{label}/{i}", desc, label)
-            for i, desc in enumerate(att.components)
-        ]
-    return BoundaryState(state.mu + 1, tuple(keep.values()) + tuple(new))
+        new = [BoundaryComponent(f"{label}/{i}", desc) for i, desc in enumerate(att.components)]
+    return {**keep, **{c.id: c for c in new}}
 
 
 def oracle_replay(d):
-    base = (BoundaryComponent(f"base:{i}", desc, f"base:{i}") for i, desc in enumerate(d.base))
-    states = [BoundaryState(0, tuple(base))]
+    states = [{f"base:{i}": BoundaryComponent(f"base:{i}", desc) for i, desc in enumerate(d.base)}]
     for j, handle in enumerate(d.handles, start=1):
         try:
             states.append(oracle_attach(states[-1], handle, label=f"h:{j}", m=d.m))
@@ -144,7 +146,7 @@ def oracle_replay(d):
 
 
 def oracle_e_mu(state):
-    return max((total_betti(c.desc) for c in state.components), default=0)
+    return max((total_betti(c.desc) for c in state.values()), default=0)
 
 
 def oracle_nu_of_ordering(d):
@@ -157,7 +159,7 @@ def oracle_nu_of_ordering(d):
     nu = max(considered)
     argmax_mu = next(i for i in range(mu_start, len(e_values)) if e_values[i] == nu)
     comp = next(
-        (c.id for c in states[argmax_mu].components if total_betti(c.desc) == nu), None
+        (c.id for c in states[argmax_mu].values() if total_betti(c.desc) == nu), None
     )
     return e_values, mu_start, nu, argmax_mu, comp
 
@@ -187,11 +189,14 @@ def assert_matches_oracle(d):
     want = outcome(oracle_nu_of_ordering, d)
     assert outcome(lambda t: fields(nu_of_ordering(t)), d) == want
     want_states = outcome(oracle_replay, d)
-    assert outcome(replay, d) == want_states
+    got_states = outcome(replay, d)
+    assert got_states == want_states
     if want[0] == "ReplayError":
         assert not validate(d).ok
         return True
-    final = {c.id: c for c in want_states[1][-1].components}
+    # The same components in the same order, prefix by prefix.
+    assert [list(s.items()) for s in got_states[1]] == [list(s.items()) for s in want_states[1]]
+    final = want_states[1][-1]
     assert evaluate(d)[1] == final == final_boundary(d)
     return False
 
@@ -237,6 +242,78 @@ def test_evaluator_matches_oracle_on_failing_replays():
 def test_evaluator_matches_oracle_hypothesis(rng, declared, breaking):
     d = random_trace(rng, max_handles=9, declared=declared)
     assert_matches_oracle(broken(rng, d) if breaking else d)
+
+
+# --- oracle: dualize over id-sorted states ----------------------------------------
+
+
+def oracle_dualize(d):
+    """``dualize`` as it was when replay built sorted states: each state of the
+    state-copying replay as its components in id order, searched by id."""
+    states = [tuple(sorted(s.values(), key=lambda c: id_sort_key(c.id))) for s in oracle_replay(d)]
+
+    def find(state, comp_id):
+        return next(c for c in state if c.id == comp_id)
+
+    final = states[-1]
+    dual_base = tuple(c.desc for c in final)
+    dmap = {c.id: f"base:{i}" for i, c in enumerate(final)}
+    dual_handles = []
+    for new_pos, orig_pos in enumerate(range(d.delta, 0, -1), start=1):
+        handle = d.handles[orig_pos - 1]
+        label = f"h:{new_pos}"
+        before = states[orig_pos - 1]
+        att = handle.attachment
+        if isinstance(att, Dim3Zero):
+            datt = Dim3Three(dmap.pop(f"h:{orig_pos}"))
+        elif isinstance(att, Dim3Three):
+            datt = Dim3Zero()
+            dmap[att.anchor] = label
+        elif isinstance(att, Dim3One):
+            anchor = dmap.pop(f"h:{orig_pos}")
+            if att.a == att.b:
+                datt = Dim3Two(anchor, NonSeparating())
+                dmap[att.a] = label
+            else:
+                g1 = _genus_of(find(before, att.a))
+                g2 = _genus_of(find(before, att.b))
+                datt = Dim3Two(anchor, Separating(g1, g2))
+                dmap[att.a] = f"{label}/0"
+                dmap[att.b] = f"{label}/1"
+        elif isinstance(att, Dim3Two):
+            if isinstance(att.curve, NonSeparating):
+                anchor = dmap.pop(f"h:{orig_pos}")
+                datt = Dim3One(anchor, anchor)
+            else:
+                datt = Dim3One(dmap.pop(f"h:{orig_pos}/0"), dmap.pop(f"h:{orig_pos}/1"))
+            dmap[att.anchor] = label
+        else:
+            datt = Declared(tuple(c.desc for c in before))
+            dmap = {c.id: f"{label}/{i}" for i, c in enumerate(before)}
+        dual_handles.append(HandleRecord(d.m - handle.index, datt))
+    return OrderedHandleDecomposition(d.m, dual_base, tuple(dual_handles))
+
+
+def dualize_cases():
+    rng = random.Random(13013)
+    for declared in (0.0, 0.25, 0.5):
+        for _ in range(200):
+            yield random_trace(rng, max_handles=10, declared=declared)
+    for name in names():
+        for _, trace in lookup(name).traces:
+            yield trace
+
+
+def test_dualize_matches_the_sorted_state_oracle():
+    seen = {"merge": 0, "declared-several": 0}
+    for d in dualize_cases():
+        assert trace_to_json(dualize(d)) == trace_to_json(oracle_dualize(d))
+        prefixes = oracle_replay(d)
+        for j, h in enumerate(d.handles):
+            att = h.attachment
+            seen["merge"] += isinstance(att, Dim3One) and att.a != att.b
+            seen["declared-several"] += isinstance(att, Declared) and len(prefixes[j]) > 1
+    assert seen["merge"] >= 50 and seen["declared-several"] >= 50, seen
 
 
 # --- oracle: the floor rules reading every component a walk shows ----------------

@@ -318,3 +318,19 @@ def test_chain_complex_loader_requires_integers(field, value):
     doc[field] = value
     with pytest.raises(DescriptorError, match="must be an integer"):
         chain_complex_from_json(doc)
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "2"])
+def test_homology_vector_refuses_non_integers(bad):
+    with pytest.raises(TypeError, match="'betti' must be an integer"):
+        HomologyVector(2, (1, bad, 1))
+    with pytest.raises(TypeError, match="'dim' must be an integer"):
+        HomologyVector(bad, (1, 0, 1))
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"])
+def test_chain_complex_refuses_non_integers(bad):
+    with pytest.raises(TypeError, match="'cells' must be an integer"):
+        RationalChainComplex(0, (bad,), ())
+    with pytest.raises(TypeError, match="'dim' must be an integer"):
+        RationalChainComplex(bad, (1,), ())

@@ -28,9 +28,8 @@ from handlenu.trace import (
     OrderedHandleDecomposition,
     dualize,
     reorder,
-    replay,
 )
-from gen import random_trace
+from gen import random_trace, states
 
 
 def e_0(*base):
@@ -229,7 +228,7 @@ def test_dual_consistency_on_closed_traces():
     closed = [genus_one_trace(), sphere_trace(3)]
     while len(closed) < 12:
         d = random_trace(rng, allow_base=False)
-        if not replay(d)[-1].components:
+        if not states(d)[-1]:
             closed.append(d)
     for d in closed:
         assert nu_of_ordering(dualize(d)).nu == nu_of_ordering(d).nu

@@ -138,3 +138,17 @@ def test_graph_json_round_trips_through_text(costs):
     text = json.dumps(graph_to_json(g))
     assert graph_from_json(json.loads(text)) == g
     assert json.dumps(graph_to_json(graph_from_json(json.loads(text)))) == text
+
+
+@pytest.mark.parametrize("bad", [3.9, True, "3"])
+def test_graph_refuses_non_integers(bad):
+    with pytest.raises(TypeError, match="'boundary_counts' must be an integer"):
+        DecompositionGraph((bad, 3, 3), ((0, 1, 1), (1, 2, 1)), 5)
+    with pytest.raises(TypeError, match="'count' must be an integer"):
+        DecompositionGraph((3, 3, 3), ((0, 1, bad), (1, 2, 1)), 5)
+    with pytest.raises(TypeError, match="'j' must be an integer"):
+        DecompositionGraph((3, 3, 3), ((0, bad, 1), (1, 2, 1)), 5)
+    with pytest.raises(TypeError, match="'z' must be an integer"):
+        DecompositionGraph((3, 3), ((0, 1, 1),), bad)
+    with pytest.raises(TypeError, match="'handle_costs' must be an integer"):
+        DecompositionGraph((3, 3), ((0, 1, 1),), 4, (1, bad))

@@ -28,11 +28,10 @@ from handlenu.trace import (
     HandleRecord,
     NonSeparating,
     OrderedHandleDecomposition,
-    replay,
     reorder,
     trace_to_json,
 )
-from gen import random_trace
+from gen import random_trace, states
 
 
 def brute_force_search(d: OrderedHandleDecomposition, budget: int | None = None,
@@ -41,7 +40,7 @@ def brute_force_search(d: OrderedHandleDecomposition, budget: int | None = None,
     when one trace is searched under many budgets."""
     if evaluate is None:
         evaluate = lambda order: nu_of_ordering(reorder(d, order)).nu
-    states = replay(d)
+    final = states(d)[-1]
     best = None
     best_order = None
     enumerated = 0
@@ -55,7 +54,7 @@ def brute_force_search(d: OrderedHandleDecomposition, budget: int | None = None,
         if best is None or value < best:
             best = value
             best_order = order
-    closed = not d.base and not states[-1].components
+    closed = not d.base and not final
     lb = lower_bound_rules(d.m, closed=closed, trace=d)
     return Bound(
         lower=lb.value,
@@ -150,7 +149,6 @@ def test_wide_budget_search_needs_no_recursion():
     # The witness replays; without a base every component shows at some
     # prefix mu >= 1, so its value is the largest total Betti number of any
     # component, here one per 0-handle sphere.
-    states = replay(bound.witness)
-    components = {c.id: c for state in states for c in state.components}
+    components = {c.id: c for state in states(bound.witness) for c in state}
     assert len(components) == 1500
     assert max(total_betti(c.desc) for c in components.values()) == bound.upper == 2

@@ -36,29 +36,29 @@ from handlenu.trace import (
     trace_to_json,
     validate,
 )
-from gen import random_trace
+from gen import descriptors, random_trace, states
 
 
 def attach_one(base, attachment, index, m=3):
     """The free boundary after one handle over ``base``, through replay."""
     d = OrderedHandleDecomposition(m, tuple(base), (HandleRecord(index, attachment),))
-    return replay(d)[-1]
+    return states(d)[-1]
 
 
-def descriptors(state):
-    return state.descriptors()
+def ids(state):
+    return tuple(c.id for c in state)
 
 
 def desc_multiset(state):
     from handlenu.homology import canonical_key
 
-    return tuple(sorted(state.descriptors(), key=canonical_key))
+    return tuple(sorted(descriptors(state), key=canonical_key))
 
 
 def test_attach_one_same_component_adds_genus():
     out = attach_one([Sphere(2)], Dim3One("base:0", "base:0"), 1)
     assert descriptors(out) == (Surface(1),)
-    assert out.components[0].id == "h:1"
+    assert out[0].id == "h:1"
 
 
 def test_attach_nonseparating_drops_genus():
@@ -69,20 +69,19 @@ def test_attach_nonseparating_drops_genus():
 def test_attach_separating_splits_genus():
     out = attach_one([Surface(3)], Dim3Two("base:0", Separating(1, 2)), 2)
     assert descriptors(out) == (Surface(1), Surface(2))
-    assert out.ids() == ("h:1/0", "h:1/1")
+    assert ids(out) == ("h:1/0", "h:1/1")
 
 
 def test_attach_declared_replaces_everything():
     qhs = Explicit(2, HomologyVector(2, (1, 0, 1)), "declared piece")
     out = attach_one([Sphere(2)], Declared((qhs,)), 2)
     assert descriptors(out) == (qhs,)
-    assert out.ids() == ("h:1/0",)
-    assert out.components[0].origin == "h:1"
+    assert ids(out) == ("h:1/0",)
 
 
 def test_attach_is_local():
     out = attach_one([Sphere(2), Surface(2)], Dim3One("base:0", "base:0"), 1)
-    untouched = out.find("base:1")
+    untouched = next((c for c in out if c.id == "base:1"), None)
     assert untouched is not None and untouched.desc == Surface(2)
 
 
@@ -100,21 +99,18 @@ def test_attach_errors():
 
 
 def test_replay_two_handle_sphere():
-    states = replay(sphere_trace(3))
-    assert [descriptors(s) for s in states] == [(), (Sphere(2),), ()]
+    assert [descriptors(s) for s in states(sphere_trace(3))] == [(), (Sphere(2),), ()]
 
 
 def test_replay_genus_one_pattern():
     # Hand-run surface calculus: empty, sphere, torus, sphere, empty.
-    states = replay(genus_one_trace())
-    assert [descriptors(s) for s in states] == [
+    assert [descriptors(s) for s in states(genus_one_trace())] == [
         (), (Sphere(2),), (Surface(1),), (Sphere(2),), ()
     ]
 
 
 def test_replay_six_handle_half():
-    states = replay(circle_times_genus_two_half_trace())
-    assert [descriptors(s) for s in states] == [
+    assert [descriptors(s) for s in states(circle_times_genus_two_half_trace())] == [
         (),
         (Sphere(2),),
         (Surface(1),),
@@ -127,8 +123,15 @@ def test_replay_six_handle_half():
 
 def test_replay_base_at_mu_zero():
     collar = OrderedHandleDecomposition(3, (Surface(1),), ())
-    states = replay(collar)
-    assert len(states) == 1 and descriptors(states[0]) == (Surface(1),)
+    prefixes = states(collar)
+    assert len(prefixes) == 1 and descriptors(prefixes[0]) == (Surface(1),)
+
+
+def test_replay_keeps_each_prefix_by_id():
+    prefixes = replay(genus_one_trace())
+    assert [list(live) for live in prefixes] == [[], ["h:1"], ["h:2"], ["h:3"], []]
+    assert len({id(live) for live in prefixes}) == len(prefixes)
+    assert prefixes[2]["h:2"].desc == Surface(1)
 
 
 def test_replay_error_carries_prefix():
@@ -144,8 +147,8 @@ def test_replay_is_orientable_surfaces_only():
     rng = random.Random(8104)
     for _ in range(50):
         d = random_trace(rng)
-        for state in replay(d):
-            for comp in state.components:
+        for state in states(d):
+            for comp in state:
                 assert isinstance(comp.desc, (Sphere, Surface))
 
 
@@ -154,8 +157,8 @@ def test_dualize_genus_one_pattern():
     dual = dualize(d)
     assert dual.base == ()
     assert [h.index for h in dual.handles] == [0, 1, 2, 3]
-    forward = [descriptors(s) for s in replay(d)]
-    backward = [descriptors(s) for s in replay(dual)]
+    forward = [descriptors(s) for s in states(d)]
+    backward = [descriptors(s) for s in states(dual)]
     assert backward == forward[::-1]
 
 
@@ -163,7 +166,7 @@ def test_dualize_solid_torus_matches_collar_presentation():
     dual = dualize(solid_torus_trace())
     assert dual.base == (Surface(1),)
     assert [h.index for h in dual.handles] == [2, 3]
-    assert [descriptors(s) for s in replay(dual)] == [(Surface(1),), (Sphere(2),), ()]
+    assert [descriptors(s) for s in states(dual)] == [(Surface(1),), (Sphere(2),), ()]
 
 
 def test_dualize_involution_on_states():
@@ -172,8 +175,8 @@ def test_dualize_involution_on_states():
     samples += [random_trace(rng) for _ in range(20)]
     for d in samples:
         twice = dualize(dualize(d))
-        assert [desc_multiset(s) for s in replay(twice)] == [
-            desc_multiset(s) for s in replay(d)
+        assert [desc_multiset(s) for s in states(twice)] == [
+            desc_multiset(s) for s in states(d)
         ]
 
 
@@ -181,7 +184,7 @@ def test_dualize_declared_trace():
     d = sphere_trace(5)
     dual = dualize(d)
     assert [h.index for h in dual.handles] == [0, 5]
-    assert [descriptors(s) for s in replay(dual)] == [(), (Sphere(4),), ()]
+    assert [descriptors(s) for s in states(dual)] == [(), (Sphere(4),), ()]
 
 
 def test_reorder_remaps_anchors():
@@ -200,8 +203,8 @@ def test_reorder_remaps_anchors():
     # Original h:2 moved to position 1, so the cap that chased it anchors h:1 now.
     assert swapped.handles[2].attachment.anchor == "h:1"
     assert swapped.handles[3].attachment.anchor == "h:2"
-    assert [descriptors(s) for s in replay(swapped)] == [
-        descriptors(s) for s in replay(d)
+    assert [descriptors(s) for s in states(swapped)] == [
+        descriptors(s) for s in states(d)
     ]
     with pytest.raises(TraceError):
         reorder(d, (1, 1, 2, 3))

@@ -15,7 +15,6 @@ from handlenu.trace import (
     OrderedHandleDecomposition,
     TraceError,
     dualize,
-    replay,
 )
 from handlenu.union import (
     GlueError,
@@ -24,7 +23,7 @@ from handlenu.union import (
     check_key_inequality,
     compose,
 )
-from gen import DEFECTS, random_composable_pair, with_defect
+from gen import DEFECTS, descriptors, random_composable_pair, states, with_defect
 
 
 def torus_glue():
@@ -37,7 +36,7 @@ def test_compose_two_solid_tori_closes_up():
     composite = compose(first, second, torus_glue())
     assert composite.base == ()
     assert composite.delta == 4
-    assert [s.descriptors() for s in replay(composite)] == [
+    assert [descriptors(s) for s in states(composite)] == [
         (), (Sphere(2),), (Surface(1),), (Sphere(2),), ()
     ]
     assert nu_of_ordering(composite).nu == 4
@@ -55,8 +54,8 @@ def test_compose_with_collar_is_identity_on_states():
     first = solid_torus_trace()
     collar = OrderedHandleDecomposition(3, (Surface(1),), ())
     composite = compose(first, collar, torus_glue())
-    assert [s.descriptors() for s in replay(composite)] == [
-        s.descriptors() for s in replay(first)
+    assert [descriptors(s) for s in states(composite)] == [
+        descriptors(s) for s in states(first)
     ]
     report = check_key_inequality(first, collar, torus_glue())
     assert report.holds
@@ -69,12 +68,12 @@ def test_compose_prefix_and_suffix_reproduce_the_parts():
     for _ in range(30):
         dm, dn, glue = random_composable_pair(rng)
         alpha = dm.delta
-        states = replay(compose(dm, dn, glue))
-        m_states = replay(dm)
-        n_states = replay(dn)
+        whole = states(compose(dm, dn, glue))
+        m_states = states(dm)
+        n_states = states(dn)
         glued = {a for a, _ in glue.pairs}
         remainder = sorted(
-            (c.desc for c in m_states[-1].components if c.id not in glued),
+            (c.desc for c in m_states[-1] if c.id not in glued),
             key=repr,
         )
         b_descs = sorted(
@@ -83,11 +82,11 @@ def test_compose_prefix_and_suffix_reproduce_the_parts():
             key=repr,
         )
         for mu in range(alpha + 1):
-            expect = sorted(list(m_states[mu].descriptors()) + list(b_descs), key=repr)
-            assert sorted(states[mu].descriptors(), key=repr) == expect
+            expect = sorted(list(descriptors(m_states[mu])) + list(b_descs), key=repr)
+            assert sorted(descriptors(whole[mu]), key=repr) == expect
         for j in range(dn.delta + 1):
-            expect = sorted(list(n_states[j].descriptors()) + list(remainder), key=repr)
-            assert sorted(states[alpha + j].descriptors(), key=repr) == expect
+            expect = sorted(list(descriptors(n_states[j])) + list(remainder), key=repr)
+            assert sorted(descriptors(whole[alpha + j]), key=repr) == expect
 
 
 def test_compose_rejects_descriptor_mismatch():
@@ -124,8 +123,8 @@ def test_compose_keeps_unglued_remainder():
         (HandleRecord(1, Dim3One("base:0", "base:0")),),
     )
     composite = compose(first, second, GlueSpec((("h:1", "base:0"),)))
-    final = replay(composite)[-1]
-    assert sorted(final.descriptors(), key=repr) == [Sphere(2), Surface(1)]
+    final = states(composite)[-1]
+    assert sorted(descriptors(final), key=repr) == [Sphere(2), Surface(1)]
 
 
 def test_compose_rewrites_declared_suffix():
@@ -137,9 +136,9 @@ def test_compose_rewrites_declared_suffix():
         3, (Sphere(2),), (HandleRecord(2, Declared((piece,))),)
     )
     composite = compose(first, second, GlueSpec((("h:1", "base:0"),)))
-    final = replay(composite)[-1]
+    final = states(composite)[-1]
     # The declared list replaces the glued sphere but carries the remainder along.
-    assert sorted(final.descriptors(), key=repr) == sorted([piece, Sphere(2)], key=repr)
+    assert sorted(descriptors(final), key=repr) == sorted([piece, Sphere(2)], key=repr)
 
 
 def test_compose_declared_first_part_carries_the_unglued_base():
@@ -158,7 +157,7 @@ def test_compose_declared_first_part_carries_the_unglued_base():
     composite = compose(first, second, glue)
     assert composite.handles[1].attachment == Declared((Sphere(2), Surface(2)))
     assert composite.handles[2].attachment == Dim3Two("h:2/1", NonSeparating())
-    assert [sorted(s.descriptors(), key=repr) for s in replay(composite)] == [
+    assert [sorted(descriptors(s), key=repr) for s in states(composite)] == [
         [Surface(2)],
         [Sphere(2), Surface(2)],
         [Sphere(2), Surface(2)],
@@ -173,18 +172,18 @@ def test_compose_prefix_and_suffix_reproduce_parts_with_declared_records():
     for _ in range(100):
         dm, dn, glue = random_composable_pair(rng, declared=0.25)
         alpha = dm.delta
-        states = replay(compose(dm, dn, glue))
-        m_states, n_states = replay(dm), replay(dn)
+        whole = states(compose(dm, dn, glue))
+        m_states, n_states = states(dm), states(dn)
         glued_first = {a for a, _ in glue.pairs}
         glued_second = {b for _, b in glue.pairs}
-        remainder = [c.desc for c in m_states[-1].components if c.id not in glued_first]
+        remainder = [c.desc for c in m_states[-1] if c.id not in glued_first]
         kept = [d for i, d in enumerate(dn.base) if f"base:{i}" not in glued_second]
         for mu in range(alpha + 1):
-            expect = list(m_states[mu].descriptors()) + kept
-            assert sorted(states[mu].descriptors(), key=repr) == sorted(expect, key=repr)
+            expect = list(descriptors(m_states[mu])) + kept
+            assert sorted(descriptors(whole[mu]), key=repr) == sorted(expect, key=repr)
         for j in range(dn.delta + 1):
-            expect = list(n_states[j].descriptors()) + remainder
-            assert sorted(states[alpha + j].descriptors(), key=repr) == sorted(expect, key=repr)
+            expect = list(descriptors(n_states[j])) + remainder
+            assert sorted(descriptors(whole[alpha + j]), key=repr) == sorted(expect, key=repr)
 
 
 def test_inequality_base_component_case():
