@@ -16,8 +16,8 @@ _EXPORTS = {
         "total_betti"
     ).split(),
     "trace": (
-        "AttachError BoundaryComponent Declared Dim3One "
-        "Dim3Three Dim3Two Dim3Zero HandleRecord NonSeparating "
+        "AttachError Declared Dim3One Dim3Three Dim3Two Dim3Zero "
+        "HandleRecord NonSeparating "
         "OrderedHandleDecomposition ReplayError Separating TraceError "
         "canonical_dumps dualize reorder replay trace_from_json trace_to_json "
         "validate validated walk"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import Explicit, HomologyVector, Product, Sphere, Surface, pretty, total_betti
+from .homology import Explicit, HomologyVector, Product, Sphere, pretty, total_betti
 from .nu import evaluate, heegaard_upper, lower_bound_rules
 from .trace import (
     Declared,
@@ -497,8 +497,8 @@ def _scenario_doubled_half() -> list[CheckItem]:
     entry = lookup("s1xsigma2")
     half = dict(entry.traces)["half-empty"]
     dual = dict(entry.traces)["half-torus"]
-    forward = [[c.desc for c in in_id_order(live.values())] for live in replay(half)]
-    backward = [[c.desc for c in in_id_order(live.values())] for live in replay(dual)]
+    forward = [[desc for _, desc in in_id_order(live)] for live in replay(half)]
+    backward = [[desc for _, desc in in_id_order(live)] for live in replay(dual)]
     reversed_ok = forward == backward[::-1]
     glue = GlueSpec((("h:6", "base:0"),))
     report = check_key_inequality(half, dual, glue)
@@ -529,7 +529,7 @@ def _scenario_doubled_half() -> list[CheckItem]:
 def _scenario_quiet_double() -> list[CheckItem]:
     entry = lookup("double-tangent-s2")
     trace = entry.traces[0][1]
-    middles = [c.desc for live in replay(trace)[1:-1] for c in in_id_order(live.values())]
+    middles = [desc for live in replay(trace)[1:-1] for _, desc in in_id_order(live)]
     quiet = all(total_betti(desc) == 2 for desc in middles)
     return [
         CheckItem(

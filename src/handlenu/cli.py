@@ -84,7 +84,7 @@ def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[s
     lines = ["   mu  e_mu  free boundary"]
     for mu, (_, _, live) in enumerate(walk(d)):
         marker = "*" if mu == evaluation.argmax_mu else " "
-        comps = ", ".join(f"{c.id} {pretty(c.desc)}" for c in in_id_order(live.values()))
+        comps = ", ".join(f"{c} {pretty(desc)}" for c, desc in in_id_order(live))
         lines.append(f" {marker} {mu:>3} {evaluation.e_values[mu]:>5}  {comps or '(empty)'}")
     mu_note = f"mu range {evaluation.mu_start}..{d.delta}"
     if evaluation.argmax_mu is None:

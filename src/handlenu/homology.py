@@ -87,7 +87,7 @@ class Sphere:
     parts = ()
 
     def __post_init__(self):
-        n = self.n
+        n = json_int(self.n, "n")
         if n < 1:
             raise DescriptorError(f"sphere dimension must be >= 1, got {n}")
         _record(self, n, ((0, 1), (n, 1)), 2, (0, n))
@@ -98,21 +98,16 @@ class Surface:
     """Closed orientable surface of the given genus.
 
     Non-orientable surfaces are representable only through Explicit
-    descriptors; requesting one here is an error by policy.
+    descriptors; the JSON reader refuses ``"orientable": false`` by policy.
     """
 
     genus: int
-    orientable: bool = True
     parts = ()
 
     def __post_init__(self):
-        g = self.genus
+        g = json_int(self.genus, "genus")
         if g < 0:
             raise DescriptorError(f"genus must be non-negative, got {g}")
-        if not self.orientable:
-            raise DescriptorError(
-                "non-orientable surfaces are only representable as Explicit descriptors"
-            )
         ranks = ((0, 1), (1, 2 * g), (2, 1)) if g else ((0, 1), (2, 1))
         _record(self, 2, ranks, 2 + 2 * g, (1, g))
 
@@ -365,12 +360,17 @@ def _read_node(data):
     kind = data["type"]
     with _reading(kind):
         if kind == "sphere":
-            return Sphere(json_int(data["n"], "n"))
+            return Sphere(data["n"])
         if kind == "surface":
             orientable = data.get("orientable", True)
             if type(orientable) is not bool:
                 raise TypeError(f"'orientable' must be a boolean, got {orientable!r}")
-            return Surface(json_int(data["genus"], "genus"), orientable)
+            surface = Surface(data["genus"])
+            if not orientable:
+                raise DescriptorError(
+                    "non-orientable surfaces are only representable as Explicit descriptors"
+                )
+            return surface
         if kind == "product":
             return [kind, (data[side] for side in ("left", "right")), []]
         if kind == "connected-sum":

@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 import math
 from typing import Iterator, Sequence
 
-from .homology import json_int, palindromic
+from .homology import Descriptor, json_int, palindromic
 from .trace import (
-    BoundaryComponent,
     Declared,
     Dim3One,
     Dim3Three,
@@ -57,7 +56,7 @@ class NuEvaluation:
 
 def evaluate(
     d: OrderedHandleDecomposition,
-) -> tuple[NuEvaluation, dict[str, BoundaryComponent]]:
+) -> tuple[NuEvaluation, dict[str, Descriptor]]:
     """Evaluate one ordering in one walk over its handles; also return the
     final free boundary, by id.
 
@@ -75,23 +74,23 @@ def evaluate(
     e_values: list[int] = []
     nu, argmax_mu, argmax_component = 0, None, None
     for mu, (gone, made, live) in enumerate(walk(d)):
-        for comp in gone:
-            total = comp.desc.total
+        for desc in gone.values():
+            total = desc.total
             if counts[total] > 1:
                 counts[total] -= 1
             else:
                 del counts[total]
                 if total == top:
                     top = max(counts, default=0)
-        for comp in made:
-            total = comp.desc.total
+        for desc in made.values():
+            total = desc.total
             counts[total] = counts.get(total, 0) + 1
             if total > top:
                 top = total
         e_values.append(top)
         if mu >= mu_start and (argmax_mu is None or top > nu):
             nu, argmax_mu = top, mu
-            argmax_component = next((c.id for c in made if c.desc.total == top), None)
+            argmax_component = next((c for c, desc in made.items() if desc.total == top), None)
     return NuEvaluation(tuple(e_values), mu_start, nu, argmax_mu, argmax_component), live
 
 
@@ -271,12 +270,12 @@ class Bound:
             raise ValueError(f"inconsistent bound: lower {self.lower} exceeds upper {self.upper}")
 
 
-Live = dict[str, BoundaryComponent]
+Live = dict[str, Descriptor]
 
 
 def _largest(live: Live) -> int:
     """Largest total Betti number over the live components; 0 when empty."""
-    return max((c.desc.total for c in live.values()), default=0)
+    return max((desc.total for desc in live.values()), default=0)
 
 
 class _IdealSearch:
@@ -285,10 +284,12 @@ class _IdealSearch:
     An ideal is an int bitmask of placed original positions (bit ``j - 1``
     for handle ``j``).  In a valid trace every component id is consumed at
     most once and every move is local, so the free boundary after placing an
-    ideal depends only on the ideal, not on the order its handles went in;
-    a child's live components by id are a copy of its parent's, stepped by
-    :func:`attachment_step` under the handle's original label, which is what
-    anchors name.  Walks keep only the dicts of the ideals on their stack,
+    ideal depends only on the ideal, not on the order its handles went in.
+    That boundary is a dict from component id to descriptor: a child's is a
+    copy of its parent's, stepped by :func:`attachment_step` under the
+    handle's original label, which is what anchors name, and an ideal's
+    ``e`` is the largest total Betti number among its descriptors.  Walks
+    keep only the dicts of the ideals on their stack,
     plus the :func:`replay` snapshots in ``known``, which seed the prefixes
     of the given order.
     """
@@ -323,8 +324,7 @@ class _IdealSearch:
         live = dict(live)
         for comp_id in consumed:
             del live[comp_id]
-        for comp in made:
-            live[comp.id] = comp
+        live.update(made)
         return live
 
     def count(self, root: int) -> int:

@@ -7,11 +7,12 @@ of connected closed components of the free boundary -- the part of the
 boundary still available for later attachments.  The base itself is kept
 on the fixed side of a collar and never consumed.
 
-One function, :func:`attachment_step`, says what each attachment does to
-the live components, a dict by id.  :func:`walk` applies it handle after
-handle to a single such dict, in time linear in the handles; the ordering
-search in ``nu`` applies it to copies.  :func:`replay` keeps a copy of the
-walk's dict after every prefix, for readers that want every prefix at once.
+The free boundary is a dict from component id to descriptor.  One
+function, :func:`attachment_step`, says what each attachment does to it.
+:func:`walk` applies it handle after handle to a single such dict, in time
+linear in the handles; the ordering search in ``nu`` applies it to copies.
+:func:`replay` keeps a copy of the walk's dict after every prefix, for
+readers that want every prefix at once.
 
 Two attachment styles exist:
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import json
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .homology import (
     Descriptor,
@@ -71,14 +72,6 @@ class ReplayError(TraceError):
         super().__init__(f"prefix {mu}: {message}")
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
-    """One connected closed component of a free boundary."""
-
-    id: str
-    desc: Descriptor
-
-
 def id_sort_key(comp_id: str) -> tuple:
     """Deterministic order on component ids: base:i first, then h:j, then /sub."""
     kind, _, rest = comp_id.partition(":")
@@ -86,8 +79,9 @@ def id_sort_key(comp_id: str) -> tuple:
     return (0 if kind == "base" else 1, int(main), int(sub) if sub else -1)
 
 
-def in_id_order(comps: Iterable[BoundaryComponent]) -> tuple[BoundaryComponent, ...]:
-    return tuple(sorted(comps, key=lambda c: id_sort_key(c.id)))
+def in_id_order(comps: Mapping[str, Descriptor]) -> tuple[tuple[str, Descriptor], ...]:
+    """The (id, descriptor) pairs of components by id, in id order."""
+    return tuple(sorted(comps.items(), key=lambda item: id_sort_key(item[0])))
 
 
 @dataclass(frozen=True)
@@ -116,8 +110,9 @@ class Separating:
     g2: int
 
     def __post_init__(self):
-        if self.g1 < 0 or self.g2 < 0:
-            raise TraceError(f"split genera must be non-negative: ({self.g1}, {self.g2})")
+        g1, g2 = json_int(self.g1, "g1"), json_int(self.g2, "g2")
+        if g1 < 0 or g2 < 0:
+            raise TraceError(f"split genera must be non-negative: ({g1}, {g2})")
 
 
 @dataclass(frozen=True)
@@ -204,116 +199,106 @@ def _surface(genus: int) -> Descriptor:
     return Sphere(2) if genus == 0 else Surface(genus)
 
 
-def _genus_of(comp: BoundaryComponent) -> int:
-    desc = normalize(comp.desc)
-    if isinstance(desc, Sphere) and desc.n == 2:
+def _genus_of(comp_id: str, desc: Descriptor) -> int:
+    normal = normalize(desc)
+    if isinstance(normal, Sphere) and normal.n == 2:
         return 0
-    if isinstance(desc, Surface):
-        return desc.genus
-    raise AttachError(
-        f"component {comp.id} ({pretty(comp.desc)}) is not an orientable surface"
-    )
+    if isinstance(normal, Surface):
+        return normal.genus
+    raise AttachError(f"component {comp_id} ({pretty(desc)}) is not an orientable surface")
 
 
-def _resolve(live: Mapping[str, BoundaryComponent], anchor: str) -> BoundaryComponent:
-    comp = live.get(anchor)
-    if comp is None:
+def _resolve(live: Mapping[str, Descriptor], anchor: str) -> Descriptor:
+    desc = live.get(anchor)
+    if desc is None:
         live_ids = sorted(live, key=id_sort_key)
         raise AttachError(f"dangling anchor {anchor!r}; live components: {live_ids}")
-    return comp
+    return desc
 
 
 def attachment_step(
-    att: Attachment, live: Mapping[str, BoundaryComponent], *, label: str, m: int
-) -> tuple[tuple[str, ...], tuple[BoundaryComponent, ...]]:
+    att: Attachment, live: Mapping[str, Descriptor], *, label: str, m: int
+) -> tuple[tuple[str, ...], dict[str, Descriptor]]:
     """The one switch over attachment kinds: the ids of the live components an
-    attachment consumes, and the components it makes, named after ``label``.
+    attachment consumes, and the components it makes by id, named after ``label``.
 
-    ``live`` maps the ids of the free boundary's components to them and is
-    only read.  Components not consumed keep their ids; a ``Declared`` record
-    consumes them all.  Raises AttachError when the attachment is illegal
-    there.
+    ``live`` maps the ids of the free boundary's components to their
+    descriptors and is only read.  Components not consumed keep their ids; a
+    ``Declared`` record consumes them all.  Raises AttachError when the
+    attachment is illegal there.
     """
     if not isinstance(att, Declared) and m != 3:
         raise AttachError(
             f"surface-calculus attachments need ambient dimension 3, trace has m={m}"
         )
     if isinstance(att, Dim3Zero):
-        return (), (BoundaryComponent(label, Sphere(2)),)
+        return (), {label: Sphere(2)}
     if isinstance(att, Dim3One):
-        ca = _resolve(live, att.a)
+        a = _resolve(live, att.a)
         if att.a == att.b:
-            consumed, genus = (ca.id,), _genus_of(ca) + 1
-        else:
-            cb = _resolve(live, att.b)
-            consumed, genus = (ca.id, cb.id), _genus_of(ca) + _genus_of(cb)
-        return consumed, (BoundaryComponent(label, _surface(genus)),)
+            return (att.a,), {label: _surface(_genus_of(att.a, a) + 1)}
+        # Both anchors resolve before either genus is read.
+        b = _resolve(live, att.b)
+        return (att.a, att.b), {label: _surface(_genus_of(att.a, a) + _genus_of(att.b, b))}
     if isinstance(att, Dim3Two):
-        ca = _resolve(live, att.anchor)
-        genus = _genus_of(ca)
+        genus = _genus_of(att.anchor, _resolve(live, att.anchor))
         if isinstance(att.curve, NonSeparating):
             if genus < 1:
                 raise AttachError(
-                    f"non-separating surgery needs genus >= 1; {ca.id} is a sphere"
+                    f"non-separating surgery needs genus >= 1; {att.anchor} is a sphere"
                 )
-            return (ca.id,), (BoundaryComponent(label, _surface(genus - 1)),)
+            return (att.anchor,), {label: _surface(genus - 1)}
         if att.curve.g1 + att.curve.g2 != genus:
             raise AttachError(
                 f"separating split ({att.curve.g1}, {att.curve.g2}) does not add up "
-                f"to genus {genus} of {ca.id}"
+                f"to genus {genus} of {att.anchor}"
             )
-        return (ca.id,), (
-            BoundaryComponent(f"{label}/0", _surface(att.curve.g1)),
-            BoundaryComponent(f"{label}/1", _surface(att.curve.g2)),
-        )
+        return (att.anchor,), {
+            f"{label}/0": _surface(att.curve.g1),
+            f"{label}/1": _surface(att.curve.g2),
+        }
     if isinstance(att, Dim3Three):
-        ca = _resolve(live, att.anchor)
-        if _genus_of(ca) != 0:
-            raise AttachError(f"a cap may only close a sphere; {ca.id} is {pretty(ca.desc)}")
-        return (ca.id,), ()
+        desc = _resolve(live, att.anchor)
+        if _genus_of(att.anchor, desc) != 0:
+            raise AttachError(f"a cap may only close a sphere; {att.anchor} is {pretty(desc)}")
+        return (att.anchor,), {}
     if isinstance(att, Declared):
-        return tuple(live), tuple(
-            BoundaryComponent(f"{label}/{i}", desc) for i, desc in enumerate(att.components)
-        )
+        return tuple(live), {f"{label}/{i}": desc for i, desc in enumerate(att.components)}
     raise AttachError(f"unknown attachment {att!r}")
 
 
-def _base_components(d: OrderedHandleDecomposition) -> tuple[BoundaryComponent, ...]:
-    return tuple(BoundaryComponent(f"base:{i}", desc) for i, desc in enumerate(d.base))
-
-
 def walk(d: OrderedHandleDecomposition) -> Iterator[
-    tuple[list[BoundaryComponent], tuple[BoundaryComponent, ...], dict[str, BoundaryComponent]]
+    tuple[dict[str, Descriptor], dict[str, Descriptor], dict[str, Descriptor]]
 ]:
     """Replay without copying the live components, in time linear in the handles.
 
     Yields, for mu = 0..delta, the components the mu-th event consumed, the
-    components it made (event 0 makes the base), and the live components by
-    id afterwards.  That dict is the walk's own and changes as it goes on.
-    Raises ReplayError like :func:`replay`.
+    components it made (event 0 makes the base) and the live components
+    afterwards, each a dict from id to descriptor.  The live dict is the
+    walk's own and changes as it goes on.  Raises ReplayError like
+    :func:`replay`.
     """
-    base = _base_components(d)
-    live = {c.id: c for c in base}
-    yield [], base, live
+    base = {f"base:{i}": desc for i, desc in enumerate(d.base)}
+    live = dict(base)
+    yield {}, base, live
     for j, handle in enumerate(d.handles, start=1):
         try:
             consumed, made = attachment_step(handle.attachment, live, label=f"h:{j}", m=d.m)
         except AttachError as exc:
             raise ReplayError(j, str(exc)) from exc
-        gone = [live.pop(comp_id) for comp_id in consumed]
-        for comp in made:
-            live[comp.id] = comp
+        gone = {comp_id: live.pop(comp_id) for comp_id in consumed}
+        live.update(made)
         yield gone, made, live
 
 
-def final_boundary(d: OrderedHandleDecomposition) -> dict[str, BoundaryComponent]:
+def final_boundary(d: OrderedHandleDecomposition) -> dict[str, Descriptor]:
     """The free boundary after every handle, by id, from one walk."""
     for _, _, live in walk(d):
         pass
     return live
 
 
-def replay(d: OrderedHandleDecomposition) -> tuple[dict[str, BoundaryComponent], ...]:
+def replay(d: OrderedHandleDecomposition) -> tuple[dict[str, Descriptor], ...]:
     """The live components by id after each prefix mu = 0..delta, a copy of
     the walk's dict each; deterministic, raises ReplayError on failure."""
     return tuple(dict(live) for _, _, live in walk(d))
@@ -343,17 +328,20 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
     Handles run in reverse with index k mapped to m - k, and attachment data
     is recomputed so that the dual's replay walks the original state sequence
     backwards.  Declared records declare the pre-attachment state of their
-    original counterpart.
+    original counterpart.  Each dual handle reads only the components its
+    original consumed, which one walk records.
     """
-    states = replay(d)
-    final = in_id_order(states[-1].values())
-    dual_base = tuple(c.desc for c in final)
-    dmap = {c.id: f"base:{i}" for i, c in enumerate(final)}
+    consumed = []
+    for gone, _, live in walk(d):
+        consumed.append(gone)
+    final = in_id_order(live)
+    dual_base = tuple(desc for _, desc in final)
+    dmap = {comp_id: f"base:{i}" for i, (comp_id, _) in enumerate(final)}
     dual_handles = []
     for new_pos, orig_pos in enumerate(range(d.delta, 0, -1), start=1):
         handle = d.handles[orig_pos - 1]
         label = f"h:{new_pos}"
-        before = states[orig_pos - 1]
+        gone = consumed[orig_pos]
         att = handle.attachment
         if isinstance(att, Dim3Zero):
             datt = Dim3Three(dmap.pop(f"h:{orig_pos}"))
@@ -366,8 +354,8 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
                 datt = Dim3Two(anchor, NonSeparating())
                 dmap[att.a] = label
             else:
-                g1 = _genus_of(before[att.a])
-                g2 = _genus_of(before[att.b])
+                g1 = _genus_of(att.a, gone[att.a])
+                g2 = _genus_of(att.b, gone[att.b])
                 datt = Dim3Two(anchor, Separating(g1, g2))
                 dmap[att.a] = f"{label}/0"
                 dmap[att.b] = f"{label}/1"
@@ -379,9 +367,9 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
                 datt = Dim3One(dmap.pop(f"h:{orig_pos}/0"), dmap.pop(f"h:{orig_pos}/1"))
             dmap[att.anchor] = label
         else:
-            pre = in_id_order(before.values())
-            datt = Declared(tuple(c.desc for c in pre))
-            dmap = {c.id: f"{label}/{i}" for i, c in enumerate(pre)}
+            pre = in_id_order(gone)  # a Declared record consumes the whole boundary
+            datt = Declared(tuple(desc for _, desc in pre))
+            dmap = {comp_id: f"{label}/{i}" for i, (comp_id, _) in enumerate(pre)}
         dual_handles.append(HandleRecord(d.m - handle.index, datt))
     return OrderedHandleDecomposition(d.m, dual_base, tuple(dual_handles))
 
@@ -510,9 +498,7 @@ def _attachment_from_json(data) -> Attachment:
             if curve_data["kind"] == "nonseparating":
                 curve = NonSeparating()
             elif curve_data["kind"] == "separating":
-                curve = Separating(
-                    json_int(curve_data["g1"], "g1"), json_int(curve_data["g2"], "g2")
-                )
+                curve = Separating(curve_data["g1"], curve_data["g2"])
             else:
                 raise TraceError(f"unknown curve kind {curve_data['kind']!r}")
             return Dim3Two(json_str(data["anchor"], "anchor"), curve)

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .homology import desc_equal, pretty
+from .homology import Descriptor, desc_equal, pretty
 from .nu import NuEvaluation, evaluate, nu_of_ordering
 from .trace import (
-    BoundaryComponent,
     Declared,
     HandleRecord,
     OrderedHandleDecomposition,
@@ -73,7 +72,7 @@ def compose(
     dn: OrderedHandleDecomposition,
     glue: GlueSpec,
     *,
-    final: Mapping[str, BoundaryComponent] | None = None,
+    final: Mapping[str, Descriptor] | None = None,
 ) -> OrderedHandleDecomposition:
     """Concatenate: first part's handles, then the second part's, re-anchored.
 
@@ -109,10 +108,10 @@ def compose(
         idx = int(digits)
         if not 0 <= idx < len(dn.base):
             raise GlueError(f"second part base has no component {n_id!r}")
-        if not desc_equal(final_by_id[m_id].desc, dn.base[idx]):
+        if not desc_equal(final_by_id[m_id], dn.base[idx]):
             raise GlueError(
                 f"descriptor mismatch on pair ({m_id}, {n_id}): "
-                f"{pretty(final_by_id[m_id].desc)} vs {pretty(dn.base[idx])}"
+                f"{pretty(final_by_id[m_id])} vs {pretty(dn.base[idx])}"
             )
         relabel[n_id] = m_id
 
@@ -128,7 +127,7 @@ def compose(
     relabel.update(zip((f"base:{i}" for i in kept), carried))
 
     glued = {m_id for m_id, _ in glue.pairs}
-    remainder = tuple(c.desc for c in in_id_order(final_by_id.values()) if c.id not in glued)
+    remainder = tuple(desc for c, desc in in_id_order(final_by_id) if c not in glued)
 
     def remap(anchor: str) -> str:
         renamed = rename_anchor(anchor, relabel)

@@ -20,7 +20,6 @@ from handlenu.homology import (
     Surface,
 )
 from handlenu.trace import (
-    BoundaryComponent,
     Declared,
     Dim3One,
     Dim3Three,
@@ -36,13 +35,13 @@ from handlenu.trace import (
 from handlenu.union import GlueSpec
 
 
-def states(d: OrderedHandleDecomposition) -> list[tuple[BoundaryComponent, ...]]:
-    """Each prefix's free-boundary components, in id order, from ``replay``."""
-    return [in_id_order(live.values()) for live in replay(d)]
+def states(d: OrderedHandleDecomposition) -> list[tuple[tuple[str, Descriptor], ...]]:
+    """Each prefix's free-boundary (id, descriptor) pairs, in id order, from ``replay``."""
+    return [in_id_order(live) for live in replay(d)]
 
 
-def descriptors(comps: tuple[BoundaryComponent, ...]) -> tuple[Descriptor, ...]:
-    return tuple(c.desc for c in comps)
+def descriptors(comps: tuple[tuple[str, Descriptor], ...]) -> tuple[Descriptor, ...]:
+    return tuple(desc for _, desc in comps)
 
 
 def random_surface(rng: random.Random, max_genus: int = 3) -> Descriptor:
@@ -143,10 +142,10 @@ def random_composable_pair(rng: random.Random, max_handles: int = 6, declared: f
     slots += [("B", random_surface(rng)) for _ in range(rng.randint(0, 2))]
     rng.shuffle(slots)
     base = tuple(
-        payload.desc if kind == "C" else payload for kind, payload in slots
+        payload[1] if kind == "C" else payload for kind, payload in slots
     )
     pairs = tuple(
-        (payload.id, f"base:{i}")
+        (payload[0], f"base:{i}")
         for i, (kind, payload) in enumerate(slots)
         if kind == "C"
     )

@@ -120,7 +120,7 @@ def test_criterion_05_circle_times_genus_two():
 def test_criterion_06_doubled_disc_bundle_stays_at_two():
     trace = doubled_disc_bundle_trace(1)
     evaluation = nu_of_ordering(trace)
-    middles = [c.desc for s in states(trace)[1:-1] for c in s]
+    middles = [desc for s in states(trace)[1:-1] for _, desc in s]
     ok = (
         evaluation.nu == 2
         and len(middles) == 3

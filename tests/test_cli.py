@@ -309,6 +309,17 @@ def test_non_string_and_non_bool_fields_exit_2_with_a_message(tmp_path, capsys, 
     assert message in captured.err
 
 
+def test_non_orientable_surface_exits_2_with_a_message(tmp_path, capsys):
+    doc = _trace_doc()
+    doc["base"][0]["orientable"] = False
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-orientable surfaces are only representable as Explicit descriptors" in captured.err
+
+
 def test_explicit_orientable_true_still_loads(tmp_path, capsys):
     doc = _trace_doc()
     doc["base"][0]["orientable"] = True

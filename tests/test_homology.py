@@ -70,8 +70,6 @@ def test_descriptor_constructor_errors():
     with pytest.raises(DescriptorError):
         Surface(-1)
     with pytest.raises(DescriptorError):
-        Surface(2, orientable=False)
-    with pytest.raises(DescriptorError):
         ConnectedSum(())
     with pytest.raises(DescriptorError):
         ConnectedSum((Sphere(2), Sphere(3)))
@@ -334,3 +332,15 @@ def test_chain_complex_refuses_non_integers(bad):
         RationalChainComplex(0, (bad,), ())
     with pytest.raises(TypeError, match="'dim' must be an integer"):
         RationalChainComplex(bad, (1,), ())
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+def test_sphere_refuses_non_integers(bad):
+    with pytest.raises(TypeError, match="'n' must be an integer"):
+        Sphere(bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_surface_refuses_non_integers(bad):
+    with pytest.raises(TypeError, match="'genus' must be an integer"):
+        Surface(bad)

@@ -149,6 +149,6 @@ def test_wide_budget_search_needs_no_recursion():
     # The witness replays; without a base every component shows at some
     # prefix mu >= 1, so its value is the largest total Betti number of any
     # component, here one per 0-handle sphere.
-    components = {c.id: c for state in states(bound.witness) for c in state}
+    components = {c: desc for state in states(bound.witness) for c, desc in state}
     assert len(components) == 1500
-    assert max(total_betti(c.desc) for c in components.values()) == bound.upper == 2
+    assert max(total_betti(desc) for desc in components.values()) == bound.upper == 2

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
 from handlenu.homology import (
     Explicit,
     HomologyVector,
+    Product,
     Sphere,
     Surface,
 )
@@ -46,7 +48,7 @@ def attach_one(base, attachment, index, m=3):
 
 
 def ids(state):
-    return tuple(c.id for c in state)
+    return tuple(comp_id for comp_id, _ in state)
 
 
 def desc_multiset(state):
@@ -58,7 +60,7 @@ def desc_multiset(state):
 def test_attach_one_same_component_adds_genus():
     out = attach_one([Sphere(2)], Dim3One("base:0", "base:0"), 1)
     assert descriptors(out) == (Surface(1),)
-    assert out[0].id == "h:1"
+    assert out[0][0] == "h:1"
 
 
 def test_attach_nonseparating_drops_genus():
@@ -81,8 +83,7 @@ def test_attach_declared_replaces_everything():
 
 def test_attach_is_local():
     out = attach_one([Sphere(2), Surface(2)], Dim3One("base:0", "base:0"), 1)
-    untouched = next((c for c in out if c.id == "base:1"), None)
-    assert untouched is not None and untouched.desc == Surface(2)
+    assert dict(out).get("base:1") == Surface(2)
 
 
 def test_attach_errors():
@@ -131,7 +132,7 @@ def test_replay_keeps_each_prefix_by_id():
     prefixes = replay(genus_one_trace())
     assert [list(live) for live in prefixes] == [[], ["h:1"], ["h:2"], ["h:3"], []]
     assert len({id(live) for live in prefixes}) == len(prefixes)
-    assert prefixes[2]["h:2"].desc == Surface(1)
+    assert prefixes[2]["h:2"] == Surface(1)
 
 
 def test_replay_error_carries_prefix():
@@ -143,13 +144,22 @@ def test_replay_error_carries_prefix():
     assert excinfo.value.mu == 2
 
 
+def test_two_anchor_one_handle_resolves_both_anchors_before_reading_a_genus():
+    # base:0 is not an orientable surface, but the dangling anchor is reported first.
+    torus = Product(Sphere(1), Sphere(1))
+    bad = OrderedHandleDecomposition(3, (torus,), (HandleRecord(1, Dim3One("base:0", "h:9")),))
+    with pytest.raises(ReplayError) as excinfo:
+        replay(bad)
+    assert str(excinfo.value) == "prefix 1: dangling anchor 'h:9'; live components: ['base:0']"
+
+
 def test_replay_is_orientable_surfaces_only():
     rng = random.Random(8104)
     for _ in range(50):
         d = random_trace(rng)
         for state in states(d):
-            for comp in state:
-                assert isinstance(comp.desc, (Sphere, Surface))
+            for _, desc in state:
+                assert isinstance(desc, (Sphere, Surface))
 
 
 def test_dualize_genus_one_pattern():
@@ -178,6 +188,33 @@ def test_dualize_involution_on_states():
         assert [desc_multiset(s) for s in states(twice)] == [
             desc_multiset(s) for s in states(d)
         ]
+
+
+def test_dualize_memory_stays_linear_in_the_handles():
+    # Each dual handle reads only what its original consumed; copying the
+    # free boundary at every prefix peaked at about 56 MB on CPython 3.11.
+    d = OrderedHandleDecomposition(3, (), tuple(HandleRecord(0, Dim3Zero()) for _ in range(2000)))
+    tracemalloc.start()
+    try:
+        dual = dualize(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert dual.base == (Sphere(2),) * 2000
+    assert dual.handles[0].attachment == Dim3Three("base:1999")
+    assert dual.handles[-1].attachment == Dim3Three("base:0")
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_separating_refuses_non_integers(bad):
+    with pytest.raises(TypeError, match="'g1' must be an integer"):
+        Separating(bad, 0)
+    with pytest.raises(TypeError, match="'g2' must be an integer"):
+        Separating(0, bad)
+    # Both genera are read as integers before either sign is checked.
+    with pytest.raises(TypeError, match="'g2' must be an integer"):
+        Separating(-1, bad)
 
 
 def test_dualize_declared_trace():

@@ -73,7 +73,7 @@ def test_compose_prefix_and_suffix_reproduce_the_parts():
         n_states = states(dn)
         glued = {a for a, _ in glue.pairs}
         remainder = sorted(
-            (c.desc for c in m_states[-1] if c.id not in glued),
+            (desc for c, desc in m_states[-1] if c not in glued),
             key=repr,
         )
         b_descs = sorted(
@@ -176,7 +176,7 @@ def test_compose_prefix_and_suffix_reproduce_parts_with_declared_records():
         m_states, n_states = states(dm), states(dn)
         glued_first = {a for a, _ in glue.pairs}
         glued_second = {b for _, b in glue.pairs}
-        remainder = [c.desc for c in m_states[-1] if c.id not in glued_first]
+        remainder = [desc for c, desc in m_states[-1] if c not in glued_first]
         kept = [d for i, d in enumerate(dn.base) if f"base:{i}" not in glued_second]
         for mu in range(alpha + 1):
             expect = list(descriptors(m_states[mu])) + kept
