@@ -17,7 +17,7 @@ import sys
 
 from . import catalog as catalog_mod
 from .homology import json_str, pretty
-from .nu import Bound, NuEvaluation, evaluate, search_min_nu
+from .nu import Bound, NuEvaluation, evaluate, search
 from .trace import (
     OrderedHandleDecomposition,
     TraceError,
@@ -71,8 +71,10 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
             print(line)
 
 
-def _require_valid(d: OrderedHandleDecomposition) -> tuple[list[str], NuEvaluation]:
-    report, result = validated(d, evaluate)
+def _require_valid(d: OrderedHandleDecomposition, run) -> tuple[list[str], object]:
+    """Validate ``d`` with ``run(d)`` as its one walk; the warnings and what
+    ``run`` returned besides the final boundary."""
+    report, result = validated(d, run)
     if not report.ok:
         for violation in report.violations:
             print(f"invalid trace (prefix {violation.mu}): {violation.message}", file=sys.stderr)
@@ -99,7 +101,7 @@ def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[s
 
 def cmd_compute(args) -> int:
     d = _load_trace(args.trace)
-    warnings, evaluation = _require_valid(d)
+    warnings, evaluation = _require_valid(d, evaluate)
     # Only the human table needs every prefix.
     lines = [] if args.json else _mu_table(d, evaluation)
     _emit(
@@ -128,9 +130,8 @@ def _bound_lines(bound: Bound) -> list[str]:
 
 def cmd_search(args) -> int:
     d = _load_trace(args.trace)
-    warnings, _ = _require_valid(d)
     budget = None if args.all_orderings else args.budget
-    bound = search_min_nu(d, budget=budget)
+    warnings, bound = _require_valid(d, lambda t: search(t, budget))
     result = {
         "lower": bound.lower,
         "upper": bound.upper,

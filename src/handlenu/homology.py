@@ -156,7 +156,7 @@ class ConnectedSum:
             if not palindromic(p):
                 raise DescriptorError(
                     "connected-sum summands must be closed orientable "
-                    f"(non-palindromic Betti vector in {p!r})"
+                    f"(non-palindromic Betti vector in {pretty(p)})"
                 )
             for k, r in p.ranks:
                 if 0 < k < n:

@@ -6,7 +6,8 @@ is the maximum of the ``e_mu``.  The prefix mu = 0 participates exactly when
 the base is non-empty: the initial collar already shows the base as free
 boundary, and the concatenation argument in the union checker relies on
 counting it.  Every value here is read off live-component dicts stepped by
-:func:`trace.attachment_step`; no boundary state is built.
+:func:`trace.attachment_step` in one walk over the handles; the ordering
+search reuses each handle's step from that walk.  No boundary state is built.
 
 The true invariant of a manifold minimizes over all decompositions and then
 maximizes over all bases; neither extreme is computable in general, so
@@ -17,6 +18,7 @@ justification and whose upper side carries a replayable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import heapq
 import math
 from typing import Iterator, Sequence
 
@@ -30,10 +32,8 @@ from .trace import (
     OrderedHandleDecomposition,
     TraceError,
     anchors_of,
-    attachment_step,
     id_sort_key,
     reorder,
-    replay,
     walk,
 )
 
@@ -271,6 +271,9 @@ class Bound:
 
 
 Live = dict[str, Descriptor]
+# What one handle does to the free boundary: the ids it consumes, and the
+# components it makes by id.
+Step = tuple[tuple[str, ...], Live]
 
 
 def _largest(live: Live) -> int:
@@ -278,34 +281,72 @@ def _largest(live: Live) -> int:
     return max((desc.total for desc in live.values()), default=0)
 
 
+def _parts(deps: dict[int, set[int]]) -> list[int]:
+    """Bit masks (bit ``j - 1`` for handle ``j``) of the connected parts of the
+    dependency poset, found by union-find over its edges."""
+    parent = {j: j for j in deps}
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for j, earlier in deps.items():
+        for i in earlier:
+            parent[root(i)] = root(j)
+    masks: dict[int, int] = {}
+    for j in deps:
+        r = root(j)
+        masks[r] = masks.get(r, 0) | 1 << (j - 1)
+    return list(masks.values())
+
+
+def _interleave(orders: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Merge non-empty orders of disjoint handles, always taking the smallest
+    next handle among their heads."""
+    heads = [(order[0], iter(order[1:])) for order in orders]
+    heapq.heapify(heads)  # handles are distinct, so the iterators are never compared
+    merged = []
+    while heads:
+        j, rest = heads[0]
+        merged.append(j)
+        following = next(rest, None)
+        if following is None:
+            heapq.heappop(heads)
+        else:
+            heapq.heapreplace(heads, (following, rest))
+    return tuple(merged)
+
+
 class _IdealSearch:
-    """Memoized walk over the lattice of order ideals of the dependency poset.
+    """Memoized walk over the lattice of order ideals of one part of the
+    dependency poset.
 
     An ideal is an int bitmask of placed original positions (bit ``j - 1``
-    for handle ``j``).  In a valid trace every component id is consumed at
-    most once and every move is local, so the free boundary after placing an
-    ideal depends only on the ideal, not on the order its handles went in.
-    That boundary is a dict from component id to descriptor: a child's is a
-    copy of its parent's, stepped by :func:`attachment_step` under the
-    handle's original label, which is what anchors name, and an ideal's
-    ``e`` is the largest total Betti number among its descriptors.  Walks
-    keep only the dicts of the ideals on their stack,
-    plus the :func:`replay` snapshots in ``known``, which seed the prefixes
-    of the given order.
+    for handle ``j``) inside ``mask``, the part's handles; the whole poset is
+    the mask of all of them.  In a valid trace every component id is
+    consumed at most once and every move is local, so a handle consumes and
+    makes the same components in every admissible order: ``steps[j - 1]``,
+    read off one walk of the given order.  (A ``Declared`` record consumes
+    the whole boundary, but it is pinned to a single ideal.)  So the free
+    boundary after an ideal depends only on the ideal.  That boundary is a
+    dict from component id to descriptor: a child's is a copy of its
+    parent's with the handle's step applied, and an ideal's ``e`` is the
+    largest total Betti number among its descriptors.  Walks keep only the
+    dicts of the ideals on their stack.
     """
 
-    def __init__(self, d: OrderedHandleDecomposition, known: dict[int, Live], cap: int | None):
-        deps = _dependencies(d)
-        self.d = d
-        self.need = [sum(1 << (i - 1) for i in deps[j]) for j in range(1, d.delta + 1)]
-        self.full = (1 << d.delta) - 1
+    def __init__(self, need: list[int], steps: list[Step], mask: int, cap: int | None):
+        self.need = need
+        self.steps = steps
+        self.full = mask
         self.cap = cap
-        self.known = known
         self.counts: dict[int, int] = {}
         self.values: dict[int, int] = {}
 
     def children(self, ideal: int) -> Iterator[int]:
-        """Admissible next positions (0-based), smallest first."""
+        """Admissible next positions (0-based) inside the mask, smallest first."""
         free = ~ideal & self.full
         while free:
             low = free & -free
@@ -314,13 +355,8 @@ class _IdealSearch:
                 yield j
             free ^= low
 
-    def child_live(self, live: Live, ideal: int, j: int) -> Live:
-        known = self.known.get(ideal | 1 << j)
-        if known is not None:
-            return known
-        consumed, made = attachment_step(
-            self.d.handles[j].attachment, live, label=f"h:{j + 1}", m=self.d.m
-        )
+    def child_live(self, live: Live, j: int) -> Live:
+        consumed, made = self.steps[j]
         live = dict(live)
         for comp_id in consumed:
             del live[comp_id]
@@ -328,7 +364,7 @@ class _IdealSearch:
         return live
 
     def count(self, root: int) -> int:
-        """Admissible orderings of the handles outside ``root``, saturated at ``cap``."""
+        """Admissible orderings of the mask's handles outside ``root``, saturated at ``cap``."""
         counts, cap = self.counts, self.cap
         # Frames: [ideal, children, orderings so far]; the full ideal has one.
         stack = [[root, self.children(root), int(root == self.full)]]
@@ -351,7 +387,13 @@ class _IdealSearch:
 
     def value(self, root: int, live: Live) -> int:
         """max(e(root), rest(root)): the smallest largest ``e_mu`` over all
-        completions of ``root``, counting ``root`` itself."""
+        completions of ``root``, counting ``root`` itself.
+
+        A scan of an ideal's children stops once the running minimum is at
+        most its ``e``: no completion goes below that.  Children are scanned
+        smallest first, so every child up to the first one within any target
+        at least the ideal's value is evaluated, which :meth:`witness` needs.
+        """
         values = self.values
 
         def frame(ideal: int, live: Live) -> list:
@@ -363,7 +405,7 @@ class _IdealSearch:
         while root not in values:
             top = stack[-1]
             ideal, live, children, e, rest = top
-            j = next(children, None)
+            j = next(children, None) if rest > e else None
             if j is None:
                 stack.pop()
                 values[ideal] = max(e, rest)
@@ -374,7 +416,7 @@ class _IdealSearch:
             if child in values:
                 top[4] = min(rest, values[child])
             else:
-                stack.append(frame(child, self.child_live(live, ideal, j)))
+                stack.append(frame(child, self.child_live(live, j)))
         return values[root]
 
     def budgeted(self, live: Live, budget: int) -> tuple[int, list[int], int]:
@@ -392,7 +434,7 @@ class _IdealSearch:
         while remaining:
             for j in self.children(ideal):
                 child = ideal | 1 << j
-                child_live = self.child_live(live, ideal, j)
+                child_live = self.child_live(live, j)
                 covered = self.count(child)
                 if covered > remaining:
                     ideal, live = child, child_live
@@ -421,39 +463,53 @@ class _IdealSearch:
         return tuple(order)
 
 
-def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> Bound:
-    """Minimize the ordering value over admissible orders of the fixed handles.
-
-    The search runs over order ideals of the anchor-dependency poset (see
-    :class:`_IdealSearch`), so each set of placed handles is evaluated once
-    however many orderings reach it.  ``enumerated`` counts the admissible
-    orderings covered, without replaying them; ``budget`` caps that count,
-    taking orderings in depth-first lexicographic order, and ``exhaustive``
-    reports whether all of them fit.  The witness is the lexicographically
-    first covered ordering attaining the upper value, as a replayable
-    decomposition.
-    """
+def search(d: OrderedHandleDecomposition, budget: int | None = None) -> tuple[Bound, Live]:
+    """:func:`search_min_nu`, and the final free boundary by id, from one walk."""
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of orderings, got {budget}")
-    # One replay seeds the prefix ideals {1..k}, and raises the trace's own
-    # ReplayError before any search work.
-    known = {(1 << k) - 1: live for k, live in enumerate(replay(d))}
+    # The walk comes first, so a broken trace raises its own ReplayError
+    # before _dependencies can raise a TraceError of its own.
+    steps: list[Step] = []
+    for gone, made, live in walk(d):
+        steps.append((tuple(gone), made))
+    (_, base), *steps = steps
+    deps = _dependencies(d)
+    need = [sum(1 << (i - 1) for i in deps[j]) for j in range(1, d.delta + 1)]
 
-    search = _IdealSearch(d, known, cap=None if budget is None else budget + 1)
-    total = search.count(0)
+    cap = None if budget is None else budget + 1
+    parts = [_IdealSearch(need, steps, mask, cap) for mask in _parts(deps)]
+    # The parts' orders interleave freely: a multinomial coefficient of their
+    # sizes.  A part's count saturated at ``cap`` still puts the total over
+    # the budget.
+    total, placed = 1, 0
+    for part in parts:
+        size = part.full.bit_count()
+        placed += size
+        total *= math.comb(placed, size) * part.count(0)
     if budget is None or total <= budget:
-        # The empty ideal's e_mu is 0 without a base, so it counts exactly
-        # when the base is non-empty, as in nu_of_ordering.
-        best, path, root = search.value(0, known[0]), [], 0
+        # Parts touch disjoint components, so an ordering's value is the
+        # largest of its parts' values and the untouched base's, and a part's
+        # value depends only on the order of its own handles: each part is
+        # minimized on its own.  The empty ideal's e_mu is 0 without a base,
+        # so it counts exactly when the base is non-empty, as in
+        # nu_of_ordering.
+        best = max((part.value(0, base) for part in parts), default=_largest(base))
+        # The lexicographically first optimal ordering places, at each joint
+        # ideal, the smallest admissible handle whose own part can still
+        # finish within ``best``.  A part's next such handle changes only
+        # when one of its own handles is placed, so that ordering interleaves
+        # the parts' own first orderings, smallest head first.
+        best_order = _interleave([part.witness([], 0, best) for part in parts])
         enumerated, exhaustive = total, True
     else:
-        best, path, root = search.budgeted(known[0], budget)
+        whole = parts[0] if len(parts) == 1 else _IdealSearch(need, steps, (1 << d.delta) - 1, cap)
+        best, path, root = whole.budgeted(base, budget)
+        best_order = whole.witness(path, root, best)
         enumerated, exhaustive = budget, False
-    best_order = search.witness(path, root, best)
 
-    closed = not d.base and not known[search.full]
+    closed = not d.base and not live
     lb = lower_bound_rules(d.m, closed=closed, trace=d)
-    return Bound(
+    bound = Bound(
         lower=lb.value,
         upper=best,
         exhaustive=exhaustive,
@@ -462,6 +518,27 @@ def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> B
         witness=reorder(d, best_order) if best_order else d,
         witness_order=best_order,
     )
+    return bound, live
+
+
+def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> Bound:
+    """Minimize the ordering value over admissible orders of the fixed handles.
+
+    The search runs over order ideals of the anchor-dependency poset (see
+    :class:`_IdealSearch`), so each set of placed handles is evaluated once
+    however many orderings reach it, and over each connected part of the
+    poset on its own: parts touch disjoint components, so the minimum is the
+    largest of the parts' minima.  A ``Declared`` record is pinned to every
+    other handle, so a trace with one is a single part.  ``enumerated``
+    counts the admissible orderings covered, without replaying them: the
+    multinomial coefficient of the part sizes times each part's own count.
+    ``budget`` caps that count, taking orderings in depth-first
+    lexicographic order over the whole poset, and ``exhaustive`` reports
+    whether all of them fit.  The witness is the lexicographically first
+    covered ordering attaining the upper value, as a replayable
+    decomposition.
+    """
+    return search(d, budget)[0]
 
 
 # --- per-base bookkeeping ----------------------------------------------------

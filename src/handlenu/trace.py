@@ -185,7 +185,7 @@ class OrderedHandleDecomposition:
     handles: tuple[HandleRecord, ...]
 
     def __post_init__(self):
-        if self.m < 1:
+        if json_int(self.m, "m") < 1:
             raise TraceError(f"ambient dimension must be >= 1, got {self.m}")
         object.__setattr__(self, "base", tuple(self.base))
         object.__setattr__(self, "handles", tuple(self.handles))
@@ -410,7 +410,13 @@ def validated(d: OrderedHandleDecomposition, run: Callable[[OrderedHandleDecompo
             violations.append(Violation(0, f"base:{i}: components must be connected"))
 
     for j, handle in enumerate(d.handles, start=1):
-        if not 0 <= handle.index <= d.m:
+        # The JSON reader refuses a non-integer index; a library caller's is
+        # refused here, not in every construction.
+        if type(handle.index) is not int:
+            violations.append(
+                Violation(j, f"handle index must be an integer, got {handle.index!r}")
+            )
+        elif not 0 <= handle.index <= d.m:
             violations.append(
                 Violation(j, f"handle index {handle.index} outside 0..{d.m}")
             )
@@ -431,7 +437,7 @@ def validated(d: OrderedHandleDecomposition, run: Callable[[OrderedHandleDecompo
                     Violation(j, f"surface-calculus attachment in an m={d.m} trace")
                 )
             expected = _DIM3_INDEX[type(att)]
-            if handle.index != expected:
+            if handle.index != expected and type(handle.index) is int:
                 violations.append(
                     Violation(
                         j,

@@ -19,6 +19,7 @@ from handlenu.homology import (
     Sphere,
     Surface,
 )
+from handlenu.nu import _dependencies
 from handlenu.trace import (
     Declared,
     Dim3One,
@@ -30,6 +31,7 @@ from handlenu.trace import (
     OrderedHandleDecomposition,
     Separating,
     in_id_order,
+    reorder,
     replay,
 )
 from handlenu.union import GlueSpec
@@ -128,6 +130,39 @@ def random_trace(
             pass  # a bare collar still has boundary; fall through
         if comps or not ensure_boundary:
             return OrderedHandleDecomposition(3, base, tuple(handles))
+
+
+def random_admissible_order(rng: random.Random, d: OrderedHandleDecomposition) -> list[int]:
+    """A random linear extension of the anchor dependencies of ``d``."""
+    deps = _dependencies(d)
+    order: list[int] = []
+    placed: set[int] = set()
+    while len(order) < d.delta:
+        j = rng.choice([j for j in deps if j not in placed and deps[j] <= placed])
+        order.append(j)
+        placed.add(j)
+    return order
+
+
+def multi_part_trace(
+    rng: random.Random, groups: int = 2, max_handles: int = 6, declared: float = 0.0
+) -> OrderedHandleDecomposition:
+    """Handles of ``groups`` independent groups, each moving only its own
+    components (base components go to random groups), put in a random
+    admissible order.  Only the last group draws ``Declared`` records (see
+    :func:`_random_handles`): one consumes every group's components, so it
+    joins the dependency poset into one part."""
+    base = tuple(random_surface(rng) for _ in range(rng.randint(0, 2)))
+    owned: list[dict[str, int]] = [{} for _ in range(groups)]
+    for i, desc in enumerate(base):
+        owned[rng.randrange(groups)][f"base:{i}"] = _genus(desc)
+    handles: list[HandleRecord] = []
+    for g, comps in enumerate(owned):
+        count = rng.randint(1, max(1, max_handles // groups))
+        chance = declared if g == groups - 1 else 0.0
+        handles += _random_handles(rng, comps, count, start=len(handles) + 1, declared=chance)
+    d = OrderedHandleDecomposition(3, base, tuple(handles))
+    return reorder(d, random_admissible_order(rng, d))
 
 
 def random_composable_pair(rng: random.Random, max_handles: int = 6, declared: float = 0.0):

@@ -320,6 +320,25 @@ def test_non_orientable_surface_exits_2_with_a_message(tmp_path, capsys):
     assert "non-orientable surfaces are only representable as Explicit descriptors" in captured.err
 
 
+def test_non_palindromic_summand_is_named_in_project_notation(tmp_path, capsys):
+    torus_times_k = {
+        "type": "product",
+        "left": {"type": "surface", "genus": 1},
+        "right": {"type": "explicit", "dim": 2, "betti": [1, 1, 0], "label": "k"},
+    }
+    summed = {"type": "connected-sum", "parts": [torus_times_k, {"type": "sphere", "n": 4}]}
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps({"m": 5, "base": [summed], "handles": []}))
+    assert main(["compute", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: malformed trace document: connected-sum summands must be closed orientable "
+        "(non-palindromic Betti vector in T^2 x k)\n"
+    )
+    assert "Product(" not in captured.err and "Surface(genus=" not in captured.err
+
+
 def test_explicit_orientable_true_still_loads(tmp_path, capsys):
     doc = _trace_doc()
     doc["base"][0]["orientable"] = True
@@ -385,7 +404,6 @@ def test_usage_error_leaves_the_parser_usable(lens_file, capsys):
 
 
 def _count_steps(monkeypatch):
-    import handlenu.nu as nu_mod
     import handlenu.trace as trace_mod
 
     calls = []
@@ -395,9 +413,8 @@ def _count_steps(monkeypatch):
         calls.append(kwargs["label"])
         return step(*args, **kwargs)
 
-    # The ordering search steps its own dicts through nu's binding.
-    for module in (trace_mod, nu_mod):
-        monkeypatch.setattr(module, "attachment_step", counting)
+    # Every step is a walk's: the ordering search reuses the steps of its walk.
+    monkeypatch.setattr(trace_mod, "attachment_step", counting)
     return calls
 
 
@@ -424,15 +441,13 @@ def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, mo
 
 
 def test_compute_json_walks_the_trace_once_and_builds_no_state(lens_file, capsys, monkeypatch):
-    import handlenu.nu as nu_mod
     import handlenu.trace as trace_mod
 
     def no_state(*args, **kwargs):
         raise AssertionError("compute --json replayed the per-prefix boundaries")
 
     calls = _count_steps(monkeypatch)
-    for module in (trace_mod, nu_mod):
-        monkeypatch.setattr(module, "replay", no_state)
+    monkeypatch.setattr(trace_mod, "replay", no_state)
     assert main(["compute", lens_file, "--json"]) == EXIT_OK
     # The lens trace has 4 handles: the walk that evaluates also validates.
     assert calls == ["h:1", "h:2", "h:3", "h:4"]
@@ -449,11 +464,11 @@ def test_search_replays_the_trace_once(lens_file, capsys, monkeypatch):
         monkeypatch.setattr(module, "walk", lambda d: walks.append(d) or walk(d))
     calls = _count_steps(monkeypatch)
     assert main(["search", lens_file, "--json", "--all-orderings"]) == EXIT_OK
-    # The lens trace is a chain of 4 handles, so its only ideals are its
-    # prefixes: validation walks it once and the search walks it once, and
-    # the floor rules read the handles without a walk.
-    assert len(walks) == 2
-    assert calls == ["h:1", "h:2", "h:3", "h:4"] * 2
+    # The search is validation's walk, steps each handle once there, and
+    # reuses those steps for its ideals; the floor rules read the handles
+    # without a walk.
+    assert len(walks) == 1
+    assert calls == ["h:1", "h:2", "h:3", "h:4"] * 1
     assert json.loads(capsys.readouterr().out)["result"]["upper"] == 4
 
 
@@ -484,7 +499,7 @@ def test_catalog_verify_walks_each_stored_trace_once_for_its_entry_checks(capsys
 
     for module in (trace_mod, nu_mod):
         monkeypatch.setattr(module, "walk", counting_walk)
-        monkeypatch.setattr(module, "attachment_step", counting_step)
+    monkeypatch.setattr(trace_mod, "attachment_step", counting_step)
     monkeypatch.setattr(catalog_mod, "_entry_items", entry_checks)
     assert main(["catalog", "--verify", "--json"]) == EXIT_OK
     # The walk that validates a stored trace also evaluates it.

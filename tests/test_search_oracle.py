@@ -1,19 +1,25 @@
-"""The order-ideal search against the brute-force search it replaced.
+"""The order-ideal search against the searches it replaced.
 
 ``brute_force_search`` is the old loop kept as an oracle: enumerate the
-admissible orderings, reorder, replay and evaluate every one.  The ideal
-search must return the same ``Bound`` field by field, witness JSON
-included, with and without a budget.
+admissible orderings, reorder, replay and evaluate every one.
+``joint_search`` (in ``joint_search.py``) is the order-ideal search over the
+whole dependency poset, before the search took each connected part on its
+own.  The search must return the same ``Bound`` as both, field by field,
+witness JSON included, with and without a budget.
 """
 
 import functools
+import math
 import random
 
 from hypothesis import given, seed, settings, strategies as st
 
+import handlenu.trace as trace_mod
 from handlenu.homology import total_betti
 from handlenu.nu import (
     Bound,
+    _dependencies,
+    _parts,
     iter_linear_extensions,
     lower_bound_rules,
     nu_of_ordering,
@@ -31,13 +37,15 @@ from handlenu.trace import (
     reorder,
     trace_to_json,
 )
-from gen import random_trace, states
+from gen import multi_part_trace, random_trace, states
+from joint_search import joint_search
 
 
 def brute_force_search(d: OrderedHandleDecomposition, budget: int | None = None,
-                       evaluate=None) -> Bound:
-    """``evaluate(order)`` may memoize ``nu_of_ordering(reorder(d, order)).nu``
-    when one trace is searched under many budgets."""
+                       evaluate=None, orders=None) -> Bound:
+    """``evaluate(order)`` may memoize ``nu_of_ordering(reorder(d, order)).nu``,
+    and ``orders`` may list ``iter_linear_extensions(d)``, when one trace is
+    searched under many budgets."""
     if evaluate is None:
         evaluate = lambda order: nu_of_ordering(reorder(d, order)).nu
     final = states(d)[-1]
@@ -45,7 +53,7 @@ def brute_force_search(d: OrderedHandleDecomposition, budget: int | None = None,
     best_order = None
     enumerated = 0
     exhaustive = True
-    for order in iter_linear_extensions(d):
+    for order in iter_linear_extensions(d) if orders is None else orders:
         if budget is not None and enumerated >= budget:
             exhaustive = False
             break
@@ -123,6 +131,90 @@ def test_ideal_search_matches_oracle_on_every_budget():
 def test_ideal_search_matches_oracle_hypothesis(rng, declared, budget):
     d = random_trace(rng, max_handles=6, declared=declared)
     assert_same_bound(search_min_nu(d, budget), brute_force_search(d, budget))
+
+
+def parts_of(d: OrderedHandleDecomposition) -> int:
+    return len(_parts(_dependencies(d)))
+
+
+def test_factored_search_matches_both_oracles_on_multi_part_traces():
+    rng = random.Random(9305)
+    multi = declared_seen = 0
+    for k in range(400):
+        d = multi_part_trace(rng, groups=2 + k % 2, max_handles=7,
+                             declared=0.3 if k % 4 == 0 else 0.0)
+        multi += parts_of(d) > 1
+        if any(isinstance(h.attachment, Declared) for h in d.handles):
+            declared_seen += 1
+            assert parts_of(d) == 1  # a declared record is pinned to every handle
+        want = brute_force_search(d)
+        assert_same_bound(joint_search(d), want)
+        assert_same_bound(search_min_nu(d), want)
+    assert multi >= 300 and declared_seen >= 30
+
+
+def test_factored_search_matches_both_oracles_on_every_budget():
+    rng = random.Random(9306)
+    multi = 0
+    for k in range(400):
+        d = multi_part_trace(rng, groups=2 + k % 2, max_handles=5,
+                             declared=0.3 if k % 4 == 0 else 0.0)
+        multi += parts_of(d) > 1
+        orders = list(iter_linear_extensions(d))
+        evaluate = functools.cache(lambda order: nu_of_ordering(reorder(d, order)).nu)
+        for budget in range(1, len(orders) + 1):
+            want = brute_force_search(d, budget, evaluate, orders)
+            assert_same_bound(joint_search(d, budget), want)
+            assert_same_bound(search_min_nu(d, budget), want)
+    assert multi >= 300
+
+
+@seed(9307)
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    groups=st.integers(min_value=2, max_value=4),
+    declared=st.sampled_from([0.0, 0.3]),
+    budget=st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
+)
+def test_factored_search_matches_both_oracles_hypothesis(rng, groups, declared, budget):
+    d = multi_part_trace(rng, groups=groups, max_handles=7, declared=declared)
+    want = brute_force_search(d, budget)
+    assert_same_bound(joint_search(d, budget), want)
+    assert_same_bound(search_min_nu(d, budget), want)
+
+
+def count_steps(monkeypatch) -> list[str]:
+    calls = []
+    step = trace_mod.attachment_step
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["label"])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(trace_mod, "attachment_step", counting)
+    return calls
+
+
+def test_forty_independent_zero_handles_search_in_one_step_each(monkeypatch):
+    # 2^40 joint ideals, but 40 parts of 2 ideals each.
+    calls = count_steps(monkeypatch)
+    d = OrderedHandleDecomposition(3, (), tuple(HandleRecord(0, Dim3Zero()) for _ in range(40)))
+    bound = search_min_nu(d)
+    assert bound.exhaustive and bound.enumerated == math.factorial(40)
+    assert bound.upper == 2
+    assert bound.witness_order == tuple(range(1, 41))
+    assert calls == [f"h:{j}" for j in range(1, 41)]
+
+
+def test_ten_genus_chains_search_in_one_step_each(monkeypatch):
+    # 5^10 joint ideals, but 10 parts of 5 ideals each.
+    calls = count_steps(monkeypatch)
+    bound = search_min_nu(genus_one_chains(10))
+    assert bound.exhaustive and bound.enumerated == math.factorial(40) // math.factorial(4) ** 10
+    assert (bound.lower, bound.upper) == (4, 4)
+    assert bound.witness_order == tuple(range(1, 41))
+    assert calls == [f"h:{j}" for j in range(1, 41)]
 
 
 def test_search_pinned_by_declared_records():

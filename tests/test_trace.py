@@ -306,6 +306,24 @@ def test_validate_flags_index_mismatch():
     assert any("index" in v.message for v in report.violations)
 
 
+@pytest.mark.parametrize("bad", [3.0, True, "3"])
+def test_decomposition_refuses_a_non_integer_dimension(bad):
+    with pytest.raises(TypeError, match="'m' must be an integer"):
+        OrderedHandleDecomposition(bad, (), (HandleRecord(0, Dim3Zero()),))
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_validate_flags_a_non_integer_handle_index(bad):
+    # The solid torus with its 1-handle's index swapped out.
+    d = solid_torus_trace()
+    first, *rest = d.handles
+    d = OrderedHandleDecomposition(3, d.base, (HandleRecord(bad, first.attachment), *rest))
+    report = validate(d)
+    assert [(v.mu, v.message) for v in report.violations] == [
+        (1, f"handle index must be an integer, got {bad!r}")
+    ]
+
+
 def test_validate_flags_wrong_dimension_base():
     d = OrderedHandleDecomposition(4, (Surface(1),), ())
     report = validate(d)
