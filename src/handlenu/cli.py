@@ -17,7 +17,7 @@ import sys
 
 from . import catalog as catalog_mod
 from .homology import json_str, pretty
-from .nu import Bound, NuEvaluation, evaluate, search
+from .nu import Bound, NuEvaluation, _search, evaluate
 from .trace import (
     OrderedHandleDecomposition,
     TraceError,
@@ -131,7 +131,7 @@ def _bound_lines(bound: Bound) -> list[str]:
 def cmd_search(args) -> int:
     d = _load_trace(args.trace)
     budget = None if args.all_orderings else args.budget
-    warnings, bound = _require_valid(d, lambda t: search(t, budget))
+    warnings, bound = _require_valid(d, lambda t: _search(t, budget))
     result = {
         "lower": bound.lower,
         "upper": bound.upper,

@@ -7,7 +7,8 @@ the base is non-empty: the initial collar already shows the base as free
 boundary, and the concatenation argument in the union checker relies on
 counting it.  Every value here is read off live-component dicts stepped by
 :func:`trace.attachment_step` in one walk over the handles; the ordering
-search reuses each handle's step from that walk.  No boundary state is built.
+search reads its value off that walk and counts orderings without replaying
+them.  No boundary state is built.
 
 The true invariant of a manifold minimizes over all decompositions and then
 maximizes over all bases; neither extreme is computable in general, so
@@ -18,7 +19,6 @@ justification and whose upper side carries a replayable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-import heapq
 import math
 from typing import Iterator, Sequence
 
@@ -33,7 +33,6 @@ from .trace import (
     TraceError,
     anchors_of,
     id_sort_key,
-    reorder,
     walk,
 )
 
@@ -271,14 +270,6 @@ class Bound:
 
 
 Live = dict[str, Descriptor]
-# What one handle does to the free boundary: the ids it consumes, and the
-# components it makes by id.
-Step = tuple[tuple[str, ...], Live]
-
-
-def _largest(live: Live) -> int:
-    """Largest total Betti number over the live components; 0 when empty."""
-    return max((desc.total for desc in live.values()), default=0)
 
 
 def _parts(deps: dict[int, set[int]]) -> list[int]:
@@ -302,221 +293,78 @@ def _parts(deps: dict[int, set[int]]) -> list[int]:
     return list(masks.values())
 
 
-def _interleave(orders: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Merge non-empty orders of disjoint handles, always taking the smallest
-    next handle among their heads."""
-    heads = [(order[0], iter(order[1:])) for order in orders]
-    heapq.heapify(heads)  # handles are distinct, so the iterators are never compared
-    merged = []
-    while heads:
-        j, rest = heads[0]
-        merged.append(j)
-        following = next(rest, None)
-        if following is None:
-            heapq.heappop(heads)
-        else:
-            heapq.heapreplace(heads, (following, rest))
-    return tuple(merged)
+def _count_orderings(need: list[int], mask: int, cap: int | None) -> int:
+    """Admissible orderings of the handles in ``mask``, saturated at ``cap``.
 
-
-class _IdealSearch:
-    """Memoized walk over the lattice of order ideals of one part of the
-    dependency poset.
-
-    An ideal is an int bitmask of placed original positions (bit ``j - 1``
-    for handle ``j``) inside ``mask``, the part's handles; the whole poset is
-    the mask of all of them.  In a valid trace every component id is
-    consumed at most once and every move is local, so a handle consumes and
-    makes the same components in every admissible order: ``steps[j - 1]``,
-    read off one walk of the given order.  (A ``Declared`` record consumes
-    the whole boundary, but it is pinned to a single ideal.)  So the free
-    boundary after an ideal depends only on the ideal.  That boundary is a
-    dict from component id to descriptor: a child's is a copy of its
-    parent's with the handle's step applied, and an ideal's ``e`` is the
-    largest total Betti number among its descriptors.  Walks keep only the
-    dicts of the ideals on their stack.
+    A memoized walk over the lattice of order ideals inside ``mask``: an
+    ideal is an int bitmask of placed original positions, and ``need[j]``
+    is the mask of the handles that handle ``j + 1`` anchors.  The orderings
+    that complete an ideal are the sum, over its admissible next handles, of
+    those that complete the ideal with that handle added; the full ideal has
+    one.  Each ideal is counted once however many orderings reach it.
     """
+    counts: dict[int, int] = {}
 
-    def __init__(self, need: list[int], steps: list[Step], mask: int, cap: int | None):
-        self.need = need
-        self.steps = steps
-        self.full = mask
-        self.cap = cap
-        self.counts: dict[int, int] = {}
-        self.values: dict[int, int] = {}
-
-    def children(self, ideal: int) -> Iterator[int]:
-        """Admissible next positions (0-based) inside the mask, smallest first."""
-        free = ~ideal & self.full
+    def children(ideal: int) -> Iterator[int]:
+        free = ~ideal & mask
         while free:
             low = free & -free
-            j = low.bit_length() - 1
-            if not self.need[j] & ~ideal:
-                yield j
+            if not need[low.bit_length() - 1] & ~ideal:
+                yield ideal | low
             free ^= low
 
-    def child_live(self, live: Live, j: int) -> Live:
-        consumed, made = self.steps[j]
-        live = dict(live)
-        for comp_id in consumed:
-            del live[comp_id]
-        live.update(made)
-        return live
+    def frame(ideal: int) -> list:
+        # [ideal, admissible next ideals, orderings so far]
+        return [ideal, children(ideal), int(ideal == mask)]
 
-    def count(self, root: int) -> int:
-        """Admissible orderings of the mask's handles outside ``root``, saturated at ``cap``."""
-        counts, cap = self.counts, self.cap
-        # Frames: [ideal, children, orderings so far]; the full ideal has one.
-        stack = [[root, self.children(root), int(root == self.full)]]
-        while root not in counts:
-            frame = stack[-1]
-            ideal, children, acc = frame
-            j = next(children, None) if cap is None or acc < cap else None
-            if j is None:
-                stack.pop()
-                counts[ideal] = acc if cap is None else min(acc, cap)
-                if stack:
-                    stack[-1][2] += counts[ideal]
-                continue
-            child = ideal | 1 << j
-            if child in counts:
-                frame[2] += counts[child]
-            else:
-                stack.append([child, self.children(child), int(child == self.full)])
-        return counts[root]
-
-    def value(self, root: int, live: Live) -> int:
-        """max(e(root), rest(root)): the smallest largest ``e_mu`` over all
-        completions of ``root``, counting ``root`` itself.
-
-        A scan of an ideal's children stops once the running minimum is at
-        most its ``e``: no completion goes below that.  Children are scanned
-        smallest first, so every child up to the first one within any target
-        at least the ideal's value is evaluated, which :meth:`witness` needs.
-        """
-        values = self.values
-
-        def frame(ideal: int, live: Live) -> list:
-            # [ideal, live, children, e, rest]; nothing follows the full ideal.
-            rest = 0 if ideal == self.full else math.inf
-            return [ideal, live, self.children(ideal), _largest(live), rest]
-
-        stack = [frame(root, live)]
-        while root not in values:
-            top = stack[-1]
-            ideal, live, children, e, rest = top
-            j = next(children, None) if rest > e else None
-            if j is None:
-                stack.pop()
-                values[ideal] = max(e, rest)
-                if stack:
-                    stack[-1][4] = min(stack[-1][4], values[ideal])
-                continue
-            child = ideal | 1 << j
-            if child in values:
-                top[4] = min(rest, values[child])
-            else:
-                stack.append(frame(child, self.child_live(live, j)))
-        return values[root]
-
-    def budgeted(self, live: Live, budget: int) -> tuple[int, list[int], int]:
-        """Best value over the first ``budget`` orderings in depth-first
-        lexicographic order, the path to the subtree that first attains it,
-        and that subtree's root ideal.
-
-        Children whose orderings all fit in the remaining budget are taken
-        whole through :meth:`value`; the first child that does not fit is
-        entered, and holds the rest of the budget.
-        """
-        ideal, path, running = 0, [], _largest(live)
-        best: tuple[int, list[int], int] | None = None
-        remaining = budget
-        while remaining:
-            for j in self.children(ideal):
-                child = ideal | 1 << j
-                child_live = self.child_live(live, j)
-                covered = self.count(child)
-                if covered > remaining:
-                    ideal, live = child, child_live
-                    path.append(j)
-                    running = max(running, _largest(child_live))
-                    break
-                candidate = max(running, self.value(child, child_live))
-                if best is None or candidate < best[0]:
-                    best = (candidate, path + [j], child)
-                remaining -= covered
-                if not remaining:
-                    break
-        if best is None:
-            raise RuntimeError("no admissible ordering covered")
-        return best
-
-    def witness(self, path: list[int], root: int, target: int) -> tuple[int, ...]:
-        """The lexicographically first ordering through ``path`` and ``root``
-        whose value stays within ``target``; needs :meth:`value` of ``root``."""
-        order = [j + 1 for j in path]
-        ideal = root
-        while ideal != self.full:
-            j = next(j for j in self.children(ideal) if self.values[ideal | 1 << j] <= target)
-            order.append(j + 1)
-            ideal |= 1 << j
-        return tuple(order)
+    stack = [frame(0)]
+    while True:
+        top = stack[-1]
+        ideal, pending, acc = top
+        child = next(pending, None) if cap is None or acc < cap else None
+        if child is None:
+            stack.pop()
+            acc = acc if cap is None else min(acc, cap)
+            if not stack:
+                return acc
+            counts[ideal] = acc
+            stack[-1][2] += acc
+        elif child in counts:
+            top[2] += counts[child]
+        else:
+            stack.append(frame(child))
 
 
-def search(d: OrderedHandleDecomposition, budget: int | None = None) -> tuple[Bound, Live]:
+def _search(d: OrderedHandleDecomposition, budget: int | None = None) -> tuple[Bound, Live]:
     """:func:`search_min_nu`, and the final free boundary by id, from one walk."""
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of orderings, got {budget}")
     # The walk comes first, so a broken trace raises its own ReplayError
     # before _dependencies can raise a TraceError of its own.
-    steps: list[Step] = []
-    for gone, made, live in walk(d):
-        steps.append((tuple(gone), made))
-    (_, base), *steps = steps
+    evaluation, live = evaluate(d)
     deps = _dependencies(d)
     need = [sum(1 << (i - 1) for i in deps[j]) for j in range(1, d.delta + 1)]
-
+    # The parts' orders interleave freely: the multinomial coefficient of
+    # their sizes times each part's own count.  A part's count saturated at
+    # ``cap`` still puts the total over the budget.
     cap = None if budget is None else budget + 1
-    parts = [_IdealSearch(need, steps, mask, cap) for mask in _parts(deps)]
-    # The parts' orders interleave freely: a multinomial coefficient of their
-    # sizes.  A part's count saturated at ``cap`` still puts the total over
-    # the budget.
     total, placed = 1, 0
-    for part in parts:
-        size = part.full.bit_count()
+    for mask in _parts(deps):
+        size = mask.bit_count()
         placed += size
-        total *= math.comb(placed, size) * part.count(0)
-    if budget is None or total <= budget:
-        # Parts touch disjoint components, so an ordering's value is the
-        # largest of its parts' values and the untouched base's, and a part's
-        # value depends only on the order of its own handles: each part is
-        # minimized on its own.  The empty ideal's e_mu is 0 without a base,
-        # so it counts exactly when the base is non-empty, as in
-        # nu_of_ordering.
-        best = max((part.value(0, base) for part in parts), default=_largest(base))
-        # The lexicographically first optimal ordering places, at each joint
-        # ideal, the smallest admissible handle whose own part can still
-        # finish within ``best``.  A part's next such handle changes only
-        # when one of its own handles is placed, so that ordering interleaves
-        # the parts' own first orderings, smallest head first.
-        best_order = _interleave([part.witness([], 0, best) for part in parts])
-        enumerated, exhaustive = total, True
-    else:
-        whole = parts[0] if len(parts) == 1 else _IdealSearch(need, steps, (1 << d.delta) - 1, cap)
-        best, path, root = whole.budgeted(base, budget)
-        best_order = whole.witness(path, root, best)
-        enumerated, exhaustive = budget, False
+        total *= math.comb(placed, size) * _count_orderings(need, mask, cap)
+    exhaustive = budget is None or total <= budget
 
     closed = not d.base and not live
     lb = lower_bound_rules(d.m, closed=closed, trace=d)
     bound = Bound(
         lower=lb.value,
-        upper=best,
+        upper=evaluation.nu,
         exhaustive=exhaustive,
-        enumerated=enumerated,
+        enumerated=total if exhaustive else budget,
         lower_reasons=lb.reasons,
-        witness=reorder(d, best_order) if best_order else d,
-        witness_order=best_order,
+        witness=d,
+        witness_order=tuple(range(1, d.delta + 1)),
     )
     return bound, live
 
@@ -524,21 +372,28 @@ def search(d: OrderedHandleDecomposition, budget: int | None = None) -> tuple[Bo
 def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> Bound:
     """Minimize the ordering value over admissible orders of the fixed handles.
 
-    The search runs over order ideals of the anchor-dependency poset (see
-    :class:`_IdealSearch`), so each set of placed handles is evaluated once
-    however many orderings reach it, and over each connected part of the
-    poset on its own: parts touch disjoint components, so the minimum is the
-    largest of the parts' minima.  A ``Declared`` record is pinned to every
-    other handle, so a trace with one is a single part.  ``enumerated``
-    counts the admissible orderings covered, without replaying them: the
-    multinomial coefficient of the part sizes times each part's own count.
-    ``budget`` caps that count, taking orderings in depth-first
-    lexicographic order over the whole poset, and ``exhaustive`` reports
-    whether all of them fit.  The witness is the lexicographically first
-    covered ordering attaining the upper value, as a replayable
-    decomposition.
+    Every admissible order has the same value, so one walk of the given
+    order finds it.  In a trace that replays, each component id is
+    consumed at most once and every attachment reads only the components it
+    consumes (a ``Declared`` record, which consumes the whole boundary, is
+    pinned between all earlier and all later handles), so each handle
+    consumes and makes the same components in every admissible order.  A
+    component is live right after the event that made it, and ``e_mu`` is
+    the largest single component, so the value is the largest total Betti
+    number of any component the handles make, or of the base when it is
+    non-empty, whatever the order.  The witness is the given order, the
+    lexicographically first admissible one, since a handle anchors only
+    earlier handles.
+
+    ``enumerated`` counts the admissible orderings covered, without
+    replaying them: the order ideals of each connected part of the
+    anchor-dependency poset are counted on their own, and the parts' orders
+    interleave freely, so the total is the multinomial coefficient of the
+    part sizes times each part's own count.  ``budget`` caps that count, as
+    the first ``budget`` orderings in depth-first lexicographic order, and
+    ``exhaustive`` reports whether all of them fit.
     """
-    return search(d, budget)[0]
+    return _search(d, budget)[0]
 
 
 # --- per-base bookkeeping ----------------------------------------------------

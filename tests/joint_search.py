@@ -1,9 +1,10 @@
 """The order-ideal search over the whole dependency poset, kept as an oracle.
 
-This is the search ``search_min_nu`` ran before it searched each connected
-part of the poset on its own: one memoized walk over the joint lattice,
-stepping every new ideal with ``attachment_step`` and seeding the prefix
-ideals of the given order from ``replay``.  ``joint_search`` must return
+This is the search ``search_min_nu`` ran before it read its value off one
+walk of the given order and counted each connected part of the poset on its
+own: one memoized walk over the joint lattice, stepping every new ideal with
+``attachment_step``, minimizing the largest ``e_mu`` over completions, and
+seeding the prefix ideals of the given order from ``replay``.  ``joint_search`` must return
 the same ``Bound`` as ``search_min_nu``, witness included, under every
 budget.
 """

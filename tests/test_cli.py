@@ -413,7 +413,7 @@ def _count_steps(monkeypatch):
         calls.append(kwargs["label"])
         return step(*args, **kwargs)
 
-    # Every step is a walk's: the ordering search reuses the steps of its walk.
+    # Every step is a walk's: the ordering search reads its value off its walk.
     monkeypatch.setattr(trace_mod, "attachment_step", counting)
     return calls
 
@@ -464,9 +464,8 @@ def test_search_replays_the_trace_once(lens_file, capsys, monkeypatch):
         monkeypatch.setattr(module, "walk", lambda d: walks.append(d) or walk(d))
     calls = _count_steps(monkeypatch)
     assert main(["search", lens_file, "--json", "--all-orderings"]) == EXIT_OK
-    # The search is validation's walk, steps each handle once there, and
-    # reuses those steps for its ideals; the floor rules read the handles
-    # without a walk.
+    # The search is validation's walk and steps each handle once there; it
+    # counts orderings and the floor rules read the handles without a walk.
     assert len(walks) == 1
     assert calls == ["h:1", "h:2", "h:3", "h:4"] * 1
     assert json.loads(capsys.readouterr().out)["result"]["upper"] == 4

@@ -1,9 +1,10 @@
-"""The order-ideal search against the searches it replaced.
+"""The ordering search against the searches it replaced.
 
 ``brute_force_search`` is the old loop kept as an oracle: enumerate the
 admissible orderings, reorder, replay and evaluate every one.
-``joint_search`` (in ``joint_search.py``) is the order-ideal search over the
-whole dependency poset, before the search took each connected part on its
+``joint_search`` (in ``joint_search.py``) is the order-ideal search that
+minimized over the whole dependency poset's lattice, before the search read
+its value off one walk and counted each connected part's orderings on its
 own.  The search must return the same ``Bound`` as both, field by field,
 witness JSON included, with and without a budget.
 """
