@@ -19,21 +19,14 @@ _EXPORTS = {
         "AttachError Declared Dim3One Dim3Three Dim3Two Dim3Zero "
         "HandleRecord NonSeparating "
         "OrderedHandleDecomposition ReplayError Separating TraceError "
-        "canonical_dumps dualize reorder replay trace_from_json trace_to_json "
+        "canonical_dumps dualize replay trace_from_json trace_to_json "
         "validate validated walk"
     ).split(),
-    "nu": (
-        "Bound NuBoundsReport NuEvaluation evaluate heegaard_upper "
-        "iter_linear_extensions lower_bound_rules nu_bounds nu_of_ordering "
-        "search_min_nu"
-    ).split(),
-    "union": (
-        "ChainReport GlueError GlueSpec InequalityReport check_chain "
-        "check_key_inequality compose"
-    ).split(),
+    "nu": "Bound NuEvaluation evaluate heegaard_upper nu_of_ordering search_min_nu".split(),
+    "union": "GlueError GlueSpec InequalityReport check_key_inequality compose".split(),
     "obstruction": (
         "DecompositionGraph HandleBudget RefutationVerdict betti1_floor "
-        "h_upper interface_lower_bound pieces_ceiling refute"
+        "interface_lower_bound pieces_ceiling refute"
     ).split(),
     "catalog": "CatalogEntry Certification lookup names verify_all".split(),
 }

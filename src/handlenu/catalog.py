@@ -64,7 +64,6 @@ class CatalogEntry:
     certified: Certification | None = None
     heegaard_genus: int | None = None
     heegaard_asserted: bool = False
-    bases_complete: bool = False
     notes: tuple[str, ...] = ()
 
 
@@ -302,8 +301,10 @@ def _build_entries() -> dict[str, CatalogEntry]:
                 "both base choices (nothing, or the whole torus boundary) force a torus "
                 "somewhere in the replay, and both presentations attain 4",
             ),
-            bases_complete=True,
-            notes=("the only closed subsurfaces of the torus boundary are empty or all of it",),
+            notes=(
+                "the two stored bases are all there are: the only closed subsurfaces "
+                "of the torus boundary are empty or all of it",
+            ),
         )
     )
 
@@ -417,8 +418,7 @@ def _entry_items(entry: CatalogEntry) -> list[CheckItem]:
             continue
         evaluation, final = result
         values[label] = evaluation.nu
-        closed = not trace.base and not final
-        floors[label] = lower_bound_rules(trace.m, closed=closed, trace=trace).value
+        floors[label] = lower_bound_rules(trace, final).value
 
     cert = entry.certified
     if cert is not None and values:

@@ -120,11 +120,8 @@ def _bound_lines(bound: Bound) -> list[str]:
     ]
     for reason in bound.lower_reasons:
         lines.append(f"  lower {bound.lower}: {reason}")
-    if bound.witness_order is not None:
-        order = ", ".join(str(i) for i in bound.witness_order) or "(no handles)"
-        lines.append(f"  upper {bound.upper}: witness order (original positions) {order}")
-    if bound.witness_note:
-        lines.append(f"  upper {bound.upper}: {bound.witness_note}")
+    order = ", ".join(str(i) for i in bound.witness_order) or "(no handles)"
+    lines.append(f"  upper {bound.upper}: witness order (original positions) {order}")
     return lines
 
 
@@ -138,14 +135,23 @@ def cmd_search(args) -> int:
         "exhaustive": bound.exhaustive,
         "enumerated": bound.enumerated,
         "lower_reasons": list(bound.lower_reasons),
-        "witness_order": list(bound.witness_order) if bound.witness_order else [],
-        "witness": trace_to_json(bound.witness) if bound.witness is not None else None,
+        "witness_order": list(bound.witness_order),
+        "witness": trace_to_json(bound.witness),
     }
-    _emit(
-        args,
-        {"command": "search", "result": result, "warnings": warnings},
-        _bound_lines(bound) + [f"warning: {w}" for w in warnings],
-    )
+    # A count of orderings may have any number of digits, so writing it lifts
+    # the interpreter's digit limit (3.10.7 on); reading the input keeps it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(
+            args,
+            {"command": "search", "result": result, "warnings": warnings},
+            _bound_lines(bound) + [f"warning: {w}" for w in warnings],
+        )
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

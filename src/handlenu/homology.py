@@ -268,11 +268,6 @@ def desc_equal(a: Descriptor, b: Descriptor) -> bool:
     return normalize(a).key == normalize(b).key
 
 
-def canonical_key(desc: Descriptor) -> tuple:
-    """Deterministic sort key; equal descriptors get equal keys."""
-    return normalize(desc).key
-
-
 def _pretty(desc: Descriptor, parts: list) -> str:
     if isinstance(desc, Sphere):
         return f"S^{desc.n}"
@@ -510,27 +505,3 @@ def chain_betti(cc: RationalChainComplex) -> HomologyVector:
     if any(x < 0 for x in b):
         raise DescriptorError(f"rank bookkeeping produced a negative Betti number: {b}")
     return HomologyVector(cc.dim, b)
-
-
-def chain_complex_to_json(cc: RationalChainComplex) -> dict:
-    return {
-        "dim": cc.dim,
-        "cells": list(cc.cells),
-        "boundaries": [[[str(x) for x in row] for row in mat] for mat in cc.boundaries],
-    }
-
-
-def chain_complex_from_json(data) -> RationalChainComplex:
-    from fractions import Fraction
-
-    try:
-        return RationalChainComplex(
-            json_int(data["dim"], "dim"),
-            tuple(json_int(c, "cells") for c in data["cells"]),
-            tuple(
-                tuple(tuple(Fraction(str(x)) for x in row) for row in mat)
-                for mat in data["boundaries"]
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DescriptorError(f"malformed chain-complex document: {exc}") from exc

@@ -18,9 +18,9 @@ justification and whose upper side carries a replayable witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping
 
 from .homology import Descriptor, json_int, palindromic
 from .trace import (
@@ -120,72 +120,48 @@ def _forces_positive_genus(d: OrderedHandleDecomposition) -> bool:
 
 
 def lower_bound_rules(
-    m: int,
-    *,
-    closed: bool = False,
-    oriented: bool = True,
-    trace: OrderedHandleDecomposition | None = None,
-    raw_floor: int = 0,
+    d: OrderedHandleDecomposition, final: Mapping[str, Descriptor]
 ) -> LowerBound:
-    """Best provable floor for the invariant in the given context.
+    """Best provable floor for the invariant over the admissible orders of
+    ``d``'s handles; the justification strings say which kind of floor fired.
 
-    With a trace supplied, the trace-derived rules apply to reorderings of
-    that fixed handle multiset; the justification strings say which kind of
-    floor fired.  The rules read the handles without replaying them, so the
-    trace must replay; both callers validate or walk it first.  Without a
-    trace the caller vouches for the flags.
+    ``final`` is the free boundary after every handle, from the walk that
+    replayed ``d``: the rules read the handles without replaying them, so
+    both callers walk the trace first.
     """
-    raw_floor = json_int(raw_floor, "raw_floor")
-    floor = max(0, raw_floor)
-    reasons: list[str] = []
-    if raw_floor > 0:
-        reasons.append(f"caller-supplied floor {raw_floor}")
+    # Declared records are order-pinned (see _dependencies), so each
+    # declared component appears in every admissible ordering.
+    pinned = (h.attachment for h in d.handles if isinstance(h.attachment, Declared))
+    declared = [desc for att in pinned for desc in att.components]
+    declared_floor = max((desc.total for desc in declared), default=0)
+    # Besides these and the base, the replay shows only spheres and
+    # orientable surfaces (palindromic), made by every handle but a 3-handle
+    # or an empty declared record.
+    stated = (*d.base, *declared)
+    visible = bool(stated) or any(
+        not isinstance(h.attachment, (Declared, Dim3Three)) for h in d.handles
+    )
+    orientable = all(palindromic(desc) for desc in stated)
+    closed = not d.base and not final
 
-    visible = True
-    orientable_ok = oriented
-    evenness_ok = oriented and m == 3
-    declared_floor = 0
-    if trace is not None:
-        # Declared records are order-pinned (see iter_linear_extensions), so
-        # each declared component appears in every enumerated ordering.
-        pinned = (h.attachment for h in trace.handles if isinstance(h.attachment, Declared))
-        declared = [desc for att in pinned for desc in att.components]
-        declared_floor = max((desc.total for desc in declared), default=0)
-        # Besides these and the base, the replay shows only spheres and
-        # orientable surfaces (palindromic, even total), made by every handle
-        # but a 3-handle or an empty declared record.
-        stated = (*trace.base, *declared)
-        visible = bool(stated) or any(
-            not isinstance(h.attachment, (Declared, Dim3Three)) for h in trace.handles
+    floor, reasons = 0, []
+    if closed and d.m >= 3 and visible and orientable:
+        floor = 2
+        reasons.append(
+            "closed trace: some prefix shows a closed orientable boundary "
+            "component, which has total Betti number at least 2"
         )
-        orientable_ok = oriented and all(palindromic(desc) for desc in stated)
-        evenness_ok = orientable_ok and m == 3 and all(desc.total % 2 == 0 for desc in stated)
-
-    if closed and m >= 3 and visible and orientable_ok:
-        if floor < 2:
-            floor = 2
-            reasons.append(
-                "closed trace: some prefix shows a closed orientable boundary "
-                "component, which has total Betti number at least 2"
-            )
-    if trace is not None and m == 3 and orientable_ok and _forces_positive_genus(trace):
-        if floor < 4:
-            floor = 4
-            reasons.append(
-                "fixed handles force a positive-genus surface boundary in every "
-                "admissible order"
-            )
+    if d.m == 3 and orientable and _forces_positive_genus(d):
+        floor = 4
+        reasons.append(
+            "fixed handles force a positive-genus surface boundary in every "
+            "admissible order"
+        )
     if declared_floor > floor:
         floor = declared_floor
         reasons.append(
             "an order-pinned declared boundary component has total Betti "
             f"number {declared_floor}"
-        )
-    if m == 3 and evenness_ok and floor % 2 == 1:
-        floor += 1
-        reasons.append(
-            "orientable surface boundaries have even total Betti number; "
-            "floor rounded up"
         )
     return LowerBound(floor, tuple(reasons))
 
@@ -228,29 +204,6 @@ def _dependencies(d: OrderedHandleDecomposition) -> dict[int, set[int]]:
     return deps
 
 
-def iter_linear_extensions(d: OrderedHandleDecomposition) -> Iterator[tuple[int, ...]]:
-    """All admissible orders of the handles, depth-first, lexicographically
-    smallest original positions first.  Deterministic."""
-    deps = _dependencies(d)
-    delta = d.delta
-    placed: list[int] = []
-    placed_set: set[int] = set()
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        if len(placed) == delta:
-            yield tuple(placed)
-            return
-        for j in range(1, delta + 1):
-            if j not in placed_set and deps[j] <= placed_set:
-                placed.append(j)
-                placed_set.add(j)
-                yield from extend()
-                placed.pop()
-                placed_set.remove(j)
-
-    return extend()
-
-
 @dataclass(frozen=True)
 class Bound:
     """Certified range for the invariant, with provenance on both sides."""
@@ -259,10 +212,9 @@ class Bound:
     upper: int
     exhaustive: bool
     enumerated: int
-    lower_reasons: tuple[str, ...] = ()
-    witness: OrderedHandleDecomposition | None = None
-    witness_order: tuple[int, ...] | None = None
-    witness_note: str = ""
+    lower_reasons: tuple[str, ...]
+    witness: OrderedHandleDecomposition
+    witness_order: tuple[int, ...]
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -355,8 +307,7 @@ def _search(d: OrderedHandleDecomposition, budget: int | None = None) -> tuple[B
         total *= math.comb(placed, size) * _count_orderings(need, mask, cap)
     exhaustive = budget is None or total <= budget
 
-    closed = not d.base and not live
-    lb = lower_bound_rules(d.m, closed=closed, trace=d)
+    lb = lower_bound_rules(d, live)
     bound = Bound(
         lower=lb.value,
         upper=evaluation.nu,
@@ -394,78 +345,3 @@ def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> B
     ``exhaustive`` reports whether all of them fit.
     """
     return _search(d, budget)[0]
-
-
-# --- per-base bookkeeping ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NuBoundsReport:
-    """Bounds per candidate base plus the max-over-bases summary.
-
-    The summary upper is only populated when the caller asserts the base
-    list is complete; maximizing over a partial list certifies nothing.
-    """
-
-    per_base: tuple[tuple[str, Bound], ...]
-    summary_lower: int
-    summary_lower_reasons: tuple[str, ...]
-    summary_upper: int | None
-    bases_complete: bool
-
-    def bound_for(self, label: str) -> Bound:
-        for name, bound in self.per_base:
-            if name == label:
-                return bound
-        raise KeyError(label)
-
-
-def nu_bounds(
-    presentations: Sequence[tuple[str, OrderedHandleDecomposition]],
-    *,
-    heegaard_genus: int | None = None,
-    bases_complete: bool = False,
-    budget: int | None = None,
-) -> NuBoundsReport:
-    """Run the ordering search per base and combine into a manifold summary.
-
-    Repeated base labels merge (best upper, best lower); passing several
-    presentations under one label asserts they present the same pair.
-    """
-    if not presentations:
-        raise ValueError("need at least one (base label, decomposition) pair")
-    combined: dict[str, Bound] = {}
-    for label, d in presentations:
-        bound = search_min_nu(d, budget=budget)
-        if heegaard_genus is not None and d.m == 3:
-            cap = heegaard_upper(heegaard_genus)
-            if cap < bound.upper:
-                bound = replace(
-                    bound,
-                    upper=cap,
-                    exhaustive=False,
-                    witness=None,
-                    witness_order=None,
-                    witness_note=f"splitting-genus certificate 2*{heegaard_genus}+2",
-                )
-        prev = combined.get(label)
-        if prev is not None:
-            # The better upper side keeps its witness; the lower sides combine.
-            kept = prev if prev.upper <= bound.upper else bound
-            bound = replace(
-                kept,
-                lower=max(prev.lower, bound.lower),
-                enumerated=prev.enumerated + bound.enumerated,
-                lower_reasons=tuple(dict.fromkeys(prev.lower_reasons + bound.lower_reasons)),
-            )
-        combined[label] = bound
-
-    per_base = tuple(combined.items())
-    lower_label, lower_bound_entry = max(per_base, key=lambda kv: kv[1].lower)
-    summary_lower = lower_bound_entry.lower
-    reasons = tuple(
-        f"base {lower_label}: {reason}" for reason in lower_bound_entry.lower_reasons
-    )
-    summary_upper = max(b.upper for _, b in per_base) if bases_complete else None
-    return NuBoundsReport(per_base, summary_lower, reasons, summary_upper, bases_complete)
-

@@ -15,12 +15,8 @@ interface floor below is exactly what that hypothesis buys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .homology import json_int
-
-if TYPE_CHECKING:
-    from .trace import OrderedHandleDecomposition
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -121,7 +117,7 @@ def pieces_ceiling(l: int, z: int) -> int:
     A negative value means no decomposition satisfying the three-boundary
     hypothesis exists at all.
     """
-    if l < 0 or z < 0:
+    if json_int(l, "l") < 0 or json_int(z, "z") < 0:
         raise ValueError(f"l and z must be non-negative, got ({l}, {z})")
     return 2 * l + z - 2
 
@@ -135,7 +131,7 @@ class HandleBudget:
     z: int
 
     def __post_init__(self):
-        if self.h_max < 0 or self.l < 0 or self.z < 0:
+        if any(json_int(getattr(self, f), f) < 0 for f in ("h_max", "l", "z")):
             raise ValueError(f"budget fields must be non-negative: {self}")
 
 
@@ -153,27 +149,11 @@ def refute(budget: HandleBudget, h_w: int) -> RefutationVerdict:
     with fixed l and z but unbounded minimal handle counts is eventually
     refuted.
     """
+    h_w = json_int(h_w, "h_w")
     max_pieces = pieces_ceiling(budget.l, budget.z)
     max_handles = max_pieces * budget.h_max
     possible = max_pieces >= 1 and h_w <= max_handles
     return RefutationVerdict(possible, max_pieces, max_handles)
-
-
-def h_upper(d: OrderedHandleDecomposition) -> int:
-    """Witness upper bound for the minimal handle count: this trace's handle
-    count (a non-empty base rides a collar and costs nothing)."""
-    return d.delta
-
-
-def graph_to_json(g: DecompositionGraph) -> dict:
-    data = {
-        "boundary_counts": list(g.boundary_counts),
-        "interfaces": [{"i": i, "j": j, "count": c} for i, j, c in g.interfaces],
-        "z": g.z,
-    }
-    if g.handle_costs is not None:
-        data["handle_costs"] = list(g.handle_costs)
-    return data
 
 
 def graph_from_json(data) -> DecompositionGraph:

@@ -29,8 +29,8 @@ are ``base:i``; the component created or rewritten by the j-th handle is
 ``h:j``; events producing several components append ``/0``, ``/1``, ...
 (a separating split and every ``Declared`` list, including one-element
 lists).  Attachment anchors refer to these identifiers, so a record stays
-meaningful when the surrounding order changes; :func:`reorder` rewrites
-anchors consistently when handles move.
+meaningful when the surrounding order changes; :func:`map_anchors` and
+:func:`rename_anchor` rewrite them when handles move or parts are glued.
 
 Trace files are JSON documents ``{"m": ..., "base": [descriptor, ...],
 "handles": [{"index": k, "attachment": {...}}, ...]}`` and round-trip
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import json
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .homology import (
     Descriptor,
@@ -302,24 +302,6 @@ def replay(d: OrderedHandleDecomposition) -> tuple[dict[str, Descriptor], ...]:
     """The live components by id after each prefix mu = 0..delta, a copy of
     the walk's dict each; deterministic, raises ReplayError on failure."""
     return tuple(dict(live) for _, _, live in walk(d))
-
-
-def reorder(d: OrderedHandleDecomposition, order: Sequence[int]) -> OrderedHandleDecomposition:
-    """Permute handles; ``order[i]`` is the original 1-based position placed i-th.
-
-    Anchors are rewritten to the new positional labels, so the result is a
-    self-contained decomposition.  The caller is responsible for picking an
-    order whose replay succeeds (any linear extension of the anchor
-    dependencies does).
-    """
-    if sorted(order) != list(range(1, d.delta + 1)):
-        raise TraceError(f"order must be a permutation of 1..{d.delta}, got {list(order)}")
-    relabel = {f"h:{orig}": f"h:{new}" for new, orig in enumerate(order, start=1)}
-    handles = tuple(
-        HandleRecord(h.index, map_anchors(h.attachment, lambda a: rename_anchor(a, relabel) or a))
-        for h in (d.handles[orig - 1] for orig in order)
-    )
-    return OrderedHandleDecomposition(d.m, d.base, handles)
 
 
 def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:

@@ -17,7 +17,7 @@ callers are expected to fail hard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .homology import Descriptor, desc_equal, pretty
 from .nu import NuEvaluation, evaluate, nu_of_ordering
@@ -233,38 +233,3 @@ def check_key_inequality(
         composite=composite,
         evaluation=evaluation,
     )
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Fold of compose over a list of parts, checked against their maximum."""
-
-    lhs: int
-    rhs: int
-    part_values: tuple[int, ...]
-    holds: bool
-    composite: OrderedHandleDecomposition
-    stages: tuple[str, ...]
-
-
-def check_chain(
-    parts: Sequence[OrderedHandleDecomposition],
-    glues: Sequence[GlueSpec],
-) -> ChainReport:
-    """Left fold of compose over validated parts; one glue per junction."""
-    if not parts:
-        raise GlueError("need at least one part")
-    if len(glues) != len(parts) - 1:
-        raise GlueError(f"{len(parts)} parts need {len(parts) - 1} glue specs, got {len(glues)}")
-    part_values = tuple(_evaluate_part(p, f"part {i}")[0].nu for i, p in enumerate(parts, 1))
-    accumulated = parts[0]
-    stages = [f"stage 1: part with {parts[0].delta} handles"]
-    for stage, (nxt, glue) in enumerate(zip(parts[1:], glues), start=2):
-        try:
-            accumulated = compose(accumulated, nxt, glue)
-        except GlueError as exc:
-            raise GlueError(f"stage {stage}: {exc}") from exc
-        stages.append(f"stage {stage}: composite now has {accumulated.delta} handles")
-    lhs = nu_of_ordering(accumulated).nu
-    rhs = max(part_values)
-    return ChainReport(lhs, rhs, part_values, lhs <= rhs, accumulated, tuple(stages))

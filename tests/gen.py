@@ -3,12 +3,15 @@
 Traces are built by mirroring the surface calculus move for move, so every
 generated decomposition replays by construction.  All randomness flows
 through an explicit ``random.Random`` so failures reproduce exactly.
+The oracles that enumerate orderings, :func:`reorder` and
+:func:`iter_linear_extensions`, live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 import random
+from typing import Iterator, Sequence
 
 from handlenu.homology import (
     ConnectedSum,
@@ -30,8 +33,10 @@ from handlenu.trace import (
     NonSeparating,
     OrderedHandleDecomposition,
     Separating,
+    TraceError,
     in_id_order,
-    reorder,
+    map_anchors,
+    rename_anchor,
     replay,
 )
 from handlenu.union import GlueSpec
@@ -130,6 +135,47 @@ def random_trace(
             pass  # a bare collar still has boundary; fall through
         if comps or not ensure_boundary:
             return OrderedHandleDecomposition(3, base, tuple(handles))
+
+
+def reorder(d: OrderedHandleDecomposition, order: Sequence[int]) -> OrderedHandleDecomposition:
+    """Permute handles; ``order[i]`` is the original 1-based position placed i-th.
+
+    Anchors are rewritten to the new positional labels, so the result is a
+    self-contained decomposition.  The caller is responsible for picking an
+    order whose replay succeeds (any linear extension of the anchor
+    dependencies does).
+    """
+    if sorted(order) != list(range(1, d.delta + 1)):
+        raise TraceError(f"order must be a permutation of 1..{d.delta}, got {list(order)}")
+    relabel = {f"h:{orig}": f"h:{new}" for new, orig in enumerate(order, start=1)}
+    handles = tuple(
+        HandleRecord(h.index, map_anchors(h.attachment, lambda a: rename_anchor(a, relabel) or a))
+        for h in (d.handles[orig - 1] for orig in order)
+    )
+    return OrderedHandleDecomposition(d.m, d.base, handles)
+
+
+def iter_linear_extensions(d: OrderedHandleDecomposition) -> Iterator[tuple[int, ...]]:
+    """All admissible orders of the handles, depth-first, lexicographically
+    smallest original positions first.  Deterministic."""
+    deps = _dependencies(d)
+    delta = d.delta
+    placed: list[int] = []
+    placed_set: set[int] = set()
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        if len(placed) == delta:
+            yield tuple(placed)
+            return
+        for j in range(1, delta + 1):
+            if j not in placed_set and deps[j] <= placed_set:
+                placed.append(j)
+                placed_set.add(j)
+                yield from extend()
+                placed.pop()
+                placed_set.remove(j)
+
+    return extend()
 
 
 def random_admissible_order(rng: random.Random, d: OrderedHandleDecomposition) -> list[int]:

@@ -16,7 +16,8 @@ from typing import Iterator
 
 from handlenu.homology import Descriptor
 from handlenu.nu import Bound, _dependencies, lower_bound_rules
-from handlenu.trace import OrderedHandleDecomposition, attachment_step, reorder, replay
+from handlenu.trace import OrderedHandleDecomposition, attachment_step, replay
+from gen import reorder
 
 Live = dict[str, Descriptor]
 
@@ -199,8 +200,7 @@ def joint_search(d: OrderedHandleDecomposition, budget: int | None = None) -> Bo
         enumerated, exhaustive = budget, False
     best_order = search.witness(path, root, best)
 
-    closed = not d.base and not known[search.full]
-    lb = lower_bound_rules(d.m, closed=closed, trace=d)
+    lb = lower_bound_rules(d, known[search.full])
     return Bound(
         lower=lb.value,
         upper=best,

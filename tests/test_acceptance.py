@@ -16,16 +16,19 @@ from handlenu.catalog import (
     sphere_trace,
 )
 from handlenu.homology import Product, Sphere, Surface, betti, chain_betti, total_betti
-from handlenu.nu import (
-    heegaard_upper,
-    iter_linear_extensions,
-    nu_of_ordering,
-    search_min_nu,
-)
+from handlenu.nu import heegaard_upper, nu_of_ordering, search_min_nu
 from handlenu.obstruction import HandleBudget, pieces_ceiling, refute
-from handlenu.trace import dualize, reorder, validate
+from handlenu.trace import dualize, validate
 from handlenu.union import GlueSpec, check_key_inequality
-from gen import descriptors, random_composable_pair, random_descriptor, random_trace, states
+from gen import (
+    descriptors,
+    iter_linear_extensions,
+    random_composable_pair,
+    random_descriptor,
+    random_trace,
+    reorder,
+    states,
+)
 
 from test_homology import FIXTURES
 

@@ -1,4 +1,7 @@
+from contextlib import contextmanager
 import json
+import math
+import sys
 
 import pytest
 
@@ -469,6 +472,47 @@ def test_search_replays_the_trace_once(lens_file, capsys, monkeypatch):
     assert len(walks) == 1
     assert calls == ["h:1", "h:2", "h:3", "h:4"] * 1
     assert json.loads(capsys.readouterr().out)["result"]["upper"] == 4
+
+
+@contextmanager
+def any_int_digits():
+    """Lift the integer-to-string digit limit, where the interpreter has one."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_search_writes_a_count_of_more_than_4300_digits(tmp_path, capsys, as_json):
+    # 1700 independent 0-handles: 1700! orderings, a number of 4,710 digits.
+    doc = {"m": 3, "base": [], "handles": [{"index": 0, "attachment": {"type": "zero"}}] * 1700}
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(doc))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["search", "--all-orderings", str(path)] + ["--json"] * as_json) == EXIT_OK
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    out = capsys.readouterr().out
+    with any_int_digits():
+        if as_json:
+            enumerated = json.loads(out)["result"]["enumerated"]
+        else:
+            enumerated = int(out.split("orderings enumerated: ", 1)[1].split(" ", 1)[0])
+        assert enumerated == math.factorial(1700)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no digit limit"
+)
+def test_search_input_keeps_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": ' + "9" * 5000 + ', "base": [], "handles": []}')
+    assert main(["search", "--json", str(path)]) == EXIT_INVALID
+    assert "Exceeds the limit" in capsys.readouterr().err
 
 
 def test_catalog_verify_walks_each_stored_trace_once_for_its_entry_checks(capsys, monkeypatch):

@@ -334,7 +334,9 @@ def test_dualize_matches_the_sorted_state_oracle():
 
 def oracle_lower_bound_rules(m, *, closed, oriented, trace):
     # The rules as they read every component a walk shows; the genus rule
-    # never replayed, so it is shared.
+    # never replayed, so it is shared.  The parity round-up stays here: the
+    # rules dropped it because no floor they can reach is odd unless some
+    # stated component has an odd total, which already turns it off.
     floor, reasons = 0, []
     comps = list({c: desc for _, made, _ in walk(trace) for c, desc in made.items()}.values())
     visible = bool(comps)
@@ -411,15 +413,15 @@ def floor_rule_traces():
 
 
 def test_floor_rules_match_the_walk_based_oracle():
-    checked = 0
+    checked = closed_seen = 0
     for d in floor_rule_traces():
-        for closed in (False, True):
-            for oriented in (False, True):
-                want = oracle_lower_bound_rules(d.m, closed=closed, oriented=oriented, trace=d)
-                got = lower_bound_rules(d.m, closed=closed, oriented=oriented, trace=d)
-                assert got == want
-                checked += 1
-    assert checked > 3000
+        final = final_boundary(d)
+        closed = not d.base and not final
+        want = oracle_lower_bound_rules(d.m, closed=closed, oriented=True, trace=d)
+        assert lower_bound_rules(d, final) == want
+        checked += 1
+        closed_seen += closed
+    assert checked > 700 and closed_seen >= 100, (checked, closed_seen)
 
 
 def test_search_raises_the_replay_error_of_a_broken_trace():

@@ -13,8 +13,6 @@ from handlenu.homology import (
     Surface,
     betti,
     chain_betti,
-    chain_complex_from_json,
-    chain_complex_to_json,
     desc_equal,
     descriptor_from_json,
     descriptor_to_json,
@@ -300,22 +298,6 @@ def test_malformed_complex_rejected():
         RationalChainComplex(2, (1, 1, 1), (((1,),), ((1,),)))
     with pytest.raises(DescriptorError):
         RationalChainComplex(1, (2, 2), (((1, 0),),))  # wrong shape
-
-
-def test_chain_complex_json_round_trip():
-    cc = tetrahedron_complex()
-    again = chain_complex_from_json(chain_complex_to_json(cc))
-    assert again == cc
-    assert chain_betti(again) == chain_betti(cc)
-
-
-@pytest.mark.parametrize("field,value", [("dim", 2.0), ("dim", True), ("cells", [4, 6.0, 4]),
-                                         ("cells", [4, 6, True]), ("cells", ["4", 6, 4])])
-def test_chain_complex_loader_requires_integers(field, value):
-    doc = chain_complex_to_json(tetrahedron_complex())
-    doc[field] = value
-    with pytest.raises(DescriptorError, match="must be an integer"):
-        chain_complex_from_json(doc)
 
 
 @pytest.mark.parametrize("bad", [2.7, True, "2"])

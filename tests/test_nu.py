@@ -12,14 +12,7 @@ from handlenu.catalog import (
     sphere_trace,
 )
 from handlenu.homology import Sphere, Surface
-from handlenu.nu import (
-    heegaard_upper,
-    iter_linear_extensions,
-    lower_bound_rules,
-    nu_bounds,
-    nu_of_ordering,
-    search_min_nu,
-)
+from handlenu.nu import heegaard_upper, lower_bound_rules, nu_of_ordering, search_min_nu
 from handlenu.trace import (
     Dim3One,
     Dim3Three,
@@ -27,9 +20,9 @@ from handlenu.trace import (
     HandleRecord,
     OrderedHandleDecomposition,
     dualize,
-    reorder,
+    final_boundary,
 )
-from gen import random_trace, states
+from gen import iter_linear_extensions, random_trace, reorder, states
 
 
 def e_0(*base):
@@ -181,19 +174,14 @@ def test_search_is_reorder_invariant():
         )
 
 
+def floor(d):
+    return lower_bound_rules(d, final_boundary(d)).value
+
+
 def test_lower_bound_rules_examples():
-    genus_floor = lower_bound_rules(3, closed=True, trace=genus_one_trace())
-    assert genus_floor.value == 4
-    assert lower_bound_rules(5, closed=True, trace=sphere_trace(5)).value == 2
-    assert lower_bound_rules(3, closed=False, raw_floor=3).value == 4  # parity round-up
-    assert lower_bound_rules(4, closed=False, raw_floor=3).value == 3
-    assert lower_bound_rules(3, closed=False, trace=solid_torus_trace()).value == 4
-
-
-@pytest.mark.parametrize("raw_floor", [2.7, 2.0, True, "2", None])
-def test_lower_bound_rules_refuse_a_non_integer_floor(raw_floor):
-    with pytest.raises(TypeError, match="'raw_floor' must be an integer"):
-        lower_bound_rules(3, raw_floor=raw_floor)
+    assert floor(genus_one_trace()) == 4
+    assert floor(sphere_trace(5)) == 2
+    assert floor(solid_torus_trace()) == 4
 
 
 def test_declared_components_floor_the_search():
@@ -232,45 +220,6 @@ def test_dual_consistency_on_closed_traces():
             closed.append(d)
     for d in closed:
         assert nu_of_ordering(dualize(d)).nu == nu_of_ordering(d).nu
-
-
-def test_nu_bounds_solid_torus_summary():
-    solid = solid_torus_trace()
-    report = nu_bounds(
-        [("empty", solid), ("torus", dualize(solid))], bases_complete=True
-    )
-    assert report.bound_for("empty").lower == 4
-    assert report.bound_for("empty").upper == 4
-    assert report.bound_for("torus").lower == 4
-    assert report.bound_for("torus").upper == 4
-    assert report.summary_lower == 4
-    assert report.summary_upper == 4
-
-
-def test_nu_bounds_partial_bases_have_no_upper():
-    report = nu_bounds([("empty", sphere_trace(3))])
-    assert report.summary_upper is None
-    assert report.summary_lower == 2
-
-
-def test_nu_bounds_heegaard_cap_applies():
-    half = circle_times_genus_two_half_trace()
-    closed_like = nu_bounds([("empty", half)], heegaard_genus=2)
-    assert closed_like.bound_for("empty").upper == 6  # 2*2+2 beats the search's 8
-    assert closed_like.bound_for("empty").witness_note
-
-
-def test_nu_bounds_rejects_empty_input():
-    with pytest.raises(ValueError):
-        nu_bounds([])
-
-
-def test_nu_bounds_merges_repeated_labels():
-    solid = solid_torus_trace()
-    report = nu_bounds([("empty", solid), ("empty", solid)])
-    bound = report.bound_for("empty")
-    assert (bound.lower, bound.upper) == (4, 4)
-    assert bound.enumerated == 2
 
 
 def test_search_handle_free_collar():

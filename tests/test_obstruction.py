@@ -1,17 +1,12 @@
+import json
+
 import pytest
 
-from handlenu.catalog import (
-    circle_times_genus_two_half_trace,
-    genus_one_trace,
-    sphere_trace,
-)
 from handlenu.obstruction import (
     DecompositionGraph,
     HandleBudget,
     betti1_floor,
     graph_from_json,
-    graph_to_json,
-    h_upper,
     interface_lower_bound,
     pieces_ceiling,
     refute,
@@ -116,28 +111,29 @@ def test_implication_chain_algebra():
                 assert w <= pieces_ceiling(l, z)
 
 
-def test_h_upper_counts_handles():
-    assert h_upper(sphere_trace(3)) == 2
-    assert h_upper(genus_one_trace()) == 4
-    assert h_upper(circle_times_genus_two_half_trace()) == 6
+def graph_document(costs=None):
+    doc = {
+        "boundary_counts": [3, 4, 3],
+        "interfaces": [{"i": 0, "j": 1, "count": 2}, {"i": 1, "j": 2, "count": 1}],
+        "z": 4,
+    }
+    if costs is not None:
+        doc["handle_costs"] = list(costs)
+    return doc
 
 
 def test_graph_json_round_trip():
     g = DecompositionGraph((3, 4, 3), ((0, 1, 2), (1, 2, 1)), z=4, handle_costs=(5, 2, 7))
-    again = graph_from_json(graph_to_json(g))
-    assert again == g
+    assert graph_from_json(graph_document((5, 2, 7))) == g
     with pytest.raises(ValueError):
         graph_from_json({"boundary_counts": [3]})
 
 
 @pytest.mark.parametrize("costs", [None, (5, 2, 7)])
 def test_graph_json_round_trips_through_text(costs):
-    import json
-
     g = DecompositionGraph((3, 4, 3), ((0, 1, 2), (1, 2, 1)), z=4, handle_costs=costs)
-    text = json.dumps(graph_to_json(g))
+    text = json.dumps(graph_document(costs))
     assert graph_from_json(json.loads(text)) == g
-    assert json.dumps(graph_to_json(graph_from_json(json.loads(text)))) == text
 
 
 @pytest.mark.parametrize("bad", [3.9, True, "3"])
@@ -152,3 +148,18 @@ def test_graph_refuses_non_integers(bad):
         DecompositionGraph((3, 3), ((0, 1, 1),), bad)
     with pytest.raises(TypeError, match="'handle_costs' must be an integer"):
         DecompositionGraph((3, 3), ((0, 1, 1),), 4, (1, bad))
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "3"])
+def test_budget_refuses_non_integers(bad):
+    for field, fields in (("h_max", (bad, 1, 2)), ("l", (2, bad, 2)), ("z", (2, 1, bad))):
+        with pytest.raises(TypeError, match=f"'{field}' must be an integer"):
+            HandleBudget(*fields)
+    with pytest.raises(TypeError, match="'l' must be an integer"):
+        pieces_ceiling(bad, 2)
+    with pytest.raises(TypeError, match="'z' must be an integer"):
+        pieces_ceiling(1, bad)
+    # Checked even when no piece fits, where the comparison would not run.
+    for budget in (HandleBudget(2, 1, 2), HandleBudget(2, 0, 0)):
+        with pytest.raises(TypeError, match="'h_w' must be an integer"):
+            refute(budget, bad)

@@ -9,6 +9,7 @@ from handlenu.homology import (
     Product,
     Sphere,
     Surface,
+    normalize,
 )
 from handlenu.catalog import (
     circle_times_genus_two_half_trace,
@@ -32,13 +33,12 @@ from handlenu.trace import (
     canonical_dumps,
     dualize,
     rename_anchor,
-    reorder,
     replay,
     trace_from_json,
     trace_to_json,
     validate,
 )
-from gen import descriptors, random_trace, states
+from gen import descriptors, random_trace, reorder, states
 
 
 def attach_one(base, attachment, index, m=3):
@@ -52,9 +52,7 @@ def ids(state):
 
 
 def desc_multiset(state):
-    from handlenu.homology import canonical_key
-
-    return tuple(sorted(descriptors(state), key=canonical_key))
+    return tuple(sorted(descriptors(state), key=lambda desc: normalize(desc).key))
 
 
 def test_attach_one_same_component_adds_genus():

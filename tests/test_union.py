@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from handlenu.catalog import genus_one_trace, solid_torus_trace, sphere_trace
+from handlenu.catalog import solid_torus_trace, sphere_trace
 from handlenu.homology import Explicit, HomologyVector, Sphere, Surface
 from handlenu.nu import nu_of_ordering
 from handlenu.trace import (
@@ -16,13 +16,7 @@ from handlenu.trace import (
     TraceError,
     dualize,
 )
-from handlenu.union import (
-    GlueError,
-    GlueSpec,
-    check_chain,
-    check_key_inequality,
-    compose,
-)
+from handlenu.union import GlueError, GlueSpec, check_key_inequality, compose
 from gen import DEFECTS, descriptors, random_composable_pair, states, with_defect
 
 
@@ -234,43 +228,18 @@ def test_inequality_on_random_pairs_with_declared_records():
     assert min(declared_parts.values()) >= 20, declared_parts
 
 
-def test_chain_single_part():
-    report = check_chain([genus_one_trace()], [])
-    assert report.lhs == 4 and report.rhs == 4 and report.holds
-
-
-def test_chain_two_parts_delegates():
-    first = solid_torus_trace()
-    second = dualize(first)
-    chain = check_chain([first, second], [torus_glue()])
-    direct = check_key_inequality(first, second, torus_glue())
-    assert chain.lhs == direct.lhs and chain.rhs == direct.rhs and chain.holds
-
-
 def test_chain_three_parts():
     # Solid torus, a torus collar, then the dual solid torus: still the
     # genus-one closed pattern, now built in three stages.
     first = solid_torus_trace()
     collar = OrderedHandleDecomposition(3, (Surface(1),), ())
     last = dualize(first)
-    # Gluing the collar leaves the composite's final boundary id at h:2.
-    glues = [torus_glue(), torus_glue()]
-    report = check_chain([first, collar, last], glues)
-    assert report.holds
-    assert report.part_values == (4, 4, 4)
-    assert report.lhs == 4
-    assert report.composite.delta == 4
-
-
-def test_chain_errors_name_the_stage():
-    first = solid_torus_trace()
-    wrong = OrderedHandleDecomposition(3, (Surface(2),), ())
-    with pytest.raises(GlueError, match="stage 2"):
-        check_chain([first, wrong], [torus_glue()])
-    with pytest.raises(GlueError):
-        check_chain([], [])
-    with pytest.raises(GlueError):
-        check_chain([first], [torus_glue()])
+    # Gluing through the handle-free collar leaves the final boundary id at h:2.
+    composite = compose(compose(first, collar, torus_glue()), last, torus_glue())
+    assert composite == compose(first, last, torus_glue())
+    assert [nu_of_ordering(part).nu for part in (first, collar, last)] == [4, 4, 4]
+    assert nu_of_ordering(composite).nu == 4
+    assert composite.delta == 4
 
 
 @pytest.mark.parametrize("defect", DEFECTS)
@@ -282,8 +251,6 @@ def test_union_checks_refuse_an_invalid_part(defect):
         check_key_inequality(bad_first, second, torus_glue())
     with pytest.raises(TraceError, match=rf"^second part is invalid \(prefix {mu_second}\): "):
         check_key_inequality(first, bad_second, torus_glue())
-    with pytest.raises(TraceError, match=rf"^part 2 is invalid \(prefix {mu_second}\): "):
-        check_chain([first, bad_second], [torus_glue()])
 
 
 def test_sphere_union_strict_drop_numbers():
