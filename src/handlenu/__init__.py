@@ -11,9 +11,8 @@ import importlib
 _EXPORTS = {
     "homology": (
         "ConnectedSum DescriptorError Explicit HomologyVector Product "
-        "RationalChainComplex Sphere Surface betti chain_betti desc_equal "
-        "descriptor_from_json descriptor_to_json dimension normalize pretty "
-        "total_betti"
+        "Sphere Surface betti desc_equal descriptor_from_json "
+        "descriptor_to_json dimension normalize pretty total_betti"
     ).split(),
     "trace": (
         "AttachError Declared Dim3One Dim3Three Dim3Two Dim3Zero "

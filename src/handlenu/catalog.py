@@ -44,7 +44,6 @@ class Certification:
     lower: int
     upper: int
     scope: str  # "manifold" | "range" | "ordering"
-    reason: str
 
     def __post_init__(self):
         if self.scope not in ("manifold", "range", "ordering"):
@@ -58,13 +57,15 @@ class Certification:
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    m: int
-    description: str
     traces: tuple[tuple[str, OrderedHandleDecomposition], ...]
     certified: Certification | None = None
     heegaard_genus: int | None = None
     heegaard_asserted: bool = False
-    notes: tuple[str, ...] = ()
+
+    @property
+    def m(self) -> int:
+        """Ambient dimension, shared by every stored trace."""
+        return self.traces[0][1].m
 
 
 # --- trace builders ---------------------------------------------------------
@@ -94,16 +95,7 @@ def sphere_trace(m: int) -> OrderedHandleDecomposition:
 
 def genus_one_trace() -> OrderedHandleDecomposition:
     """Closed 4-handle pattern through a torus: the genus-one splitting shape."""
-    return OrderedHandleDecomposition(
-        3,
-        (),
-        (
-            _h(0, Dim3Zero()),
-            _h(1, Dim3One("h:1", "h:1")),
-            _h(2, Dim3Two("h:2", NonSeparating())),
-            _h(3, Dim3Three("h:3")),
-        ),
-    )
+    return connected_sum_genus_one_trace(1)
 
 
 def connected_sum_genus_one_trace(n: int) -> OrderedHandleDecomposition:
@@ -126,9 +118,7 @@ def connected_sum_genus_one_trace(n: int) -> OrderedHandleDecomposition:
 
 
 def solid_torus_trace() -> OrderedHandleDecomposition:
-    return OrderedHandleDecomposition(
-        3, (), (_h(0, Dim3Zero()), _h(1, Dim3One("h:1", "h:1")))
-    )
+    return handlebody_trace(1)
 
 
 def handlebody_trace(n: int) -> OrderedHandleDecomposition:
@@ -147,18 +137,9 @@ def circle_times_genus_two_half_trace() -> OrderedHandleDecomposition:
     This presents the piece whose double is the product of a circle and a
     genus-two surface; the final torus boundary is where the double closes up.
     """
-    return OrderedHandleDecomposition(
-        3,
-        (),
-        (
-            _h(0, Dim3Zero()),
-            _h(1, Dim3One("h:1", "h:1")),
-            _h(1, Dim3One("h:2", "h:2")),
-            _h(1, Dim3One("h:3", "h:3")),
-            _h(2, Dim3Two("h:4", NonSeparating())),
-            _h(2, Dim3Two("h:5", NonSeparating())),
-        ),
-    )
+    handlebody = handlebody_trace(3)
+    handles = tuple(_h(2, Dim3Two(f"h:{j}", NonSeparating())) for j in (4, 5))
+    return OrderedHandleDecomposition(3, (), handlebody.handles + handles)
 
 
 def sphere_times_circle_trace(m: int) -> OrderedHandleDecomposition:
@@ -210,156 +191,120 @@ def _build_entries() -> dict[str, CatalogEntry]:
     entries: list[CatalogEntry] = []
 
     for m in (3, 4, 5, 6):
+        # The standard m-sphere.  A two-handle presentation keeps every
+        # intermediate boundary a sphere, and any closed presentation must
+        # show one.
         entries.append(
             CatalogEntry(
                 name=f"s{m}",
-                m=m,
-                description=f"standard {m}-sphere",
                 traces=(("empty", sphere_trace(m)),),
-                certified=Certification(
-                    2, 2, "manifold",
-                    "a two-handle presentation keeps every intermediate boundary a sphere, "
-                    "and any closed presentation must show one",
-                ),
+                certified=Certification(2, 2, "manifold"),
                 heegaard_genus=0 if m == 3 else None,
             )
         )
 
+    # A closed manifold with a genus-one splitting.  Not a sphere, so the
+    # invariant exceeds 2; surface parity lifts that to 4; the genus-one
+    # presentation attains 4 in every admissible order.  The trace is
+    # homology-level: every genus-one splitting replays identically, so this
+    # entry stands for the whole family.
     entries.append(
         CatalogEntry(
             name="lens",
-            m=3,
-            description="closed manifold with a genus-one splitting",
             traces=(("empty", genus_one_trace()),),
-            certified=Certification(
-                4, 4, "manifold",
-                "not a sphere, so the invariant exceeds 2; surface parity lifts that to 4; "
-                "the genus-one presentation attains 4 in every admissible order",
-            ),
+            certified=Certification(4, 4, "manifold"),
             heegaard_genus=1,
-            notes=(
-                "homology-level trace: every genus-one splitting replays identically, "
-                "so this entry stands for the whole family",
-            ),
         )
     )
 
     for n in (1, 2, 3):
+        # Connected sum of n genus-one pieces (splitting genus n).  The
+        # summand-at-a-time presentation alternates sphere and torus
+        # boundaries, attaining 4; a non-sphere closed oriented 3-manifold
+        # needs at least 4.
         entries.append(
             CatalogEntry(
                 name=f"rp3-sum-{n}",
-                m=3,
-                description=f"connected sum of {n} genus-one pieces (splitting genus {n})",
                 traces=(("empty", connected_sum_genus_one_trace(n)),),
-                certified=Certification(
-                    4, 4, "manifold",
-                    "summand-at-a-time presentation alternates sphere and torus boundaries, "
-                    "attaining 4; a non-sphere closed oriented 3-manifold needs at least 4",
-                ),
+                certified=Certification(4, 4, "manifold"),
                 heegaard_genus=n,
             )
         )
 
+    # Product of a 2-sphere and a circle.  A genus-one presentation attains
+    # 4; the essential 1-handle in any presentation forces a product
+    # boundary of total Betti 4.
     entries.append(
         CatalogEntry(
             name="s2xs1",
-            m=3,
-            description="product of a 2-sphere and a circle",
             traces=(("empty", genus_one_trace()),),
-            certified=Certification(
-                4, 4, "manifold",
-                "a genus-one presentation attains 4; the essential 1-handle in any "
-                "presentation forces a product boundary of total Betti 4",
-            ),
+            certified=Certification(4, 4, "manifold"),
             heegaard_genus=1,
         )
     )
 
+    # Product of a 3-sphere and a circle.  The declared presentation attains
+    # 4; the essential 1-handle in any presentation forces a
+    # sphere-times-circle boundary of total Betti 4.
     entries.append(
         CatalogEntry(
             name="s3xs1",
-            m=4,
-            description="product of a 3-sphere and a circle",
             traces=(("empty", sphere_times_circle_trace(4)),),
-            certified=Certification(
-                4, 4, "manifold",
-                "the declared presentation attains 4; the essential 1-handle in any "
-                "presentation forces a sphere-times-circle boundary of total Betti 4",
-            ),
+            certified=Certification(4, 4, "manifold"),
         )
     )
 
+    # Orientable genus-one handlebody (boundary a torus).  Both base choices
+    # (nothing, or the whole torus boundary) force a torus somewhere in the
+    # replay, and both presentations attain 4.  The two stored bases are all
+    # there are: the only closed subsurfaces of the torus boundary are empty
+    # or all of it.
     solid = solid_torus_trace()
     entries.append(
         CatalogEntry(
             name="solid-torus",
-            m=3,
-            description="orientable genus-one handlebody (boundary a torus)",
             traces=(("empty", solid), ("torus", dualize(solid))),
-            certified=Certification(
-                4, 4, "manifold",
-                "both base choices (nothing, or the whole torus boundary) force a torus "
-                "somewhere in the replay, and both presentations attain 4",
-            ),
-            notes=(
-                "the two stored bases are all there are: the only closed subsurfaces "
-                "of the torus boundary are empty or all of it",
-            ),
+            certified=Certification(4, 4, "manifold"),
         )
     )
 
+    # Product of a circle and a genus-two surface, via the half it doubles.
+    # Doubling the stored half caps the invariant at the half's peak of 8; a
+    # non-sphere closed oriented 3-manifold needs at least 4.  Splitting
+    # genus 5 is recorded as asserted, not derived here; 8 beats the
+    # splitting-genus certificate 2*5+2 = 12.
     half = circle_times_genus_two_half_trace()
     entries.append(
         CatalogEntry(
             name="s1xsigma2",
-            m=3,
-            description="product of a circle and a genus-two surface, via the half it doubles",
             traces=(("half-empty", half), ("half-torus", dualize(half))),
-            certified=Certification(
-                4, 8, "range",
-                "doubling the stored half caps the invariant at the half's peak of 8; "
-                "a non-sphere closed oriented 3-manifold needs at least 4",
-            ),
+            certified=Certification(4, 8, "range"),
             heegaard_genus=5,
             heegaard_asserted=True,
-            notes=(
-                "splitting genus 5 is recorded as asserted, not derived here",
-                "8 beats the splitting-genus certificate 2*5+2 = 12",
-            ),
         )
     )
 
     for k in (1, 2):
+        # Double of the tangent disc bundle over the 2k-sphere.  Every
+        # intermediate boundary of the doubled presentation is a rational
+        # homology sphere, so the replay never exceeds 2.  The manifold
+        # itself has extra middle homology; the invariant is 2 anyway.
         entries.append(
             CatalogEntry(
                 name=f"double-tangent-s{2 * k}",
-                m=4 * k,
-                description=(
-                    f"double of the tangent disc bundle over the {2 * k}-sphere"
-                ),
                 traces=(("empty", doubled_disc_bundle_trace(k)),),
-                certified=Certification(
-                    2, 2, "manifold",
-                    "every intermediate boundary of the doubled presentation is a rational "
-                    "homology sphere, so the replay never exceeds 2",
-                ),
-                notes=(
-                    "the manifold itself has extra middle homology; the invariant is 2 anyway",
-                ),
+                certified=Certification(2, 2, "manifold"),
             )
         )
 
     for n in (1, 2, 3):
+        # Genus-n handlebody from one 0-handle and n 1-handles: the replay
+        # climbs to the genus-n surface, total Betti 2 + 2n.
         entries.append(
             CatalogEntry(
                 name=f"handlebody-{n}",
-                m=3,
-                description=f"genus-{n} handlebody built from one 0-handle and {n} 1-handles",
                 traces=(("empty", handlebody_trace(n)),),
-                certified=Certification(
-                    2 + 2 * n, 2 + 2 * n, "ordering",
-                    f"the replay climbs to the genus-{n} surface, total Betti {2 + 2 * n}",
-                ),
+                certified=Certification(2 + 2 * n, 2 + 2 * n, "ordering"),
             )
         )
 
@@ -418,7 +363,7 @@ def _entry_items(entry: CatalogEntry) -> list[CheckItem]:
             continue
         evaluation, final = result
         values[label] = evaluation.nu
-        floors[label] = lower_bound_rules(trace, final).value
+        floors[label] = lower_bound_rules(trace, final)[0]
 
     cert = entry.certified
     if cert is not None and values:

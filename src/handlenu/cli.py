@@ -112,7 +112,7 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _bound_lines(bound: Bound) -> list[str]:
+def _bound_lines(bound: Bound, order: list[int]) -> list[str]:
     tag = "exhaustive" if bound.exhaustive else "budget hit"
     lines = [
         f"orderings enumerated: {bound.enumerated} ({tag})",
@@ -120,8 +120,8 @@ def _bound_lines(bound: Bound) -> list[str]:
     ]
     for reason in bound.lower_reasons:
         lines.append(f"  lower {bound.lower}: {reason}")
-    order = ", ".join(str(i) for i in bound.witness_order) or "(no handles)"
-    lines.append(f"  upper {bound.upper}: witness order (original positions) {order}")
+    positions = ", ".join(str(i) for i in order) or "(no handles)"
+    lines.append(f"  upper {bound.upper}: witness order (original positions) {positions}")
     return lines
 
 
@@ -129,14 +129,17 @@ def cmd_search(args) -> int:
     d = _load_trace(args.trace)
     budget = None if args.all_orderings else args.budget
     warnings, bound = _require_valid(d, lambda t: _search(t, budget))
+    # The upper value is attained by the given order (see search_min_nu),
+    # so the witness is the input itself.
+    order = list(range(1, d.delta + 1))
     result = {
         "lower": bound.lower,
         "upper": bound.upper,
         "exhaustive": bound.exhaustive,
         "enumerated": bound.enumerated,
         "lower_reasons": list(bound.lower_reasons),
-        "witness_order": list(bound.witness_order),
-        "witness": trace_to_json(bound.witness),
+        "witness_order": order,
+        "witness": trace_to_json(d),
     }
     # A count of orderings may have any number of digits, so writing it lifts
     # the interpreter's digit limit (3.10.7 on); reading the input keeps it.
@@ -147,7 +150,7 @@ def cmd_search(args) -> int:
         _emit(
             args,
             {"command": "search", "result": result, "warnings": warnings},
-            _bound_lines(bound) + [f"warning: {w}" for w in warnings],
+            _bound_lines(bound, order) + [f"warning: {w}" for w in warnings],
         )
     finally:
         if limit:
@@ -160,15 +163,20 @@ def inequality_exit_code(holds: bool) -> int:
     return EXIT_OK if holds else EXIT_THEOREM
 
 
+def _glue_pair(pair) -> tuple[str, str]:
+    if type(pair) is not list or len(pair) != 2:
+        raise TypeError(f"each pair must be an array of two ids, got {pair!r}")
+    return json_str(pair[0], "glue id"), json_str(pair[1], "glue id")
+
+
 def cmd_compose(args) -> int:
     dm = _load_trace(args.first)
     dn = _load_trace(args.second)
     glue_doc = _load_json(args.glue)
     try:
-        pairs = [(json_str(a, "glue id"), json_str(b, "glue id")) for a, b in glue_doc["pairs"]]
+        glue = GlueSpec(tuple(_glue_pair(pair) for pair in glue_doc["pairs"]))
     except (KeyError, TypeError) as exc:
         raise GlueError(f"glue file must contain a 'pairs' list of id pairs: {exc}") from exc
-    glue = GlueSpec(tuple(pairs))
 
     report = check_key_inequality(dm, dn, glue)
     composite = report.composite
@@ -249,7 +257,12 @@ def cmd_refute(args) -> int:
     from .obstruction import HandleBudget, refute
 
     verdict = refute(HandleBudget(args.hmax, args.l, args.z), args.hW)
-    if verdict.decomposable_possible:
+    if verdict.max_pieces < 1:
+        line = (
+            f"refuted: no qualifying decomposition exists, since the piece ceiling "
+            f"2l + z - 2 = {verdict.max_pieces} < 1"
+        )
+    elif verdict.decomposable_possible:
         line = (
             f"possible: target handle count {args.hW} fits the budget "
             f"{verdict.max_pieces} pieces x {args.hmax} = {verdict.max_handles}"

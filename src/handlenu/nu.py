@@ -13,7 +13,7 @@ them.  No boundary state is built.
 The true invariant of a manifold minimizes over all decompositions and then
 maximizes over all bases; neither extreme is computable in general, so
 results are reported as :class:`Bound` values whose lower side carries its
-justification and whose upper side carries a replayable witness.
+justification; the upper side is attained by the given order of the handles.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .trace import (
     Dim3Two,
     NonSeparating,
     OrderedHandleDecomposition,
-    TraceError,
     anchors_of,
     id_sort_key,
     walk,
@@ -98,12 +97,6 @@ def nu_of_ordering(d: OrderedHandleDecomposition) -> NuEvaluation:
     return evaluate(d)[0]
 
 
-@dataclass(frozen=True)
-class LowerBound:
-    value: int
-    reasons: tuple[str, ...]
-
-
 def _forces_positive_genus(d: OrderedHandleDecomposition) -> bool:
     # A 1-handle with both feet on one component always creates genus, and a
     # 2-handle only ever attaches to a positive-genus surface (a separating
@@ -121,9 +114,10 @@ def _forces_positive_genus(d: OrderedHandleDecomposition) -> bool:
 
 def lower_bound_rules(
     d: OrderedHandleDecomposition, final: Mapping[str, Descriptor]
-) -> LowerBound:
+) -> tuple[int, tuple[str, ...]]:
     """Best provable floor for the invariant over the admissible orders of
-    ``d``'s handles; the justification strings say which kind of floor fired.
+    ``d``'s handles, and justification strings that say which kind of floor
+    fired.
 
     ``final`` is the free boundary after every handle, from the walk that
     replayed ``d``: the rules read the handles without replaying them, so
@@ -163,7 +157,7 @@ def lower_bound_rules(
             "an order-pinned declared boundary component has total Betti "
             f"number {declared_floor}"
         )
-    return LowerBound(floor, tuple(reasons))
+    return floor, tuple(reasons)
 
 
 def heegaard_upper(genus: int) -> int:
@@ -187,12 +181,7 @@ def _dependencies(d: OrderedHandleDecomposition) -> dict[int, set[int]]:
     for j, handle in enumerate(d.handles, start=1):
         for anchor in anchors_of(handle):
             if anchor.startswith("h:"):
-                _, i, _ = id_sort_key(anchor)
-                if not 1 <= i < j:
-                    raise TraceError(
-                        f"handle {j} anchors {anchor!r}, which is not an earlier handle"
-                    )
-                deps[j].add(i)
+                deps[j].add(id_sort_key(anchor)[1])
         if isinstance(handle.attachment, Declared):
             declared_at.append(j)
     # A declared record asserts the whole boundary after it, so it cannot move
@@ -206,15 +195,17 @@ def _dependencies(d: OrderedHandleDecomposition) -> dict[int, set[int]]:
 
 @dataclass(frozen=True)
 class Bound:
-    """Certified range for the invariant, with provenance on both sides."""
+    """Certified range for the invariant.
+
+    ``lower_reasons`` justify ``lower``; ``upper`` is the value of the
+    searched trace in its given order, which is therefore the witness.
+    """
 
     lower: int
     upper: int
     exhaustive: bool
     enumerated: int
     lower_reasons: tuple[str, ...]
-    witness: OrderedHandleDecomposition
-    witness_order: tuple[int, ...]
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -291,8 +282,9 @@ def _search(d: OrderedHandleDecomposition, budget: int | None = None) -> tuple[B
     """:func:`search_min_nu`, and the final free boundary by id, from one walk."""
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of orderings, got {budget}")
-    # The walk comes first, so a broken trace raises its own ReplayError
-    # before _dependencies can raise a TraceError of its own.
+    # The walk comes first: a broken trace raises its ReplayError there, and a
+    # walk that resolves anchor "h:i" at handle j has i < j, as
+    # _dependencies assumes.
     evaluation, live = evaluate(d)
     deps = _dependencies(d)
     need = [sum(1 << (i - 1) for i in deps[j]) for j in range(1, d.delta + 1)]
@@ -307,15 +299,13 @@ def _search(d: OrderedHandleDecomposition, budget: int | None = None) -> tuple[B
         total *= math.comb(placed, size) * _count_orderings(need, mask, cap)
     exhaustive = budget is None or total <= budget
 
-    lb = lower_bound_rules(d, live)
+    lower, reasons = lower_bound_rules(d, live)
     bound = Bound(
-        lower=lb.value,
+        lower=lower,
         upper=evaluation.nu,
         exhaustive=exhaustive,
         enumerated=total if exhaustive else budget,
-        lower_reasons=lb.reasons,
-        witness=d,
-        witness_order=tuple(range(1, d.delta + 1)),
+        lower_reasons=reasons,
     )
     return bound, live
 

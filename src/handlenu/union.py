@@ -49,7 +49,9 @@ class GlueSpec:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((str(a), str(b)) for a, b in self.pairs))
+        object.__setattr__(self, "pairs", tuple((a, b) for a, b in self.pairs))
+        if any(type(c) is not str for pair in self.pairs for c in pair):
+            raise GlueError(f"glue ids must be strings: {self.pairs}")
         if not self.pairs:
             raise GlueError("glue specification needs at least one pair")
         left = [a for a, _ in self.pairs]
@@ -161,11 +163,8 @@ class InequalityReport:
     nu_second: int
     holds: bool
     case: str
-    argmax_mu: int | None
-    argmax_component: str | None
     steps: tuple[str, ...]
     composite: OrderedHandleDecomposition
-    evaluation: NuEvaluation
 
 
 def check_key_inequality(
@@ -227,9 +226,6 @@ def check_key_inequality(
         nu_second=nu_second,
         holds=holds,
         case=case,
-        argmax_mu=mu,
-        argmax_component=comp_id,
         steps=tuple(steps),
         composite=composite,
-        evaluation=evaluation,
     )

@@ -5,8 +5,8 @@ walk of the given order and counted each connected part of the poset on its
 own: one memoized walk over the joint lattice, stepping every new ideal with
 ``attachment_step``, minimizing the largest ``e_mu`` over completions, and
 seeding the prefix ideals of the given order from ``replay``.  ``joint_search`` must return
-the same ``Bound`` as ``search_min_nu``, witness included, under every
-budget.
+the same ``Bound`` as ``search_min_nu`` under every budget, and its
+lexicographically first best ordering must be the given one, ``1..delta``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Iterator
 from handlenu.homology import Descriptor
 from handlenu.nu import Bound, _dependencies, lower_bound_rules
 from handlenu.trace import OrderedHandleDecomposition, attachment_step, replay
-from gen import reorder
 
 Live = dict[str, Descriptor]
 
@@ -178,9 +177,8 @@ def joint_search(d: OrderedHandleDecomposition, budget: int | None = None) -> Bo
     however many orderings reach it.  ``enumerated`` counts the admissible
     orderings covered, without replaying them; ``budget`` caps that count,
     taking orderings in depth-first lexicographic order, and ``exhaustive``
-    reports whether all of them fit.  The witness is the lexicographically
-    first covered ordering attaining the upper value, as a replayable
-    decomposition.
+    reports whether all of them fit.  The lexicographically first covered
+    ordering attaining the upper value must be the given order.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of orderings, got {budget}")
@@ -198,15 +196,13 @@ def joint_search(d: OrderedHandleDecomposition, budget: int | None = None) -> Bo
     else:
         best, path, root = search.budgeted(known[0], budget)
         enumerated, exhaustive = budget, False
-    best_order = search.witness(path, root, best)
+    assert search.witness(path, root, best) == tuple(range(1, d.delta + 1))
 
-    lb = lower_bound_rules(d, known[search.full])
+    lower, reasons = lower_bound_rules(d, known[search.full])
     return Bound(
-        lower=lb.value,
+        lower=lower,
         upper=best,
         exhaustive=exhaustive,
         enumerated=enumerated,
-        lower_reasons=lb.reasons,
-        witness=reorder(d, best_order) if best_order else d,
-        witness_order=best_order,
+        lower_reasons=reasons,
     )

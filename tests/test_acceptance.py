@@ -15,11 +15,12 @@ from handlenu.catalog import (
     solid_torus_trace,
     sphere_trace,
 )
-from handlenu.homology import Product, Sphere, Surface, betti, chain_betti, total_betti
+from handlenu.homology import Product, Sphere, Surface, betti, total_betti
 from handlenu.nu import heegaard_upper, nu_of_ordering, search_min_nu
 from handlenu.obstruction import HandleBudget, pieces_ceiling, refute
 from handlenu.trace import dualize, validate
 from handlenu.union import GlueSpec, check_key_inequality
+from chain_oracle import chain_betti
 from gen import (
     descriptors,
     iter_linear_extensions,

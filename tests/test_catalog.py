@@ -60,7 +60,7 @@ def test_connected_sum_family_stays_at_four():
     for n in (1, 2, 3):
         trace = connected_sum_genus_one_trace(n)
         assert nu_of_ordering(trace).nu == 4
-        assert lower_bound_rules(trace, final_boundary(trace)).value == 4
+        assert lower_bound_rules(trace, final_boundary(trace))[0] == 4
 
 
 def test_verify_all_passes_and_is_deterministic():

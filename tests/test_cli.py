@@ -1,6 +1,7 @@
 from contextlib import contextmanager
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -27,7 +28,7 @@ from handlenu.trace import (
     trace_from_json,
     trace_to_json,
 )
-from gen import DEFECTS, with_defect
+from gen import DEFECTS, random_trace, with_defect
 
 
 def write_trace(tmp_path, name, trace):
@@ -75,6 +76,18 @@ def test_search_json_carries_witness(tmp_path, capsys):
     assert doc["result"]["lower"] == 4 and doc["result"]["upper"] == 4
     witness = trace_from_json(doc["result"]["witness"])
     assert witness.delta == 2
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "1"]])
+def test_search_witness_is_the_input_in_its_given_order(tmp_path, capsys, budget):
+    rng = random.Random(8207)
+    for k in range(40):
+        d = random_trace(rng, max_handles=6, declared=0.2 if k % 2 else 0.0)
+        path = write_trace(tmp_path, f"t{k}.json", d)
+        assert main(["search", "--json", path] + budget) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["witness"] == trace_to_json(d)
+        assert result["witness_order"] == list(range(1, d.delta + 1))
 
 
 def test_validate_rejects_broken_trace(tmp_path, capsys):
@@ -145,6 +158,21 @@ def test_compose_refuses_a_non_canonical_glue_target(tmp_path, capsys, target):
     assert f"second-side glue target must be a base id, got {target!r}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "pairs", [[["h:2", "base:0", "x"]], ["h:"], [["h:2"]], [{"h:2": "base:0"}]]
+)
+def test_glue_pairs_must_be_arrays_of_two_ids(tmp_path, capsys, pairs):
+    solid = solid_torus_trace()
+    first = write_trace(tmp_path, "m.json", solid)
+    second = write_trace(tmp_path, "n.json", dualize(solid))
+    glue = tmp_path / "glue.json"
+    glue.write_text(json.dumps({"pairs": pairs}))
+    assert main(["compose", first, second, "--glue", str(glue), "--check"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: glue file must contain a 'pairs' list of id pairs")
+
+
 def test_inequality_exit_code_mapping():
     assert inequality_exit_code(True) == EXIT_OK
     assert inequality_exit_code(False) == EXIT_THEOREM
@@ -168,6 +196,26 @@ def test_refute_both_verdicts(capsys):
     assert "refuted" in capsys.readouterr().out
     assert main(["refute", "--l", "1", "--z", "2", "--hmax", "5", "--hW", "10"]) == EXIT_OK
     assert "possible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "l,z,hmax,hw,ceiling,handles", [(0, 0, 0, 0, -2, 0), (0, 1, 5, 3, -1, -5)]
+)
+def test_refute_below_one_piece_says_no_decomposition_exists(capsys, l, z, hmax, hw,
+                                                             ceiling, handles):
+    argv = ["refute", "--l", str(l), "--z", str(z), "--hmax", str(hmax), "--hW", str(hw)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "refuted: no qualifying decomposition exists, since the piece ceiling "
+        f"2l + z - 2 = {ceiling} < 1\n"
+    )
+    assert main(argv + ["--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "decomposable_possible": False,
+        "max_pieces": ceiling,
+        "max_handles": handles,
+        "h_w": hw,
+    }
 
 
 def test_catalog_listing(capsys):

@@ -29,7 +29,6 @@ from handlenu.homology import (
     total_betti,
 )
 from handlenu.nu import (
-    LowerBound,
     _forces_positive_genus,
     evaluate,
     lower_bound_rules,
@@ -372,7 +371,7 @@ def oracle_lower_bound_rules(m, *, closed, oriented, trace):
         reasons.append(
             "orientable surface boundaries have even total Betti number; floor rounded up"
         )
-    return LowerBound(floor, tuple(reasons))
+    return floor, tuple(reasons)
 
 
 def stated_descriptors(rng):

@@ -6,7 +6,8 @@ admissible orderings, reorder, replay and evaluate every one.
 minimized over the whole dependency poset's lattice, before the search read
 its value off one walk and counted each connected part's orderings on its
 own.  The search must return the same ``Bound`` as both, field by field,
-witness JSON included, with and without a budget.
+with and without a budget, and both oracles must find their best value
+first at the given order ``1..delta``, the witness ``nu search`` reports.
 """
 
 import functools
@@ -34,7 +35,6 @@ from handlenu.trace import (
     HandleRecord,
     NonSeparating,
     OrderedHandleDecomposition,
-    trace_to_json,
 )
 from gen import iter_linear_extensions, multi_part_trace, random_trace, reorder, states
 from joint_search import joint_search
@@ -61,15 +61,14 @@ def brute_force_search(d: OrderedHandleDecomposition, budget: int | None = None,
         if best is None or value < best:
             best = value
             best_order = order
-    lb = lower_bound_rules(d, final)
+    assert best_order == tuple(range(1, d.delta + 1))
+    lower, reasons = lower_bound_rules(d, final)
     return Bound(
-        lower=lb.value,
+        lower=lower,
         upper=best,
         exhaustive=exhaustive,
         enumerated=enumerated,
-        lower_reasons=lb.reasons,
-        witness=reorder(d, best_order) if best_order else d,
-        witness_order=best_order,
+        lower_reasons=reasons,
     )
 
 
@@ -79,8 +78,6 @@ def assert_same_bound(got: Bound, want: Bound) -> None:
     assert got.exhaustive == want.exhaustive
     assert got.enumerated == want.enumerated
     assert got.lower_reasons == want.lower_reasons
-    assert got.witness_order == want.witness_order
-    assert trace_to_json(got.witness) == trace_to_json(want.witness)
     assert got == want
 
 
@@ -200,7 +197,6 @@ def test_forty_independent_zero_handles_search_in_one_step_each(monkeypatch):
     bound = search_min_nu(d)
     assert bound.exhaustive and bound.enumerated == math.factorial(40)
     assert bound.upper == 2
-    assert bound.witness_order == tuple(range(1, 41))
     assert calls == [f"h:{j}" for j in range(1, 41)]
 
 
@@ -210,7 +206,6 @@ def test_ten_genus_chains_search_in_one_step_each(monkeypatch):
     bound = search_min_nu(genus_one_chains(10))
     assert bound.exhaustive and bound.enumerated == math.factorial(40) // math.factorial(4) ** 10
     assert (bound.lower, bound.upper) == (4, 4)
-    assert bound.witness_order == tuple(range(1, 41))
     assert calls == [f"h:{j}" for j in range(1, 41)]
 
 
@@ -226,7 +221,6 @@ def test_four_chains_search_is_exhaustive():
     bound = search_min_nu(genus_one_chains(4))
     assert bound.exhaustive and bound.enumerated == 63063000
     assert (bound.lower, bound.upper) == (4, 4)
-    assert bound.witness_order == tuple(range(1, 17))
 
 
 def test_wide_budget_search_needs_no_recursion():
@@ -234,10 +228,9 @@ def test_wide_budget_search_needs_no_recursion():
     d = OrderedHandleDecomposition(3, (), tuple(HandleRecord(0, Dim3Zero()) for _ in range(1500)))
     bound = search_min_nu(d, budget=1)
     assert bound.enumerated == 1 and bound.exhaustive is False
-    assert bound.witness_order == tuple(range(1, 1501))
-    # The witness replays; without a base every component shows at some
-    # prefix mu >= 1, so its value is the largest total Betti number of any
-    # component, here one per 0-handle sphere.
-    components = {c: desc for state in states(bound.witness) for c, desc in state}
+    # Without a base every component shows at some prefix mu >= 1, so the
+    # value is the largest total Betti number of any component, here one per
+    # 0-handle sphere.
+    components = {c: desc for state in states(d) for c, desc in state}
     assert len(components) == 1500
     assert max(total_betti(desc) for desc in components.values()) == bound.upper == 2

@@ -106,6 +106,12 @@ def test_glue_spec_must_be_injective():
         GlueSpec(())
 
 
+@pytest.mark.parametrize("pair", [(1, "base:0"), ("h:2", None), (b"h:2", "base:0")])
+def test_glue_spec_refuses_non_string_ids(pair):
+    with pytest.raises(GlueError, match="glue ids must be strings"):
+        GlueSpec((pair,))
+
+
 def test_compose_keeps_unglued_remainder():
     # First part ends with two boundary spheres; glue only one of them.
     first = OrderedHandleDecomposition(
