@@ -133,6 +133,31 @@ INVALID_TRACE = OrderedHandleDecomposition(
 )
 
 
+# Decomposition graphs for ``obstruct``: three pieces in a chain with a
+# handle cost per piece, and two pieces glued once with none.
+GRAPHS = {
+    "costs": {
+        "boundary_counts": [3, 3, 3],
+        "interfaces": [{"i": 0, "j": 1, "count": 1}, {"i": 1, "j": 2, "count": 1}],
+        "z": 5,
+        "handle_costs": [2, 3, 4],
+    },
+    "plain": {
+        "boundary_counts": [3, 3],
+        "interfaces": [{"i": 0, "j": 1, "count": 1}],
+        "z": 4,
+    },
+}
+
+# Name -> (l, z, h_max, h_W) for ``refute``: a target inside the budget, one
+# over it, and a piece ceiling 2l + z - 2 below 1.
+REFUTATIONS = {
+    "possible": (1, 2, 5, 10),
+    "refuted": (1, 2, 5, 11),
+    "below-one": (0, 0, 0, 0),
+}
+
+
 def write_inputs(directory: Path) -> None:
     def dump(name: str, doc) -> None:
         (directory / name).write_text(canonical_dumps(doc), encoding="utf-8")
@@ -148,6 +173,8 @@ def write_inputs(directory: Path) -> None:
     dump("flipped-n.json", trace_to_json(second))
     dump("flipped-glue.json", {"pairs": pairs})
     dump("invalid-trace.json", trace_to_json(INVALID_TRACE))
+    for name, graph in GRAPHS.items():
+        dump(f"graph-{name}.json", graph)
 
 
 def cases() -> list[tuple[str, list[str], tuple[str, ...], int]]:
@@ -176,6 +203,13 @@ def cases() -> list[tuple[str, list[str], tuple[str, ...], int]]:
             (f"validate-invalid.{ext}", ["validate", "invalid-trace.json"] + form, (), EXIT_INVALID)
         )
         found.append((f"catalog.{ext}", ["catalog"] + form, (), EXIT_OK))
+        for name in GRAPHS:
+            found.append(
+                (f"obstruct-{name}.{ext}", ["obstruct", f"graph-{name}.json"] + form, (), EXIT_OK)
+            )
+        for name, (l, z, h_max, h_w) in REFUTATIONS.items():
+            argv = ["refute", "--l", str(l), "--z", str(z), "--hmax", str(h_max), "--hW", str(h_w)]
+            found.append((f"refute-{name}.{ext}", argv + form, (), EXIT_OK))
         found.append((
             f"compose-flipped-check.{ext}",
             ["compose", "flipped-m.json", "flipped-n.json", "--glue", "flipped-glue.json",
