@@ -3,15 +3,14 @@
 Subcommands: compute, search, compose, obstruct, refute, catalog, validate.
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 a theorem
 check failed (which signals an engine bug, not bad input).  Descriptors are
-evaluated without recursion, so only reading the JSON limits nesting: deeper
-input is invalid and exits 2.  Output is deterministic; ``--json`` renders
-the report as a stable document with no timestamps.
+evaluated without recursion, so only reading and writing JSON limit nesting:
+deeper input is invalid and exits 2.  Output is deterministic; ``--json``
+renders the report as a stable document with no timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import asdict
 import json
 import sys
 
@@ -48,9 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    problem = argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise problem from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+        raise problem
     return value
 
 
@@ -104,9 +107,16 @@ def cmd_compute(args) -> int:
     warnings, evaluation = _require_valid(d, evaluate)
     # Only the human table needs every prefix.
     lines = [] if args.json else _mu_table(d, evaluation)
+    result = {
+        "e_values": evaluation.e_values,
+        "mu_start": evaluation.mu_start,
+        "nu": evaluation.nu,
+        "argmax_mu": evaluation.argmax_mu,
+        "argmax_component": evaluation.argmax_component,
+    }
     _emit(
         args,
-        {"command": "compute", "result": asdict(evaluation), "warnings": warnings},
+        {"command": "compute", "result": result, "warnings": warnings},
         lines + [f"warning: {w}" for w in warnings],
     )
     return EXIT_OK
@@ -272,7 +282,12 @@ def cmd_refute(args) -> int:
             f"refuted: target handle count {args.hW} exceeds the fixed budget "
             f"{verdict.max_pieces} pieces x {args.hmax} = {verdict.max_handles}"
         )
-    result = {**asdict(verdict), "h_w": args.hW}
+    result = {
+        "decomposable_possible": verdict.decomposable_possible,
+        "max_pieces": verdict.max_pieces,
+        "max_handles": verdict.max_handles,
+        "h_w": args.hW,
+    }
     _emit(args, {"command": "refute", "result": result, "warnings": []}, [line])
     return EXIT_OK
 
@@ -303,7 +318,11 @@ def cmd_catalog(args) -> int:
             for item in report.items
         ]
         lines.append(f"{'all checks passed' if report.ok else 'CHECKS FAILED'}")
-        result = {"ok": report.ok, **asdict(report)}
+        items = [
+            {"entry": item.entry, "check": item.check, "ok": item.ok, "detail": item.detail}
+            for item in report.items
+        ]
+        result = {"ok": report.ok, "items": items}
         _emit(args, {"command": "catalog-verify", "result": result, "warnings": []}, lines)
         return EXIT_OK if report.ok else EXIT_THEOREM
 
@@ -347,8 +366,12 @@ def cmd_validate(args) -> int:
     for warning in report.warnings:
         lines.append(f"warning: {warning}")
     lines.append("OK" if report.ok else f"{len(report.violations)} violation(s)")
-    result = {"ok": report.ok, **asdict(report)}
-    _emit(args, {"command": "validate", "result": result, "warnings": list(report.warnings)}, lines)
+    result = {
+        "ok": report.ok,
+        "violations": [{"mu": v.mu, "message": v.message} for v in report.violations],
+        "warnings": report.warnings,
+    }
+    _emit(args, {"command": "validate", "result": result, "warnings": report.warnings}, lines)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 

@@ -256,6 +256,14 @@ def test_usage_errors(capsys):
     assert main(["search", "x.json", "--budget", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("budget", ["abc", "1.5", "", "0", "-3"])
+def test_bad_budget_is_a_usage_error_named_in_plain_words(capsys, budget):
+    assert main(["search", "x.json", "--budget", budget]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument --budget: must be a positive integer, got {budget}\n" in err
+    assert "_positive_int" not in err
+
+
 def test_missing_file_is_validation_failure(capsys):
     assert main(["compute", "/nonexistent/trace.json"]) == EXIT_INVALID
 
