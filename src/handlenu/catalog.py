@@ -18,9 +18,7 @@ entry's name records intent, not a distinguished manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .homology import Explicit, HomologyVector, Product, Sphere, pretty, total_betti
+from .homology import Explicit, HomologyVector, Product, Record, Sphere, _set, pretty, total_betti
 from .nu import evaluate, heegaard_upper, lower_bound_rules
 from .trace import (
     Declared,
@@ -39,28 +37,34 @@ from .trace import (
 from .union import GlueSpec, check_key_inequality
 
 
-@dataclass(frozen=True)
-class Certification:
-    lower: int
-    upper: int
-    scope: str  # "manifold" | "range" | "ordering"
+class Certification(Record):
+    __slots__ = _fields = ("lower", "upper", "scope")
 
-    def __post_init__(self):
-        if self.scope not in ("manifold", "range", "ordering"):
-            raise ValueError(f"unknown certification scope {self.scope!r}")
-        if self.lower > self.upper:
-            raise ValueError(f"certified range [{self.lower}, {self.upper}] is inverted")
-        if self.scope in ("manifold", "ordering") and self.lower != self.upper:
-            raise ValueError(f"{self.scope} certification must pin a single value")
+    def __init__(self, lower: int, upper: int, scope: str):  # "manifold" | "range" | "ordering"
+        if scope not in ("manifold", "range", "ordering"):
+            raise ValueError(f"unknown certification scope {scope!r}")
+        if lower > upper:
+            raise ValueError(f"certified range [{lower}, {upper}] is inverted")
+        if scope in ("manifold", "ordering") and lower != upper:
+            raise ValueError(f"{scope} certification must pin a single value")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "scope", scope)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    traces: tuple[tuple[str, OrderedHandleDecomposition], ...]
-    certified: Certification | None = None
-    heegaard_genus: int | None = None
-    heegaard_asserted: bool = False
+class CatalogEntry(Record):
+    __slots__ = _fields = ("name", "traces", "certified", "heegaard_genus", "heegaard_asserted")
+
+    def __init__(
+        self, name: str, traces: tuple[tuple[str, OrderedHandleDecomposition], ...],
+        certified: Certification | None = None, heegaard_genus: int | None = None,
+        heegaard_asserted: bool = False,
+    ):
+        _set(self, "name", name)
+        _set(self, "traces", traces)
+        _set(self, "certified", certified)
+        _set(self, "heegaard_genus", heegaard_genus)
+        _set(self, "heegaard_asserted", heegaard_asserted)
 
     @property
     def m(self) -> int:
@@ -328,17 +332,21 @@ def lookup(name: str) -> CatalogEntry:
 # --- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    entry: str
-    check: str
-    ok: bool
-    detail: str
+class CheckItem(Record):
+    __slots__ = _fields = ("entry", "check", "ok", "detail")
+
+    def __init__(self, entry: str, check: str, ok: bool, detail: str):
+        _set(self, "entry", entry)
+        _set(self, "check", check)
+        _set(self, "ok", ok)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class CatalogReport:
-    items: tuple[CheckItem, ...]
+class CatalogReport(Record):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[CheckItem, ...]):
+        _set(self, "items", items)
 
     @property
     def ok(self) -> bool:

@@ -8,8 +8,9 @@ nonzero Betti numbers as sorted ``(degree, rank)`` pairs), their sum
 ``total``, and the order ``key`` (sphere < surface < product < connected sum
 < explicit, then by parameters).  Products apply Kunneth over pairs of
 nonzero degrees, connected sums add middle degrees, and spheres and surfaces
-take constant work.  The facts are not dataclass fields, so equality,
-hashing and ``repr`` stay structural.  :func:`normalize`, :func:`pretty` and
+take constant work.  Descriptors are immutable :class:`Record` values:
+``repr`` shows their fields, and equality and hashing go by ``key``, which
+is equal exactly when the fields are.  :func:`normalize`, :func:`pretty` and
 :func:`descriptor_to_json` share one bottom-up walk with an explicit stack,
 and :func:`descriptor_from_json` reads with one of its own.
 All arithmetic is exact: Betti numbers are plain integers.
@@ -25,7 +26,6 @@ same way.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 import operator
 from typing import Callable, Union
 
@@ -34,24 +34,64 @@ class DescriptorError(ValueError):
     """Raised for malformed manifold descriptors."""
 
 
-@dataclass(frozen=True)
-class HomologyVector:
+_set = object.__setattr__  # past Record.__setattr__, for slotted records
+
+
+class Record:
+    """An immutable value shown as ``Name(field=value, ...)`` for the names in
+    ``_fields``, equal to a value of its own class with equal ``_values()``.
+    Each subclass's ``__init__`` writes the fields, through ``_set`` into its
+    ``__slots__`` or, for descriptors, straight into the instance ``__dict__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        """What equality and hashing compare: the fields, in order."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built by ``__init__``, so it is checked."""
+        for name in self._fields:
+            changes.setdefault(name, getattr(self, name))
+        return type(self)(**changes)
+
+
+class HomologyVector(Record):
     """Betti numbers b_0..b_dim of a closed manifold, over the rationals."""
 
-    dim: int
-    betti: tuple[int, ...]
+    __slots__ = _fields = ("dim", "betti")
 
-    def __post_init__(self):
-        if json_int(self.dim, "dim") < 0:
-            raise DescriptorError(f"dimension must be non-negative, got {self.dim}")
-        object.__setattr__(self, "betti", tuple(json_int(b, "betti") for b in self.betti))
-        if len(self.betti) != self.dim + 1:
+    def __init__(self, dim: int, betti: tuple[int, ...]):
+        if json_int(dim, "dim") < 0:
+            raise DescriptorError(f"dimension must be non-negative, got {dim}")
+        betti = tuple(json_int(b, "betti") for b in betti)
+        if len(betti) != dim + 1:
             raise DescriptorError(
-                f"need {self.dim + 1} Betti numbers for dimension {self.dim}, "
-                f"got {len(self.betti)}"
+                f"need {dim + 1} Betti numbers for dimension {dim}, got {len(betti)}"
             )
-        if any(b < 0 for b in self.betti):
-            raise DescriptorError(f"Betti numbers must be non-negative: {self.betti}")
+        if any(b < 0 for b in betti):
+            raise DescriptorError(f"Betti numbers must be non-negative: {betti}")
+        _set(self, "dim", dim)
+        _set(self, "betti", betti)
 
     @property
     def total(self) -> int:
@@ -64,62 +104,70 @@ class HomologyVector:
         return self.betti == self.betti[::-1]
 
 
-def _record(node, dim: int, ranks: tuple[tuple[int, int], ...], total: int, key: tuple) -> None:
-    facts = node.__dict__  # past the frozen dataclass's __setattr__
+class _Node(Record):
+    """A descriptor.  It compares and hashes by ``key``, which tells apart
+    exactly the descriptors whose fields differ and needs no call per level."""
+
+    def _values(self) -> tuple:
+        return self.key
+
+
+def _record(facts: dict, dim: int, ranks: tuple[tuple[int, int], ...], total: int, key: tuple):
     facts["dim"] = dim
     facts["ranks"] = ranks
     facts["total"] = total
     facts["key"] = key
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(_Node):
     """The standard n-sphere, n >= 1."""
 
-    n: int
+    _fields = ("n",)
     parts = ()
 
-    def __post_init__(self):
-        n = json_int(self.n, "n")
-        if n < 1:
+    def __init__(self, n: int):
+        if json_int(n, "n") < 1:
             raise DescriptorError(f"sphere dimension must be >= 1, got {n}")
-        _record(self, n, ((0, 1), (n, 1)), 2, (0, n))
+        facts = self.__dict__
+        facts["n"] = n
+        _record(facts, n, ((0, 1), (n, 1)), 2, (0, n))
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(_Node):
     """Closed orientable surface of the given genus.
 
     Non-orientable surfaces are representable only through Explicit
     descriptors; the JSON reader refuses ``"orientable": false`` by policy.
     """
 
-    genus: int
+    _fields = ("genus",)
     parts = ()
 
-    def __post_init__(self):
-        g = json_int(self.genus, "genus")
+    def __init__(self, genus: int):
+        g = json_int(genus, "genus")
         if g < 0:
             raise DescriptorError(f"genus must be non-negative, got {g}")
+        facts = self.__dict__
+        facts["genus"] = g
         ranks = ((0, 1), (1, 2 * g), (2, 1)) if g else ((0, 1), (2, 1))
-        _record(self, 2, ranks, 2 + 2 * g, (1, g))
+        _record(facts, 2, ranks, 2 + 2 * g, (1, g))
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(_Node):
     """Cartesian product of two closed manifolds."""
 
-    left: "Descriptor"
-    right: "Descriptor"
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        left, right = self.left, self.right
+    def __init__(self, left: "Descriptor", right: "Descriptor"):
         ranks: dict[int, int] = {}
         for i, a in left.ranks:
             for j, b in right.ranks:
                 ranks[i + j] = ranks.get(i + j, 0) + a * b
+        facts = self.__dict__
+        facts["left"] = left
+        facts["right"] = right
         _record(
-            self, left.dim + right.dim, tuple(sorted(ranks.items())), left.total * right.total,
+            facts, left.dim + right.dim, tuple(sorted(ranks.items())), left.total * right.total,
             (2, left.key, right.key),
         )
 
@@ -128,24 +176,23 @@ class Product:
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class ConnectedSum:
+class ConnectedSum(_Node):
     """Connected sum of closed orientable manifolds of one common dimension >= 2."""
 
-    parts: tuple["Descriptor", ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    def __init__(self, parts: tuple["Descriptor", ...]):
+        parts = tuple(parts)
+        if not parts:
             raise DescriptorError("connected sum needs at least one summand")
-        dims = {p.dim for p in self.parts}
+        dims = {p.dim for p in parts}
         if len(dims) != 1:
             raise DescriptorError(f"connected-sum summands have mixed dimensions {sorted(dims)}")
         (n,) = dims
         if n < 2:
             raise DescriptorError(f"connected sum needs dimension >= 2, got {n}")
         ranks = {0: 1, n: 1}
-        for p in self.parts:
+        for p in parts:
             if not palindromic(p):
                 raise DescriptorError(
                     "connected-sum summands must be closed orientable "
@@ -154,28 +201,30 @@ class ConnectedSum:
             for k, r in p.ranks:
                 if 0 < k < n:
                     ranks[k] = ranks.get(k, 0) + r
-        key = (3, tuple(p.key for p in self.parts))
-        _record(self, n, tuple(sorted(ranks.items())), sum(ranks.values()), key)
+        facts = self.__dict__
+        facts["parts"] = parts
+        key = (3, tuple(p.key for p in parts))
+        _record(facts, n, tuple(sorted(ranks.items())), sum(ranks.values()), key)
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(_Node):
     """A closed manifold known only through its Betti numbers."""
 
-    dim: int
-    homology: HomologyVector
-    label: str = ""
+    _fields = ("dim", "homology", "label")
     parts = ()
 
-    def __post_init__(self):
-        betti = self.homology.betti
-        if self.dim != self.homology.dim:
+    def __init__(self, dim: int, homology: HomologyVector, label: str = ""):
+        betti = homology.betti
+        if dim != homology.dim:
             raise DescriptorError(
-                f"declared dimension {self.dim} disagrees with Betti data "
-                f"of dimension {self.homology.dim}"
+                f"declared dimension {dim} disagrees with Betti data "
+                f"of dimension {homology.dim}"
             )
+        facts = self.__dict__
+        facts["homology"] = homology
+        facts["label"] = label
         ranks = tuple((k, b) for k, b in enumerate(betti) if b)
-        _record(self, self.dim, ranks, sum(betti), (4, self.dim, betti, self.label))
+        _record(facts, dim, ranks, sum(betti), (4, dim, betti, label))
 
 
 Descriptor = Union[Sphere, Surface, Product, ConnectedSum, Explicit]

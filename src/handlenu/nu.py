@@ -18,11 +18,10 @@ justification; the upper side is attained by the given order of the handles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 from typing import Iterator, Mapping
 
-from .homology import Descriptor, json_int, palindromic
+from .homology import Descriptor, Record, _set, json_int, palindromic
 from .trace import (
     Declared,
     Dim3One,
@@ -36,20 +35,23 @@ from .trace import (
 )
 
 
-@dataclass(frozen=True)
-class NuEvaluation:
+class NuEvaluation(Record):
     """Per-prefix values and their maximum for one fixed ordering."""
 
-    e_values: tuple[int, ...]
-    mu_start: int
-    nu: int
-    argmax_mu: int | None
-    argmax_component: str | None
+    __slots__ = _fields = ("e_values", "mu_start", "nu", "argmax_mu", "argmax_component")
 
-    def __post_init__(self):
-        considered = self.e_values[self.mu_start:]
-        if considered and self.nu != max(considered):
+    def __init__(
+        self, e_values: tuple[int, ...], mu_start: int, nu: int, argmax_mu: int | None,
+        argmax_component: str | None,
+    ):
+        considered = e_values[mu_start:]
+        if considered and nu != max(considered):
             raise ValueError("nu must equal the maximum of the considered e values")
+        _set(self, "e_values", e_values)
+        _set(self, "mu_start", mu_start)
+        _set(self, "nu", nu)
+        _set(self, "argmax_mu", argmax_mu)
+        _set(self, "argmax_component", argmax_component)
 
 
 def evaluate(
@@ -193,23 +195,26 @@ def _dependencies(d: OrderedHandleDecomposition) -> dict[int, set[int]]:
     return deps
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(Record):
     """Certified range for the invariant.
 
     ``lower_reasons`` justify ``lower``; ``upper`` is the value of the
     searched trace in its given order, which is therefore the witness.
     """
 
-    lower: int
-    upper: int
-    exhaustive: bool
-    enumerated: int
-    lower_reasons: tuple[str, ...]
+    __slots__ = _fields = ("lower", "upper", "exhaustive", "enumerated", "lower_reasons")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"inconsistent bound: lower {self.lower} exceeds upper {self.upper}")
+    def __init__(
+        self, lower: int, upper: int, exhaustive: bool, enumerated: int,
+        lower_reasons: tuple[str, ...],
+    ):
+        if lower > upper:
+            raise ValueError(f"inconsistent bound: lower {lower} exceeds upper {upper}")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "exhaustive", exhaustive)
+        _set(self, "enumerated", enumerated)
+        _set(self, "lower_reasons", lower_reasons)
 
 
 Live = dict[str, Descriptor]

@@ -14,17 +14,14 @@ interface floor below is exactly what that hypothesis buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .homology import json_int
+from .homology import Record, _set, json_int
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
-class DecompositionGraph:
+class DecompositionGraph(Record):
     """Pieces, glued interfaces, and free boundary counts of a decomposition.
 
     ``interfaces`` lists edges (piece i, piece j, number of glued boundary
@@ -32,19 +29,20 @@ class DecompositionGraph:
     enforced at construction.
     """
 
-    boundary_counts: tuple[int, ...]
-    interfaces: tuple[tuple[int, int, int], ...]
-    z: int
-    handle_costs: tuple[int, ...] | None = None
+    __slots__ = _fields = ("boundary_counts", "interfaces", "z", "handle_costs")
 
-    def __post_init__(self):
-        counts = tuple(json_int(c, "boundary_counts") for c in self.boundary_counts)
+    def __init__(
+        self, boundary_counts: tuple[int, ...], interfaces: tuple[tuple[int, int, int], ...],
+        z: int, handle_costs: tuple[int, ...] | None = None,
+    ):
+        counts = tuple(json_int(c, "boundary_counts") for c in boundary_counts)
         edges = tuple(
             (json_int(i, "i"), json_int(j, "j"), json_int(n, "count"))
-            for i, j, n in self.interfaces
+            for i, j, n in interfaces
         )
-        object.__setattr__(self, "boundary_counts", counts)
-        object.__setattr__(self, "interfaces", edges)
+        _set(self, "boundary_counts", counts)
+        _set(self, "interfaces", edges)
+        _set(self, "z", z)
         w = len(self.boundary_counts)
         if w < 1:
             raise ValueError("need at least one piece")
@@ -70,13 +68,13 @@ class DecompositionGraph:
                 f"free boundary count {self.z} breaks 2*rho + z = total boundary "
                 f"({2 * self.rho} + {self.z} != {sum(self.boundary_counts)})"
             )
-        if self.handle_costs is not None:
-            costs = tuple(json_int(c, "handle_costs") for c in self.handle_costs)
-            object.__setattr__(self, "handle_costs", costs)
-            if len(costs) != w:
-                raise ValueError(f"need {w} handle costs, got {len(costs)}")
-            if any(c < 0 for c in costs):
-                raise ValueError(f"handle costs must be non-negative: {costs}")
+        if handle_costs is not None:
+            handle_costs = tuple(json_int(c, "handle_costs") for c in handle_costs)
+            if len(handle_costs) != w:
+                raise ValueError(f"need {w} handle costs, got {len(handle_costs)}")
+            if any(c < 0 for c in handle_costs):
+                raise ValueError(f"handle costs must be non-negative: {handle_costs}")
+        _set(self, "handle_costs", handle_costs)
 
     @property
     def w(self) -> int:
@@ -87,11 +85,13 @@ class DecompositionGraph:
         return sum(count for _, _, count in self.interfaces)
 
 
-@dataclass(frozen=True)
-class InterfaceBound:
-    rho: int
-    floor: int
-    holds: bool
+class InterfaceBound(Record):
+    __slots__ = _fields = ("rho", "floor", "holds")
+
+    def __init__(self, rho: int, floor: int, holds: bool):
+        _set(self, "rho", rho)
+        _set(self, "floor", floor)
+        _set(self, "holds", holds)
 
 
 def interface_lower_bound(g: DecompositionGraph) -> InterfaceBound:
@@ -122,24 +122,26 @@ def pieces_ceiling(l: int, z: int) -> int:
     return 2 * l + z - 2
 
 
-@dataclass(frozen=True)
-class HandleBudget:
+class HandleBudget(Record):
     """Fixed data of a refutation instance: piece budget h_max, rank l, free z."""
 
-    h_max: int
-    l: int
-    z: int
+    __slots__ = _fields = ("h_max", "l", "z")
 
-    def __post_init__(self):
-        if any(json_int(getattr(self, f), f) < 0 for f in ("h_max", "l", "z")):
-            raise ValueError(f"budget fields must be non-negative: {self}")
+    def __init__(self, h_max: int, l: int, z: int):
+        if any(json_int(v, f) < 0 for v, f in ((h_max, "h_max"), (l, "l"), (z, "z"))):
+            raise ValueError(f"budget fields must be non-negative: h_max={h_max}, l={l}, z={z}")
+        _set(self, "h_max", h_max)
+        _set(self, "l", l)
+        _set(self, "z", z)
 
 
-@dataclass(frozen=True)
-class RefutationVerdict:
-    decomposable_possible: bool
-    max_pieces: int
-    max_handles: int
+class RefutationVerdict(Record):
+    __slots__ = _fields = ("decomposable_possible", "max_pieces", "max_handles")
+
+    def __init__(self, decomposable_possible: bool, max_pieces: int, max_handles: int):
+        _set(self, "decomposable_possible", decomposable_possible)
+        _set(self, "max_pieces", max_pieces)
+        _set(self, "max_handles", max_handles)
 
 
 def refute(budget: HandleBudget, h_w: int) -> RefutationVerdict:
@@ -149,7 +151,8 @@ def refute(budget: HandleBudget, h_w: int) -> RefutationVerdict:
     with fixed l and z but unbounded minimal handle counts is eventually
     refuted.
     """
-    h_w = json_int(h_w, "h_w")
+    if json_int(h_w, "h_w") < 0:
+        raise ValueError(f"target handle count must be non-negative, got {h_w}")
     max_pieces = pieces_ceiling(budget.l, budget.z)
     max_handles = max_pieces * budget.h_max
     possible = max_pieces >= 1 and h_w <= max_handles

@@ -39,14 +39,15 @@ bit-exactly through :func:`canonical_dumps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Mapping, Union
 
 from .homology import (
     Descriptor,
+    Record,
     Sphere,
     Surface,
+    _set,
     descriptor_from_json,
     descriptor_to_json,
     json_int,
@@ -84,60 +85,67 @@ def in_id_order(comps: Mapping[str, Descriptor]) -> tuple[tuple[str, Descriptor]
     return tuple(sorted(comps.items(), key=lambda item: id_sort_key(item[0])))
 
 
-@dataclass(frozen=True)
-class Dim3Zero:
+class Dim3Zero(Record):
     """0-handle in dimension 3: a new sphere boundary component appears."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Dim3One:
+
+class Dim3One(Record):
     """1-handle: both feet on one component (genus +1) or a tube merging two."""
 
-    a: str
-    b: str
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: str, b: str):
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True)
-class NonSeparating:
+class NonSeparating(Record):
     """Surgery curve that does not separate its surface; genus drops by one."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Separating:
+
+class Separating(Record):
     """Surgery curve splitting a genus g1+g2 surface into genus g1 and g2 pieces."""
 
-    g1: int
-    g2: int
+    __slots__ = _fields = ("g1", "g2")
 
-    def __post_init__(self):
-        g1, g2 = json_int(self.g1, "g1"), json_int(self.g2, "g2")
+    def __init__(self, g1: int, g2: int):
+        g1, g2 = json_int(g1, "g1"), json_int(g2, "g2")  # both types before either sign
         if g1 < 0 or g2 < 0:
             raise TraceError(f"split genera must be non-negative: ({g1}, {g2})")
+        _set(self, "g1", g1)
+        _set(self, "g2", g2)
 
 
-@dataclass(frozen=True)
-class Dim3Two:
+class Dim3Two(Record):
     """2-handle attached along a curve on one boundary surface."""
 
-    anchor: str
-    curve: Union[NonSeparating, Separating]
+    __slots__ = _fields = ("anchor", "curve")
+
+    def __init__(self, anchor: str, curve: Union[NonSeparating, Separating]):
+        _set(self, "anchor", anchor)
+        _set(self, "curve", curve)
 
 
-@dataclass(frozen=True)
-class Dim3Three:
+class Dim3Three(Record):
     """3-handle capping off a sphere component."""
 
-    anchor: str
+    __slots__ = _fields = ("anchor",)
+
+    def __init__(self, anchor: str):
+        _set(self, "anchor", anchor)
 
 
-@dataclass(frozen=True)
-class Declared:
+class Declared(Record):
     """Full replacement of the free boundary by a stated component list."""
 
-    components: tuple[Descriptor, ...]
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+    def __init__(self, components: tuple[Descriptor, ...]):
+        _set(self, "components", tuple(components))
 
 
 Attachment = Union[Dim3Zero, Dim3One, Dim3Two, Dim3Three, Declared]
@@ -145,12 +153,14 @@ Attachment = Union[Dim3Zero, Dim3One, Dim3Two, Dim3Three, Declared]
 _DIM3_INDEX = {Dim3Zero: 0, Dim3One: 1, Dim3Two: 2, Dim3Three: 3}
 
 
-@dataclass(frozen=True)
-class HandleRecord:
+class HandleRecord(Record):
     """A handle of the given index together with its attachment data."""
 
-    index: int
-    attachment: Attachment
+    __slots__ = _fields = ("index", "attachment")
+
+    def __init__(self, index: int, attachment: Attachment):
+        _set(self, "index", index)
+        _set(self, "attachment", attachment)
 
 
 # The fields of each attachment kind that hold anchors.
@@ -164,7 +174,7 @@ def anchors_of(record: HandleRecord) -> tuple[str, ...]:
 
 def map_anchors(att: Attachment, fn: Callable[[str], str]) -> Attachment:
     """The attachment with every anchor replaced by ``fn(anchor)``."""
-    return replace(att, **{f: fn(getattr(att, f)) for f in _ANCHOR_FIELDS.get(type(att), ())})
+    return att.replace(**{f: fn(getattr(att, f)) for f in _ANCHOR_FIELDS.get(type(att), ())})
 
 
 def rename_anchor(anchor: str, relabel: dict[str, str]) -> str | None:
@@ -176,19 +186,17 @@ def rename_anchor(anchor: str, relabel: dict[str, str]) -> str | None:
     return relabel[event] + sep + sub
 
 
-@dataclass(frozen=True)
-class OrderedHandleDecomposition:
+class OrderedHandleDecomposition(Record):
     """Base manifold plus handles in attachment order."""
 
-    m: int
-    base: tuple[Descriptor, ...]
-    handles: tuple[HandleRecord, ...]
+    __slots__ = _fields = ("m", "base", "handles")
 
-    def __post_init__(self):
-        if json_int(self.m, "m") < 1:
-            raise TraceError(f"ambient dimension must be >= 1, got {self.m}")
-        object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "handles", tuple(self.handles))
+    def __init__(self, m: int, base: tuple[Descriptor, ...], handles: tuple[HandleRecord, ...]):
+        if json_int(m, "m") < 1:
+            raise TraceError(f"ambient dimension must be >= 1, got {m}")
+        _set(self, "m", m)
+        _set(self, "base", tuple(base))
+        _set(self, "handles", tuple(handles))
 
     @property
     def delta(self) -> int:
@@ -359,16 +367,20 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
 # --- validation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    mu: int
-    message: str
+class Violation(Record):
+    __slots__ = _fields = ("mu", "message")
+
+    def __init__(self, mu: int, message: str):
+        _set(self, "mu", mu)
+        _set(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-    warnings: tuple[str, ...]
+class ValidationReport(Record):
+    __slots__ = _fields = ("violations", "warnings")
+
+    def __init__(self, violations: tuple[Violation, ...], warnings: tuple[str, ...]):
+        _set(self, "violations", violations)
+        _set(self, "warnings", warnings)
 
     @property
     def ok(self) -> bool:

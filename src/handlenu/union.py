@@ -16,10 +16,9 @@ callers are expected to fail hard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .homology import Descriptor, desc_equal, pretty
+from .homology import Descriptor, Record, _set, desc_equal, pretty
 from .nu import NuEvaluation, evaluate, nu_of_ordering
 from .trace import (
     Declared,
@@ -38,26 +37,26 @@ class GlueError(ValueError):
     """Raised when a glue specification does not fit the two parts."""
 
 
-@dataclass(frozen=True)
-class GlueSpec:
+class GlueSpec(Record):
     """Pairs (first part's final component id, second part's base id).
 
     The pairing must be injective on both sides and pair components with
     equal descriptors.  Any number of interface components is allowed.
     """
 
-    pairs: tuple[tuple[str, str], ...]
+    __slots__ = _fields = ("pairs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((a, b) for a, b in self.pairs))
-        if any(type(c) is not str for pair in self.pairs for c in pair):
-            raise GlueError(f"glue ids must be strings: {self.pairs}")
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        pairs = tuple((a, b) for a, b in pairs)
+        if any(type(c) is not str for pair in pairs for c in pair):
+            raise GlueError(f"glue ids must be strings: {pairs}")
+        if not pairs:
             raise GlueError("glue specification needs at least one pair")
-        left = [a for a, _ in self.pairs]
-        right = [b for _, b in self.pairs]
+        left = [a for a, _ in pairs]
+        right = [b for _, b in pairs]
         if len(set(left)) != len(left) or len(set(right)) != len(right):
-            raise GlueError(f"glue pairing must be injective on both sides: {self.pairs}")
+            raise GlueError(f"glue pairing must be injective on both sides: {pairs}")
+        _set(self, "pairs", pairs)
 
 
 def _evaluate_part(d: OrderedHandleDecomposition, part: str) -> tuple[NuEvaluation, dict]:
@@ -145,8 +144,7 @@ def compose(
     return OrderedHandleDecomposition(dm.m, dm.base + kept_base, tuple(handles))
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
     """Outcome of checking the composite against max of the parts.
 
     ``case`` tells where the composite's maximum was attained:
@@ -157,14 +155,22 @@ class InequalityReport:
     minimized invariant of the underlying manifolds.
     """
 
-    lhs: int
-    rhs: int
-    nu_first: int
-    nu_second: int
-    holds: bool
-    case: str
-    steps: tuple[str, ...]
-    composite: OrderedHandleDecomposition
+    __slots__ = _fields = (
+        "lhs", "rhs", "nu_first", "nu_second", "holds", "case", "steps", "composite",
+    )
+
+    def __init__(
+        self, lhs: int, rhs: int, nu_first: int, nu_second: int, holds: bool, case: str,
+        steps: tuple[str, ...], composite: OrderedHandleDecomposition,
+    ):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "nu_first", nu_first)
+        _set(self, "nu_second", nu_second)
+        _set(self, "holds", holds)
+        _set(self, "case", case)
+        _set(self, "steps", steps)
+        _set(self, "composite", composite)
 
 
 def check_key_inequality(

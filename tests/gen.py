@@ -9,7 +9,6 @@ The oracles that enumerate orderings, :func:`reorder` and
 
 from __future__ import annotations
 
-from dataclasses import replace
 import random
 from typing import Iterator, Sequence
 
@@ -273,11 +272,11 @@ def with_defect(d: OrderedHandleDecomposition, defect: str):
     after = d.delta + 1
     if defect == "index":
         first, *rest = d.handles
-        return replace(d, handles=(HandleRecord(first.index + 2, first.attachment), *rest)), 1
+        return d.replace(handles=(HandleRecord(first.index + 2, first.attachment), *rest)), 1
     if defect == "base-dimension":
-        return replace(d, base=d.base + (Sphere(3),)), 0
+        return d.replace(base=d.base + (Sphere(3),)), 0
     if defect == "disconnected":
-        return replace(d, handles=d.handles + (HandleRecord(2, Declared((two_spheres,))),)), after
+        return d.replace(handles=d.handles + (HandleRecord(2, Declared((two_spheres,))),)), after
     if defect == "replay":
-        return replace(d, handles=d.handles + (HandleRecord(3, Dim3Three("h:99")),)), after
+        return d.replace(handles=d.handles + (HandleRecord(3, Dim3Three("h:99")),)), after
     raise ValueError(f"unknown defect {defect!r}")

@@ -218,6 +218,29 @@ def test_refute_below_one_piece_says_no_decomposition_exists(capsys, l, z, hmax,
     }
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_refute_refuses_a_negative_target_handle_count(capsys, json_flag):
+    for l, z in ((1, 2), (0, 0)):  # also where no piece fits
+        argv = ["refute", "--l", str(l), "--z", str(z), "--hmax", "5", "--hW", "-3", *json_flag]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr() == (
+            "", "error: target handle count must be non-negative, got -3\n"
+        )
+
+
+@pytest.mark.parametrize("field", ["--hmax", "--l", "--z"])
+def test_refute_names_negative_budget_fields_in_plain_words(capsys, field):
+    values = {"--hmax": "5", "--l": "1", "--z": "2", field: "-1"}
+    argv = ["refute", *(part for item in values.items() for part in item), "--hW", "3"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and "HandleBudget(" not in err
+    assert err == (
+        "error: budget fields must be non-negative: "
+        f"h_max={values['--hmax']}, l={values['--l']}, z={values['--z']}\n"
+    )
+
+
 def test_catalog_listing(capsys):
     assert main(["catalog"]) == EXIT_OK
     out = capsys.readouterr().out

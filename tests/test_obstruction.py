@@ -85,6 +85,12 @@ def test_refute_negative_ceiling():
     assert not refute(HandleBudget(h_max=100, l=0, z=0), 1).decomposable_possible
 
 
+def test_refute_refuses_a_negative_target():
+    for budget in (HandleBudget(5, 1, 2), HandleBudget(5, 0, 0)):
+        with pytest.raises(ValueError, match="target handle count must be non-negative, got -1"):
+            refute(budget, -1)
+
+
 def test_refute_is_monotone_in_target():
     budget = HandleBudget(h_max=4, l=2, z=1)
     previous = True

@@ -63,6 +63,23 @@ def test_subcommand_runs_in_a_fresh_interpreter(inputs, argv):
     assert proc.stdout
 
 
+def imported_modules(*args: str, cwd) -> set[str]:
+    """The modules a fresh interpreter imports, read from ``-X importtime``."""
+    proc = run_python("-X", "importtime", *args, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert len(lines) == len(proc.stderr.splitlines()), proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_subcommand_loads_neither_dataclasses_nor_inspect(inputs, argv):
+    bare = imported_modules("-c", "pass", cwd=inputs)
+    loaded = imported_modules("-m", "handlenu.cli", *argv, cwd=inputs) - bare
+    assert "handlenu.homology" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def loaded_after(code: str, cwd) -> list[str]:
     probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('handlenu')))"
     proc = run_python("-c", probe, cwd=cwd)
