@@ -53,7 +53,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return _equal(self._values(), other._values())
 
     def __hash__(self):
         return hash(self._values())
@@ -73,6 +73,22 @@ class Record:
         for name in self._fields:
             changes.setdefault(name, getattr(self, name))
         return type(self)(**changes)
+
+
+def _equal(a: tuple, b: tuple) -> bool:
+    """``a == b`` at any depth of nesting: in C, or, where that recurses too
+    deep (descriptor keys past about 1,000 levels), off an explicit stack."""
+    try:
+        return a == b
+    except RecursionError:
+        stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is tuple is type(y) and len(x) == len(y):
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
 
 
 class HomologyVector(Record):
@@ -215,7 +231,7 @@ class Explicit(_Node):
 
     def __init__(self, dim: int, homology: HomologyVector, label: str = ""):
         betti = homology.betti
-        if dim != homology.dim:
+        if json_int(dim, "dim") != homology.dim:
             raise DescriptorError(
                 f"declared dimension {dim} disagrees with Betti data "
                 f"of dimension {homology.dim}"
@@ -307,7 +323,7 @@ def normalize(desc: Descriptor) -> Descriptor:
 def desc_equal(a: Descriptor, b: Descriptor) -> bool:
     """Structural equality after normalization; the gluing-compatibility test.
     Keys tell structures apart and, unlike ``==``, need no call per level."""
-    return normalize(a).key == normalize(b).key
+    return _equal(normalize(a).key, normalize(b).key)
 
 
 def _pretty(desc: Descriptor, parts: list) -> str:

@@ -7,10 +7,13 @@ of connected closed components of the free boundary -- the part of the
 boundary still available for later attachments.  The base itself is kept
 on the fixed side of a collar and never consumed.
 
-The free boundary is a dict from component id to descriptor.  One
-function, :func:`attachment_step`, says what each attachment does to it.
+The free boundary is a dict from component id to descriptor.
+:func:`attachment_step` says what an attachment does to it: it looks the
+attachment's type up in one table of step functions, one per kind.
 :func:`walk` applies it handle after handle to a single such dict, in time
-linear in the handles; the ordering search in ``nu`` applies it to copies.
+linear in the handles.  Steps build no descriptor they can share: a
+0-handle's sphere is one module constant, and each genus's surface comes
+from a bounded cache (descriptors are immutable and compare by ``key``).
 :func:`replay` keeps a copy of the walk's dict after every prefix, for
 readers that want every prefix at once.
 
@@ -39,6 +42,7 @@ bit-exactly through :func:`canonical_dumps`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Mapping, Union
 
@@ -203,16 +207,21 @@ class OrderedHandleDecomposition(Record):
         return len(self.handles)
 
 
+_SPHERE = Sphere(2)
+
+
+@lru_cache(maxsize=256)  # one shared surface per genus; bounded for long-lived processes
 def _surface(genus: int) -> Descriptor:
-    return Sphere(2) if genus == 0 else Surface(genus)
+    return Surface(genus) if genus else _SPHERE
 
 
 def _genus_of(comp_id: str, desc: Descriptor) -> int:
-    normal = normalize(desc)
-    if isinstance(normal, Sphere) and normal.n == 2:
-        return 0
+    # A sphere or a surface is read as it is; a sum or product in normal form.
+    normal = desc if type(desc) in (Sphere, Surface) else normalize(desc)
     if isinstance(normal, Surface):
         return normal.genus
+    if isinstance(normal, Sphere) and normal.n == 2:
+        return 0
     raise AttachError(f"component {comp_id} ({pretty(desc)}) is not an orientable surface")
 
 
@@ -224,55 +233,67 @@ def _resolve(live: Mapping[str, Descriptor], anchor: str) -> Descriptor:
     return desc
 
 
+def _zero(att: Dim3Zero, live, label: str):
+    return (), {label: _SPHERE}
+
+
+def _one(att: Dim3One, live, label: str):
+    a = _resolve(live, att.a)
+    if att.a == att.b:
+        return (att.a,), {label: _surface(_genus_of(att.a, a) + 1)}
+    b = _resolve(live, att.b)  # both anchors resolve before either genus is read
+    return (att.a, att.b), {label: _surface(_genus_of(att.a, a) + _genus_of(att.b, b))}
+
+
+def _two(att: Dim3Two, live, label: str):
+    genus = _genus_of(att.anchor, _resolve(live, att.anchor))
+    if isinstance(att.curve, NonSeparating):
+        if genus < 1:
+            raise AttachError(f"non-separating surgery needs genus >= 1; {att.anchor} is a sphere")
+        return (att.anchor,), {label: _surface(genus - 1)}
+    g1, g2 = att.curve.g1, att.curve.g2
+    if g1 + g2 != genus:
+        raise AttachError(
+            f"separating split ({g1}, {g2}) does not add up to genus {genus} of {att.anchor}"
+        )
+    return (att.anchor,), {f"{label}/0": _surface(g1), f"{label}/1": _surface(g2)}
+
+
+def _three(att: Dim3Three, live, label: str):
+    desc = _resolve(live, att.anchor)
+    if _genus_of(att.anchor, desc) != 0:
+        raise AttachError(f"a cap may only close a sphere; {att.anchor} is {pretty(desc)}")
+    return (att.anchor,), {}
+
+
+def _declared(att: Declared, live, label: str):
+    return tuple(live), {f"{label}/{i}": desc for i, desc in enumerate(att.components)}
+
+
+# What each attachment kind does to the free boundary, by exact type.
+_STEPS = {Dim3Zero: _zero, Dim3One: _one, Dim3Two: _two, Dim3Three: _three, Declared: _declared}
+
+
 def attachment_step(
     att: Attachment, live: Mapping[str, Descriptor], *, label: str, m: int
 ) -> tuple[tuple[str, ...], dict[str, Descriptor]]:
-    """The one switch over attachment kinds: the ids of the live components an
-    attachment consumes, and the components it makes by id, named after ``label``.
+    """The ids of the live components an attachment consumes, and the
+    components it makes by id, named after ``label``: the step of
+    ``_STEPS`` for the attachment's type.
 
     ``live`` maps the ids of the free boundary's components to their
     descriptors and is only read.  Components not consumed keep their ids; a
     ``Declared`` record consumes them all.  Raises AttachError when the
     attachment is illegal there.
     """
-    if not isinstance(att, Declared) and m != 3:
+    step = _STEPS.get(type(att))
+    if m != 3 and step is not _declared:
         raise AttachError(
             f"surface-calculus attachments need ambient dimension 3, trace has m={m}"
         )
-    if isinstance(att, Dim3Zero):
-        return (), {label: Sphere(2)}
-    if isinstance(att, Dim3One):
-        a = _resolve(live, att.a)
-        if att.a == att.b:
-            return (att.a,), {label: _surface(_genus_of(att.a, a) + 1)}
-        # Both anchors resolve before either genus is read.
-        b = _resolve(live, att.b)
-        return (att.a, att.b), {label: _surface(_genus_of(att.a, a) + _genus_of(att.b, b))}
-    if isinstance(att, Dim3Two):
-        genus = _genus_of(att.anchor, _resolve(live, att.anchor))
-        if isinstance(att.curve, NonSeparating):
-            if genus < 1:
-                raise AttachError(
-                    f"non-separating surgery needs genus >= 1; {att.anchor} is a sphere"
-                )
-            return (att.anchor,), {label: _surface(genus - 1)}
-        if att.curve.g1 + att.curve.g2 != genus:
-            raise AttachError(
-                f"separating split ({att.curve.g1}, {att.curve.g2}) does not add up "
-                f"to genus {genus} of {att.anchor}"
-            )
-        return (att.anchor,), {
-            f"{label}/0": _surface(att.curve.g1),
-            f"{label}/1": _surface(att.curve.g2),
-        }
-    if isinstance(att, Dim3Three):
-        desc = _resolve(live, att.anchor)
-        if _genus_of(att.anchor, desc) != 0:
-            raise AttachError(f"a cap may only close a sphere; {att.anchor} is {pretty(desc)}")
-        return (att.anchor,), {}
-    if isinstance(att, Declared):
-        return tuple(live), {f"{label}/{i}": desc for i, desc in enumerate(att.components)}
-    raise AttachError(f"unknown attachment {att!r}")
+    if step is None:
+        raise AttachError(f"unknown attachment {att!r}")
+    return step(att, live, label)
 
 
 def walk(d: OrderedHandleDecomposition) -> Iterator[
@@ -294,7 +315,9 @@ def walk(d: OrderedHandleDecomposition) -> Iterator[
             consumed, made = attachment_step(handle.attachment, live, label=f"h:{j}", m=d.m)
         except AttachError as exc:
             raise ReplayError(j, str(exc)) from exc
-        gone = {comp_id: live.pop(comp_id) for comp_id in consumed}
+        gone = {}
+        for comp_id in consumed:  # a loop, not a comprehension: most steps consume none
+            gone[comp_id] = live.pop(comp_id)
         live.update(made)
         yield gone, made, live
 
@@ -317,51 +340,40 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
 
     Handles run in reverse with index k mapped to m - k, and attachment data
     is recomputed so that the dual's replay walks the original state sequence
-    backwards.  Declared records declare the pre-attachment state of their
-    original counterpart.  Each dual handle reads only the components its
-    original consumed, which one walk records.
+    backwards: each dual handle consumes what its original made and makes
+    what it consumed.  Declared records declare the pre-attachment state of
+    their original counterpart.  One walk records what each handle consumed
+    and made, which is all a dual handle reads.
     """
-    consumed = []
-    for gone, _, live in walk(d):
-        consumed.append(gone)
+    events = []
+    for gone, made, live in walk(d):
+        events.append((gone, list(made)))
     final = in_id_order(live)
-    dual_base = tuple(desc for _, desc in final)
     dmap = {comp_id: f"base:{i}" for i, (comp_id, _) in enumerate(final)}
     dual_handles = []
-    for new_pos, orig_pos in enumerate(range(d.delta, 0, -1), start=1):
-        handle = d.handles[orig_pos - 1]
-        label = f"h:{new_pos}"
-        gone = consumed[orig_pos]
+    for new_pos, (handle, (gone, made)) in enumerate(
+        zip(reversed(d.handles), reversed(events)), start=1
+    ):
         att = handle.attachment
-        if isinstance(att, Dim3Zero):
-            datt = Dim3Three(dmap.pop(f"h:{orig_pos}"))
+        reads = [dmap.pop(comp_id) for comp_id in made]
+        if isinstance(att, Declared):  # it consumed the whole boundary
+            gone = dict(in_id_order(gone))
+            datt = Declared(tuple(gone.values()))
+        elif isinstance(att, Dim3Zero):
+            datt = Dim3Three(reads[0])
         elif isinstance(att, Dim3Three):
             datt = Dim3Zero()
-            dmap[att.anchor] = label
-        elif isinstance(att, Dim3One):
-            anchor = dmap.pop(f"h:{orig_pos}")
-            if att.a == att.b:
-                datt = Dim3Two(anchor, NonSeparating())
-                dmap[att.a] = label
-            else:
-                g1 = _genus_of(att.a, gone[att.a])
-                g2 = _genus_of(att.b, gone[att.b])
-                datt = Dim3Two(anchor, Separating(g1, g2))
-                dmap[att.a] = f"{label}/0"
-                dmap[att.b] = f"{label}/1"
-        elif isinstance(att, Dim3Two):
-            if isinstance(att.curve, NonSeparating):
-                anchor = dmap.pop(f"h:{orig_pos}")
-                datt = Dim3One(anchor, anchor)
-            else:
-                datt = Dim3One(dmap.pop(f"h:{orig_pos}/0"), dmap.pop(f"h:{orig_pos}/1"))
-            dmap[att.anchor] = label
-        else:
-            pre = in_id_order(gone)  # a Declared record consumes the whole boundary
-            datt = Declared(tuple(desc for _, desc in pre))
-            dmap = {comp_id: f"{label}/{i}" for i, (comp_id, _) in enumerate(pre)}
+        elif isinstance(att, Dim3Two):  # it made one surface, or the two sides of a split
+            datt = Dim3One(reads[0], reads[-1])
+        elif att.a == att.b:
+            datt = Dim3Two(reads[0], NonSeparating())
+        else:  # a 1-handle that merged two components splits them again
+            datt = Dim3Two(reads[0], Separating(*(_genus_of(c, desc) for c, desc in gone.items())))
+        label = f"h:{new_pos}"
+        several = isinstance(att, Declared) or len(gone) > 1
+        dmap.update((c, f"{label}/{i}" if several else label) for i, c in enumerate(gone))
         dual_handles.append(HandleRecord(d.m - handle.index, datt))
-    return OrderedHandleDecomposition(d.m, dual_base, tuple(dual_handles))
+    return OrderedHandleDecomposition(d.m, tuple(desc for _, desc in final), tuple(dual_handles))
 
 
 # --- validation ------------------------------------------------------------

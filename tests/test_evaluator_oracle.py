@@ -16,11 +16,14 @@ from dataclasses import dataclass
 import random
 
 from hypothesis import given, seed, settings, strategies as st
+import pytest
 
 from handlenu.catalog import lookup, names
 from handlenu.homology import (
+    ConnectedSum,
     Explicit,
     HomologyVector,
+    Product,
     Sphere,
     Surface,
     normalize,
@@ -52,6 +55,7 @@ from handlenu.trace import (
     dualize,
     final_boundary,
     id_sort_key,
+    map_anchors,
     replay,
     trace_to_json,
     validate,
@@ -254,6 +258,96 @@ def test_evaluator_matches_oracle_on_failing_replays():
 def test_evaluator_matches_oracle_hypothesis(rng, declared, breaking):
     d = random_trace(rng, max_handles=9, declared=declared)
     assert_matches_oracle(broken(rng, d) if breaking else d)
+
+
+# --- surfaces the generators never spell: read in normal form ------------------
+
+# Spellings of a sphere and a genus-two surface, and of three components that
+# are not orientable surfaces in normal form, though two name the torus.
+SURFACE_SPELLINGS = (Surface(0), ConnectedSum((Sphere(2), Surface(2))))
+NOT_SURFACES = (
+    ConnectedSum((Surface(1), Surface(1))),
+    Product(Sphere(1), Sphere(1)),
+    Explicit(2, HomologyVector(2, (1, 2, 1))),
+)
+
+
+def holders(desc):
+    """(handles that put ``desc`` on the boundary, its id): the base, a
+    one-component ``Declared`` record, or the second of two declared."""
+    yield OrderedHandleDecomposition(3, (desc,), ()), "base:0"
+    for before in ((), (Sphere(2),)):
+        record = HandleRecord(2, Declared(before + (desc,)))
+        yield OrderedHandleDecomposition(3, (), (record,)), f"h:1/{len(before)}"
+
+
+def moves(x, genus):
+    """Handle lists that read component ``x`` of genus ``genus`` first, legal
+    or not; ``{prev}`` names the component the handle before made."""
+    sphere = HandleRecord(0, Dim3Zero())
+    yield [HandleRecord(1, Dim3One(x, x)), HandleRecord(2, Dim3Two("{prev}", NonSeparating()))]
+    yield [sphere, HandleRecord(1, Dim3One(x, "{prev}"))]
+    yield [sphere, HandleRecord(1, Dim3One("{prev}", x))]
+    yield [HandleRecord(1, Dim3One(x, "h:99"))]  # dangling: reported before the genus
+    yield [HandleRecord(2, Dim3Two(x, NonSeparating()))]
+    for g1 in range(genus + 2):
+        yield [HandleRecord(2, Dim3Two(x, Separating(g1, max(genus - g1, 0))))]
+    yield [HandleRecord(3, Dim3Three(x))]
+
+
+def spelled_traces(desc, genus):
+    for held, x in holders(desc):
+        for handles in moves(x, genus):
+            records, offset = list(held.handles), held.delta
+            for k, h in enumerate(handles, start=offset + 1):
+                att = map_anchors(h.attachment, lambda a: f"h:{k - 1}" if a == "{prev}" else a)
+                records.append(HandleRecord(h.index, att))
+            yield OrderedHandleDecomposition(3, held.base, tuple(records))
+
+
+@pytest.mark.parametrize(
+    "desc, genus", [(SURFACE_SPELLINGS[0], 0), (SURFACE_SPELLINGS[1], 2)],
+    ids=["Surface(0)", "S^2 # Sigma_2"],
+)
+def test_spelled_surfaces_match_the_oracle(desc, genus):
+    replayed = failed = 0
+    for d in spelled_traces(desc, genus):
+        if assert_matches_oracle(d):
+            failed += 1
+            continue
+        replayed += 1
+        assert trace_to_json(dualize(d)) == trace_to_json(oracle_dualize(d))
+    assert replayed >= 9 and failed >= 6, (replayed, failed)
+
+
+@pytest.mark.parametrize("desc", NOT_SURFACES, ids=pretty)
+def test_components_that_are_not_surfaces_fail_as_in_the_oracle(desc):
+    texts = set()
+    for d in spelled_traces(desc, 1):
+        assert assert_matches_oracle(d)  # the same ReplayError prefix and text
+        _, mu, text = outcome(replay, d)
+        texts.add(text[len(f"prefix {mu}: "):])
+    x_texts = {t for t in texts if not t.startswith("dangling anchor")}
+    assert len(texts) - len(x_texts) == 3  # one dangling anchor per holder
+    assert {t.split(" (", 1)[1] for t in x_texts} == {f"{pretty(desc)}) is not an orientable surface"}
+
+
+@pytest.mark.parametrize("handle", [
+    HandleRecord(0, Dim3Zero()),
+    HandleRecord(1, Dim3One("base:0", "base:0")),
+    HandleRecord(2, Dim3Two("base:0", NonSeparating())),
+    HandleRecord(2, Dim3Two("base:0", Separating(0, 0))),
+    HandleRecord(3, Dim3Three("base:0")),
+], ids=["zero", "one", "two-nonseparating", "two-separating", "three"])
+def test_surface_calculus_in_dimension_four_fails_as_in_the_oracle(handle):
+    for before in ((), (HandleRecord(3, Declared((Sphere(3),))),)):
+        d = OrderedHandleDecomposition(4, (Sphere(3),), before + (handle,))
+        assert assert_matches_oracle(d)
+        mu = len(before) + 1
+        assert outcome(replay, d) == (
+            "ReplayError", mu,
+            f"prefix {mu}: surface-calculus attachments need ambient dimension 3, trace has m=4",
+        )
 
 
 # --- oracle: dualize over id-sorted states ----------------------------------------

@@ -109,6 +109,28 @@ def test_desc_equal_on_deep_nesting():
     assert not desc_equal(a, Product(point, b))
 
 
+def point_chain(leaf, depth=3000):
+    point = Explicit(0, HomologyVector(0, (1,)), "pt")
+    for _ in range(depth):
+        leaf = Product(point, leaf)
+    return leaf
+
+
+def test_descriptors_compare_past_the_c_comparison_depth():
+    # CPython 3.11 compares nested key tuples to about 1,000 levels; deeper
+    # keys are compared off an explicit stack, equal or not.
+    a, b = point_chain(Sphere(2)), point_chain(Sphere(2))
+    other = point_chain(Surface(1))  # the same dimension, unequal at the bottom
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert desc_equal(a, b) and not desc_equal(a, other)
+    mirrored = Sphere(2)
+    for _ in range(3000):
+        mirrored = Product(mirrored, Explicit(0, HomologyVector(0, (1,)), "pt"))
+    assert desc_equal(a, mirrored) and not desc_equal(other, mirrored)
+    assert not desc_equal(a, point_chain(Sphere(2), depth=3001))
+
+
 def test_normalize_keeps_a_normal_chain_as_it_is():
     # The parts of every node of this chain are already in normal order, so
     # normalize rebuilds no node and reruns no Kunneth product.
@@ -313,6 +335,16 @@ def test_chain_complex_refuses_non_integers(bad):
         RationalChainComplex(0, (bad,), ())
     with pytest.raises(TypeError, match="'dim' must be an integer"):
         RationalChainComplex(bad, (1,), ())
+
+
+@pytest.mark.parametrize(
+    "bad, betti", [(2.0, (1, 0, 1)), (True, (1, 1)), ("2", (1, 0, 1))], ids=["float", "bool", "str"]
+)
+def test_explicit_refuses_a_non_integer_dim(bad, betti):
+    # 2.0 and True equal the Betti data's dimension, but a trace holding
+    # them could not be written.
+    with pytest.raises(TypeError, match="'dim' must be an integer"):
+        Explicit(bad, HomologyVector(len(betti) - 1, betti))
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "3"])

@@ -9,6 +9,7 @@ from handlenu.homology import (
     Product,
     Sphere,
     Surface,
+    descriptor_to_json,
     normalize,
 )
 from handlenu.catalog import (
@@ -17,7 +18,9 @@ from handlenu.catalog import (
     solid_torus_trace,
     sphere_trace,
 )
+import handlenu.trace as trace_mod
 from handlenu.trace import (
+    AttachError,
     Declared,
     Dim3One,
     Dim3Three,
@@ -30,13 +33,16 @@ from handlenu.trace import (
     Separating,
     TraceError,
     anchors_of,
+    attachment_step,
     canonical_dumps,
     dualize,
+    final_boundary,
     rename_anchor,
     replay,
     trace_from_json,
     trace_to_json,
     validate,
+    walk,
 )
 from gen import descriptors, random_trace, reorder, states
 
@@ -95,6 +101,49 @@ def test_attach_errors():
         attach_one([Surface(2)], Dim3Two("base:0", Separating(1, 2)), 2)
     with pytest.raises(TraceError):
         attach_one([Sphere(3)], Dim3Zero(), 0, m=4)
+
+
+def test_unknown_attachment_is_refused_after_the_dimension_check():
+    with pytest.raises(AttachError, match=r"^unknown attachment 'zero'$"):
+        attachment_step("zero", {}, label="h:1", m=3)
+    with pytest.raises(AttachError, match="need ambient dimension 3, trace has m=4"):
+        attachment_step("zero", {}, label="h:1", m=4)
+
+
+def test_walk_shares_surfaces_that_behave_as_fresh_ones():
+    d = OrderedHandleDecomposition(3, (), (
+        HandleRecord(0, Dim3Zero()),
+        HandleRecord(0, Dim3Zero()),
+        HandleRecord(1, Dim3One("h:1", "h:1")),
+        HandleRecord(1, Dim3One("h:3", "h:2")),
+        HandleRecord(1, Dim3One("h:4", "h:4")),
+        HandleRecord(2, Dim3Two("h:5", Separating(1, 1))),
+        HandleRecord(2, Dim3Two("h:6/0", NonSeparating())),
+    ))
+    made = [desc for _, made, _ in walk(d) for desc in made.values()]
+    assert made[0] is made[1] is made[-1] and made[2] is made[3] is made[5] is made[6]
+    for desc in made:
+        fresh = Surface(desc.genus) if isinstance(desc, Surface) else Sphere(desc.n)
+        assert desc == fresh and hash(desc) == hash(fresh) and desc.key == fresh.key
+        assert repr(desc) == repr(fresh)
+        assert descriptor_to_json(desc) == descriptor_to_json(fresh)
+        name = desc._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(desc, name, 7)
+        with pytest.raises(AttributeError):
+            desc.total = 0
+    assert final_boundary(d) == {"h:6/1": Surface(1), "h:7": Sphere(2)}
+    assert [desc.total for desc in made] == [2, 2, 4, 4, 6, 4, 4, 2]
+
+
+def test_the_shared_surfaces_stay_bounded_in_number():
+    # Genera 1..5000 on one component, each reached once.
+    handles = [HandleRecord(1, Dim3One("base:0", "base:0"))]
+    handles += [HandleRecord(1, Dim3One(f"h:{j}", f"h:{j}")) for j in range(1, 5000)]
+    d = OrderedHandleDecomposition(3, (Sphere(2),), tuple(handles))
+    assert final_boundary(d) == {"h:5000": Surface(5000)}
+    info = trace_mod._surface.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 5000
 
 
 def test_replay_two_handle_sphere():

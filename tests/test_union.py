@@ -3,7 +3,7 @@ import random
 import pytest
 
 from handlenu.catalog import solid_torus_trace, sphere_trace
-from handlenu.homology import Explicit, HomologyVector, Sphere, Surface
+from handlenu.homology import Explicit, HomologyVector, Product, Sphere, Surface
 from handlenu.nu import nu_of_ordering
 from handlenu.trace import (
     Declared,
@@ -34,6 +34,19 @@ def test_compose_two_solid_tori_closes_up():
         (), (Sphere(2),), (Surface(1),), (Sphere(2),), ()
     ]
     assert nu_of_ordering(composite).nu == 4
+
+
+def test_compose_glues_along_an_interface_deeper_than_c_comparison_reaches():
+    interface = Sphere(2)
+    for _ in range(3000):
+        interface = Product(Explicit(0, HomologyVector(0, (1,)), "pt"), interface)
+    first = OrderedHandleDecomposition(3, (), (HandleRecord(0, Declared((interface,))),))
+    second = OrderedHandleDecomposition(3, (interface,), (HandleRecord(3, Declared(())),))
+    composite = compose(first, second, GlueSpec((("h:1/0", "base:0"),)))
+    assert composite.base == () and composite.delta == 2
+    with pytest.raises(GlueError, match="descriptor mismatch"):
+        compose(first, second.replace(base=(Product(interface, Sphere(1)),)),
+                GlueSpec((("h:1/0", "base:0"),)))
 
 
 def test_compose_preserves_handle_count():
