@@ -221,14 +221,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    from .obstruction import (
-        HandleBudget,
-        betti1_floor,
-        graph_from_json,
-        interface_lower_bound,
-        pieces_ceiling,
-        refute,
-    )
+    from .obstruction import betti1_floor, graph_from_json, interface_lower_bound, pieces_ceiling
 
     graph = graph_from_json(_load_json(args.graph))
     interface = interface_lower_bound(graph)
@@ -252,13 +245,12 @@ def cmd_obstruct(args) -> int:
     }
     if graph.handle_costs is not None:
         h_max = max(graph.handle_costs)
-        budget = refute(HandleBudget(h_max, l_floor, graph.z), 0)
+        # The ceiling is at least w >= 1: the floor makes 2l >= w - z + 2.
         lines.append(
-            f"handle budget at the floor: {budget.max_pieces} pieces x {h_max} handles "
-            f"= {budget.max_handles}"
+            f"handle budget at the floor: {ceiling} pieces x {h_max} handles = {ceiling * h_max}"
         )
         result["h_max"] = h_max
-        result["max_handles"] = budget.max_handles
+        result["max_handles"] = ceiling * h_max
     _emit(args, {"command": "obstruct", "result": result, "warnings": []}, lines)
     return EXIT_OK
 

@@ -26,6 +26,7 @@ same way.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cmp_to_key
 import operator
 from typing import Callable, Union
 
@@ -89,6 +90,28 @@ def _equal(a: tuple, b: tuple) -> bool:
         elif x != y:
             return False
     return True
+
+
+def _less(a: tuple, b: tuple) -> bool:
+    """``a < b`` at any depth of nesting, like :func:`_equal`: in C, or off an
+    explicit stack of (x, y, index of the next pair of items to compare)."""
+    try:
+        return a < b
+    except RecursionError:
+        stack = [(a, b, 0)]
+    while stack:
+        x, y, i = stack.pop()
+        if i == len(x) or i == len(y):
+            if len(x) != len(y):
+                return len(x) < len(y)
+            continue  # equal: go on with the enclosing tuples
+        stack.append((x, y, i + 1))
+        u, v = x[i], y[i]
+        if type(u) is tuple is type(v):
+            stack.append((u, v, 0))
+        elif u != v:
+            return u < v
+    return False
 
 
 class HomologyVector(Record):
@@ -292,13 +315,18 @@ def _normal_form(desc: Descriptor, parts: list) -> Descriptor:
     # and is kept, so its facts are not computed again.
     if isinstance(desc, Product):
         left, right = parts
-        if right.key < left.key:
+        if _less(right.key, left.key):
             left, right = right, left
         if left is desc.left and right is desc.right:
             return desc
         return Product(left, right)
     if isinstance(desc, ConnectedSum):
-        parts = sorted((p for p in parts if not isinstance(p, Sphere)), key=lambda p: p.key)
+        kept = [p for p in parts if not isinstance(p, Sphere)]
+        try:
+            parts = sorted(kept, key=lambda p: p.key)
+        except RecursionError:  # keys too deep for C; a cmp of -1, 0 or 1
+            by_key = cmp_to_key(lambda p, q: _less(q.key, p.key) - _less(p.key, q.key))
+            parts = sorted(kept, key=by_key)
         if not parts:
             return Sphere(desc.dim)
         if len(parts) == 1:

@@ -149,12 +149,12 @@ def refute(budget: HandleBudget, h_w: int) -> RefutationVerdict:
 
     The piece ceiling 2l + z - 2 is constant in the target, so any family
     with fixed l and z but unbounded minimal handle counts is eventually
-    refuted.
+    refuted.  Below one piece no decomposition exists, and the handle budget is 0.
     """
     if json_int(h_w, "h_w") < 0:
         raise ValueError(f"target handle count must be non-negative, got {h_w}")
     max_pieces = pieces_ceiling(budget.l, budget.z)
-    max_handles = max_pieces * budget.h_max
+    max_handles = max(max_pieces, 0) * budget.h_max
     possible = max_pieces >= 1 and h_w <= max_handles
     return RefutationVerdict(possible, max_pieces, max_handles)
 

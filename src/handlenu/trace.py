@@ -7,15 +7,16 @@ of connected closed components of the free boundary -- the part of the
 boundary still available for later attachments.  The base itself is kept
 on the fixed side of a collar and never consumed.
 
-The free boundary is a dict from component id to descriptor.
-:func:`attachment_step` says what an attachment does to it: it looks the
-attachment's type up in one table of step functions, one per kind.
-:func:`walk` applies it handle after handle to a single such dict, in time
-linear in the handles.  Steps build no descriptor they can share: a
+The free boundary is a dict from component id to descriptor.  Each of the
+five attachment kinds is a class carrying its rules: the handle ``index``
+it needs, the fields holding its ``anchors``, its ``step`` on the free
+boundary and its ``dual``; :class:`HandleRecord` refuses any other
+attachment.  :func:`walk` applies the steps handle after handle to one such
+dict, in time linear in the handles, and makes ids in id order, so its dicts
+list them in that order.  Steps build no descriptor they can share: a
 0-handle's sphere is one module constant, and each genus's surface comes
 from a bounded cache (descriptors are immutable and compare by ``key``).
-:func:`replay` keeps a copy of the walk's dict after every prefix, for
-readers that want every prefix at once.
+:func:`replay` keeps a copy of the walk's dict after every prefix.
 
 Two attachment styles exist:
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union, get_args
 
 from .homology import (
     Descriptor,
@@ -89,20 +90,70 @@ def in_id_order(comps: Mapping[str, Descriptor]) -> tuple[tuple[str, Descriptor]
     return tuple(sorted(comps.items(), key=lambda item: id_sort_key(item[0])))
 
 
+_SPHERE = Sphere(2)
+
+
+@lru_cache(maxsize=256)  # one shared surface per genus; bounded for long-lived processes
+def _surface(genus: int) -> Descriptor:
+    return Surface(genus) if genus else _SPHERE
+
+
+def _genus_of(comp_id: str, desc: Descriptor) -> int:
+    # A sphere or a surface is read as it is; a sum or product in normal form.
+    normal = desc if type(desc) in (Sphere, Surface) else normalize(desc)
+    if isinstance(normal, Surface):
+        return normal.genus
+    if isinstance(normal, Sphere) and normal.n == 2:
+        return 0
+    raise AttachError(f"component {comp_id} ({pretty(desc)}) is not an orientable surface")
+
+
+def _resolve(live: Mapping[str, Descriptor], anchor: str) -> Descriptor:
+    desc = live.get(anchor)
+    if desc is None:
+        live_ids = sorted(live, key=id_sort_key)
+        raise AttachError(f"dangling anchor {anchor!r}; live components: {live_ids}")
+    return desc
+
+
+# ``step(live, label)`` is :func:`attachment_step` for one kind.  ``dual(made, gone)``
+# consumes the dual ids ``made`` of what it made and makes ``gone`` again, in order.
+
+
 class Dim3Zero(Record):
     """0-handle in dimension 3: a new sphere boundary component appears."""
 
     __slots__ = ()
+    index, anchors = 0, ()
+
+    def step(self, live, label: str):
+        return (), {label: _SPHERE}
+
+    def dual(self, made: list[str], gone: dict[str, Descriptor]):
+        return Dim3Three(made[0])
 
 
 class Dim3One(Record):
     """1-handle: both feet on one component (genus +1) or a tube merging two."""
 
     __slots__ = _fields = ("a", "b")
+    index, anchors = 1, ("a", "b")
 
     def __init__(self, a: str, b: str):
         _set(self, "a", a)
         _set(self, "b", b)
+
+    def step(self, live, label: str):
+        a = _resolve(live, self.a)
+        if self.a == self.b:
+            return (self.a,), {label: _surface(_genus_of(self.a, a) + 1)}
+        b = _resolve(live, self.b)  # both anchors resolve before either genus is read
+        return (self.a, self.b), {label: _surface(_genus_of(self.a, a) + _genus_of(self.b, b))}
+
+    def dual(self, made: list[str], gone: dict[str, Descriptor]):
+        if self.a == self.b:
+            return Dim3Two(made[0], NonSeparating())
+        return Dim3Two(made[0], Separating(*(_genus_of(c, desc) for c, desc in gone.items())))
 
 
 class NonSeparating(Record):
@@ -128,57 +179,90 @@ class Dim3Two(Record):
     """2-handle attached along a curve on one boundary surface."""
 
     __slots__ = _fields = ("anchor", "curve")
+    index, anchors = 2, ("anchor",)
 
     def __init__(self, anchor: str, curve: Union[NonSeparating, Separating]):
         _set(self, "anchor", anchor)
         _set(self, "curve", curve)
+
+    def step(self, live, label: str):
+        genus = _genus_of(self.anchor, _resolve(live, self.anchor))
+        if isinstance(self.curve, NonSeparating):
+            if genus < 1:
+                raise AttachError(
+                    f"non-separating surgery needs genus >= 1; {self.anchor} is a sphere"
+                )
+            return (self.anchor,), {label: _surface(genus - 1)}
+        g1, g2 = self.curve.g1, self.curve.g2
+        if g1 + g2 != genus:
+            raise AttachError(
+                f"separating split ({g1}, {g2}) does not add up to genus {genus} of {self.anchor}"
+            )
+        return (self.anchor,), {f"{label}/0": _surface(g1), f"{label}/1": _surface(g2)}
+
+    def dual(self, made: list[str], gone: dict[str, Descriptor]):
+        return Dim3One(made[0], made[-1])  # it made one surface, or the two sides of a split
 
 
 class Dim3Three(Record):
     """3-handle capping off a sphere component."""
 
     __slots__ = _fields = ("anchor",)
+    index, anchors = 3, ("anchor",)
 
     def __init__(self, anchor: str):
         _set(self, "anchor", anchor)
+
+    def step(self, live, label: str):
+        desc = _resolve(live, self.anchor)
+        if _genus_of(self.anchor, desc) != 0:
+            raise AttachError(f"a cap may only close a sphere; {self.anchor} is {pretty(desc)}")
+        return (self.anchor,), {}
+
+    def dual(self, made: list[str], gone: dict[str, Descriptor]):
+        return Dim3Zero()
 
 
 class Declared(Record):
     """Full replacement of the free boundary by a stated component list."""
 
     __slots__ = _fields = ("components",)
+    index, anchors = None, ()
 
     def __init__(self, components: tuple[Descriptor, ...]):
         _set(self, "components", tuple(components))
 
+    def step(self, live, label: str):
+        return tuple(live), {f"{label}/{i}": desc for i, desc in enumerate(self.components)}
+
+    def dual(self, made: list[str], gone: dict[str, Descriptor]):
+        return Declared(tuple(gone.values()))  # it consumed the whole boundary, in id order
+
 
 Attachment = Union[Dim3Zero, Dim3One, Dim3Two, Dim3Three, Declared]
-
-_DIM3_INDEX = {Dim3Zero: 0, Dim3One: 1, Dim3Two: 2, Dim3Three: 3}
+_KINDS = frozenset(get_args(Attachment))  # by exact type: a subclass may break the rules
 
 
 class HandleRecord(Record):
-    """A handle of the given index together with its attachment data."""
+    """A handle of the given index together with an attachment of one of the five kinds."""
 
     __slots__ = _fields = ("index", "attachment")
 
     def __init__(self, index: int, attachment: Attachment):
+        if type(attachment) not in _KINDS:
+            raise TraceError(f"unknown attachment {attachment!r}")
         _set(self, "index", index)
         _set(self, "attachment", attachment)
 
 
-# The fields of each attachment kind that hold anchors.
-_ANCHOR_FIELDS = {Dim3One: ("a", "b"), Dim3Two: ("anchor",), Dim3Three: ("anchor",)}
-
-
 def anchors_of(record: HandleRecord) -> tuple[str, ...]:
     att = record.attachment
-    return tuple(dict.fromkeys(getattr(att, f) for f in _ANCHOR_FIELDS.get(type(att), ())))
+    return tuple(dict.fromkeys(getattr(att, f) for f in att.anchors))
 
 
 def map_anchors(att: Attachment, fn: Callable[[str], str]) -> Attachment:
     """The attachment with every anchor replaced by ``fn(anchor)``."""
-    return att.replace(**{f: fn(getattr(att, f)) for f in _ANCHOR_FIELDS.get(type(att), ())})
+    return att.replace(**{f: fn(getattr(att, f)) for f in att.anchors})
 
 
 def rename_anchor(anchor: str, relabel: dict[str, str]) -> str | None:
@@ -207,93 +291,25 @@ class OrderedHandleDecomposition(Record):
         return len(self.handles)
 
 
-_SPHERE = Sphere(2)
-
-
-@lru_cache(maxsize=256)  # one shared surface per genus; bounded for long-lived processes
-def _surface(genus: int) -> Descriptor:
-    return Surface(genus) if genus else _SPHERE
-
-
-def _genus_of(comp_id: str, desc: Descriptor) -> int:
-    # A sphere or a surface is read as it is; a sum or product in normal form.
-    normal = desc if type(desc) in (Sphere, Surface) else normalize(desc)
-    if isinstance(normal, Surface):
-        return normal.genus
-    if isinstance(normal, Sphere) and normal.n == 2:
-        return 0
-    raise AttachError(f"component {comp_id} ({pretty(desc)}) is not an orientable surface")
-
-
-def _resolve(live: Mapping[str, Descriptor], anchor: str) -> Descriptor:
-    desc = live.get(anchor)
-    if desc is None:
-        live_ids = sorted(live, key=id_sort_key)
-        raise AttachError(f"dangling anchor {anchor!r}; live components: {live_ids}")
-    return desc
-
-
-def _zero(att: Dim3Zero, live, label: str):
-    return (), {label: _SPHERE}
-
-
-def _one(att: Dim3One, live, label: str):
-    a = _resolve(live, att.a)
-    if att.a == att.b:
-        return (att.a,), {label: _surface(_genus_of(att.a, a) + 1)}
-    b = _resolve(live, att.b)  # both anchors resolve before either genus is read
-    return (att.a, att.b), {label: _surface(_genus_of(att.a, a) + _genus_of(att.b, b))}
-
-
-def _two(att: Dim3Two, live, label: str):
-    genus = _genus_of(att.anchor, _resolve(live, att.anchor))
-    if isinstance(att.curve, NonSeparating):
-        if genus < 1:
-            raise AttachError(f"non-separating surgery needs genus >= 1; {att.anchor} is a sphere")
-        return (att.anchor,), {label: _surface(genus - 1)}
-    g1, g2 = att.curve.g1, att.curve.g2
-    if g1 + g2 != genus:
-        raise AttachError(
-            f"separating split ({g1}, {g2}) does not add up to genus {genus} of {att.anchor}"
-        )
-    return (att.anchor,), {f"{label}/0": _surface(g1), f"{label}/1": _surface(g2)}
-
-
-def _three(att: Dim3Three, live, label: str):
-    desc = _resolve(live, att.anchor)
-    if _genus_of(att.anchor, desc) != 0:
-        raise AttachError(f"a cap may only close a sphere; {att.anchor} is {pretty(desc)}")
-    return (att.anchor,), {}
-
-
-def _declared(att: Declared, live, label: str):
-    return tuple(live), {f"{label}/{i}": desc for i, desc in enumerate(att.components)}
-
-
-# What each attachment kind does to the free boundary, by exact type.
-_STEPS = {Dim3Zero: _zero, Dim3One: _one, Dim3Two: _two, Dim3Three: _three, Declared: _declared}
-
-
 def attachment_step(
     att: Attachment, live: Mapping[str, Descriptor], *, label: str, m: int
 ) -> tuple[tuple[str, ...], dict[str, Descriptor]]:
     """The ids of the live components an attachment consumes, and the
-    components it makes by id, named after ``label``: the step of
-    ``_STEPS`` for the attachment's type.
+    components it makes by id, named after ``label``: the attachment's step.
 
     ``live`` maps the ids of the free boundary's components to their
     descriptors and is only read.  Components not consumed keep their ids; a
     ``Declared`` record consumes them all.  Raises AttachError when the
     attachment is illegal there.
     """
-    step = _STEPS.get(type(att))
-    if m != 3 and step is not _declared:
+    kind = type(att)
+    if m != 3 and kind is not Declared:
         raise AttachError(
             f"surface-calculus attachments need ambient dimension 3, trace has m={m}"
         )
-    if step is None:
+    if kind not in _KINDS:  # a bare attachment; a HandleRecord holds only the five
         raise AttachError(f"unknown attachment {att!r}")
-    return step(att, live, label)
+    return att.step(live, label)
 
 
 def walk(d: OrderedHandleDecomposition) -> Iterator[
@@ -355,22 +371,9 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
         zip(reversed(d.handles), reversed(events)), start=1
     ):
         att = handle.attachment
-        reads = [dmap.pop(comp_id) for comp_id in made]
-        if isinstance(att, Declared):  # it consumed the whole boundary
-            gone = dict(in_id_order(gone))
-            datt = Declared(tuple(gone.values()))
-        elif isinstance(att, Dim3Zero):
-            datt = Dim3Three(reads[0])
-        elif isinstance(att, Dim3Three):
-            datt = Dim3Zero()
-        elif isinstance(att, Dim3Two):  # it made one surface, or the two sides of a split
-            datt = Dim3One(reads[0], reads[-1])
-        elif att.a == att.b:
-            datt = Dim3Two(reads[0], NonSeparating())
-        else:  # a 1-handle that merged two components splits them again
-            datt = Dim3Two(reads[0], Separating(*(_genus_of(c, desc) for c, desc in gone.items())))
+        datt = att.dual([dmap.pop(comp_id) for comp_id in made], gone)
         label = f"h:{new_pos}"
-        several = isinstance(att, Declared) or len(gone) > 1
+        several = att.index is None or len(gone) > 1  # a Declared dual suffixes even one
         dmap.update((c, f"{label}/{i}" if several else label) for i, c in enumerate(gone))
         dual_handles.append(HandleRecord(d.m - handle.index, datt))
     return OrderedHandleDecomposition(d.m, tuple(desc for _, desc in final), tuple(dual_handles))
@@ -442,12 +445,11 @@ def validated(d: OrderedHandleDecomposition, run: Callable[[OrderedHandleDecompo
                 violations.append(
                     Violation(j, f"surface-calculus attachment in an m={d.m} trace")
                 )
-            expected = _DIM3_INDEX[type(att)]
-            if handle.index != expected and type(handle.index) is int:
+            if handle.index != att.index and type(handle.index) is int:
                 violations.append(
                     Violation(
                         j,
-                        f"attachment {type(att).__name__} needs index {expected}, "
+                        f"attachment {type(att).__name__} needs index {att.index}, "
                         f"got {handle.index}",
                     )
                 )
@@ -491,9 +493,7 @@ def _attachment_to_json(att: Attachment) -> dict:
         return {"type": "two", "anchor": att.anchor, "curve": curve}
     if isinstance(att, Dim3Three):
         return {"type": "three", "anchor": att.anchor}
-    if isinstance(att, Declared):
-        return {"type": "declared", "components": [descriptor_to_json(c) for c in att.components]}
-    raise TraceError(f"unknown attachment {att!r}")
+    return {"type": "declared", "components": [descriptor_to_json(c) for c in att.components]}
 
 
 def _attachment_from_json(data) -> Attachment:

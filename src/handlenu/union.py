@@ -200,10 +200,9 @@ def check_key_inequality(
     ]
     mu = evaluation.argmax_mu
     comp_id = evaluation.argmax_component
-    if mu is None:
-        case = "degenerate"
-        steps.append("composite has no considered prefixes; value 0")
-    elif mu > alpha:
+    # compose glues into the first part's final boundary, so the composite has a
+    # base component or a handle, and mu is a considered prefix.
+    if mu > alpha:
         case = "second-suffix"
         steps.append(
             f"maximum sits after the first part's {alpha} handles, so it is one of "

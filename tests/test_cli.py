@@ -199,7 +199,7 @@ def test_refute_both_verdicts(capsys):
 
 
 @pytest.mark.parametrize(
-    "l,z,hmax,hw,ceiling,handles", [(0, 0, 0, 0, -2, 0), (0, 1, 5, 3, -1, -5)]
+    "l,z,hmax,hw,ceiling,handles", [(0, 0, 0, 0, -2, 0), (0, 1, 5, 3, -1, 0)]
 )
 def test_refute_below_one_piece_says_no_decomposition_exists(capsys, l, z, hmax, hw,
                                                              ceiling, handles):

@@ -155,6 +155,7 @@ REFUTATIONS = {
     "possible": (1, 2, 5, 10),
     "refuted": (1, 2, 5, 11),
     "below-one": (0, 0, 0, 0),
+    "below-one-with-handles": (0, 1, 5, 3),
 }
 
 

@@ -19,6 +19,7 @@ from handlenu.homology import (
     pretty,
     total_betti,
 )
+from handlenu.homology import _less
 from chain_oracle import RationalChainComplex, chain_betti
 from gen import random_descriptor
 
@@ -129,6 +130,37 @@ def test_descriptors_compare_past_the_c_comparison_depth():
         mirrored = Product(mirrored, Explicit(0, HomologyVector(0, (1,)), "pt"))
     assert desc_equal(a, mirrored) and not desc_equal(other, mirrored)
     assert not desc_equal(a, point_chain(Sphere(2), depth=3001))
+
+
+def test_normal_forms_order_parts_past_the_c_comparison_depth():
+    # Ordering two 1,500-deep factors or summands compares their keys off an
+    # explicit stack where C runs out of depth (3.10-3.12).
+    a, b = point_chain(Sphere(2), depth=1500), point_chain(Sphere(2), depth=1500)
+    assert desc_equal(Product(a, b), Product(b, a))
+    both = Product(normalize(a), normalize(b))
+    assert normalize(Product(a, b)) == normalize(Product(b, a)) == both
+    assert normalize(ConnectedSum((a, b))) == ConnectedSum((normalize(a), normalize(b)))
+    # Unequal only at the bottom: a sphere sorts before a surface either way round.
+    low, high = normalize(a), normalize(point_chain(Surface(2), depth=1500))
+    for x, y in ((a, high), (high, a)):
+        assert normalize(Product(x, y)) == Product(low, high)
+        assert normalize(ConnectedSum((x, y))) == ConnectedSum((low, high))
+    assert not desc_equal(Product(a, high), Product(a, a))
+
+
+def test_deep_key_order_matches_the_shallow_order():
+    rng = random.Random(2106)
+    keys = [random_descriptor(rng).key for _ in range(40)]
+
+    def deep(key):
+        for _ in range(1500):
+            key = (2, (0, 1), key)
+        return key
+
+    for x, y in zip(keys, keys[1:] + keys[:1]):
+        assert _less(deep(x), deep(y)) == (x < y) and _less(deep(y), deep(x)) == (y < x)
+    assert not _less(deep(keys[0]), deep(keys[0]))
+    assert _less(deep((1,)), deep((1, 0))) and not _less(deep((1, 0)), deep((1,)))
 
 
 def test_normalize_keeps_a_normal_chain_as_it_is():

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -32,11 +33,13 @@ from handlenu.trace import (
     ReplayError,
     Separating,
     TraceError,
+    ValidationReport,
     anchors_of,
     attachment_step,
     canonical_dumps,
     dualize,
     final_boundary,
+    id_sort_key,
     rename_anchor,
     replay,
     trace_from_json,
@@ -44,7 +47,14 @@ from handlenu.trace import (
     validate,
     walk,
 )
-from gen import descriptors, random_trace, reorder, states
+from gen import (
+    descriptors,
+    multi_part_trace,
+    random_composable_pair,
+    random_trace,
+    reorder,
+    states,
+)
 
 
 def attach_one(base, attachment, index, m=3):
@@ -108,6 +118,36 @@ def test_unknown_attachment_is_refused_after_the_dimension_check():
         attachment_step("zero", {}, label="h:1", m=3)
     with pytest.raises(AttachError, match="need ambient dimension 3, trace has m=4"):
         attachment_step("zero", {}, label="h:1", m=4)
+
+
+class _Zero(Dim3Zero):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "att", ["zero", NonSeparating(), _Zero()], ids=["str", "curve", "kind-subclass"]
+)
+def test_handle_record_refuses_an_attachment_of_no_known_kind(att):
+    with pytest.raises(TraceError, match=rf"^unknown attachment {re.escape(repr(att))}$"):
+        HandleRecord(0, att)
+
+
+def test_validate_reports_and_never_raises_on_seeded_traces():
+    rng = random.Random(2104)
+    for _ in range(60):
+        d = random_trace(rng, declared=0.2)
+        dm, dn, _ = random_composable_pair(rng, declared=0.2)
+        for t in (d, d.replace(m=4), dm, dn, multi_part_trace(rng, declared=0.2)):
+            assert isinstance(validate(t), ValidationReport)
+
+
+def test_the_walk_makes_ids_in_id_order():
+    # dualize reads a Declared record's consumed components in the walk's order.
+    rng = random.Random(2105)
+    for _ in range(100):
+        for _, made, live in walk(random_trace(rng, declared=0.3)):
+            assert list(made) == sorted(made, key=id_sort_key)
+            assert list(live) == sorted(live, key=id_sort_key)
 
 
 def test_walk_shares_surfaces_that_behave_as_fresh_ones():
