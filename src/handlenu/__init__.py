@@ -2,8 +2,14 @@
 piece-counting obstructions for compact manifolds.
 
 Importing the package loads none of its modules: each name below is
-imported from its module on first use (PEP 562), so a command pays only for
-the modules it touches.
+imported from its module on first use (PEP 562).  The ``nu`` command runs
+only the modules a subcommand uses: ``cli`` imports ``homology`` and
+``trace`` and registers ``nu``, ``union`` and ``catalog`` through
+:func:`_lazy`, which runs each on its first attribute use.  ``compute`` and
+``search`` run ``nu``; ``compose`` runs ``nu`` and ``union``; ``validate``
+runs none of the three; ``obstruct`` and ``refute`` run ``obstruction``;
+``catalog`` and ``catalog --export`` run ``catalog``; ``catalog --verify``
+runs all three.
 """
 
 import importlib
@@ -46,3 +52,21 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _lazy(name: str):
+    """The submodule ``name``, registered in ``sys.modules`` now and run on
+    first attribute use; the module already there if it is imported."""
+    import importlib.util
+    import sys
+
+    qualified = f"{__name__}.{name}"
+    module = sys.modules.get(qualified)
+    if module is None:
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        globals()[name] = module  # as the import system binds a loaded submodule
+        spec.loader.exec_module(module)
+    return module

@@ -18,8 +18,8 @@ entry's name records intent, not a distinguished manifold.
 
 from __future__ import annotations
 
+from . import _lazy
 from .homology import Explicit, HomologyVector, Product, Record, Sphere, _set, pretty, total_betti
-from .nu import evaluate, heegaard_upper, lower_bound_rules
 from .trace import (
     Declared,
     Dim3One,
@@ -34,7 +34,9 @@ from .trace import (
     replay,
     validated,
 )
-from .union import GlueSpec, check_key_inequality
+
+# Only the checks run these: listing and exporting entries runs neither.
+nu, union = _lazy("nu"), _lazy("union")
 
 
 class Certification(Record):
@@ -358,7 +360,7 @@ def _entry_items(entry: CatalogEntry) -> list[CheckItem]:
     values: dict[str, int] = {}
     floors: dict[str, int] = {}
     for label, trace in entry.traces:
-        report, result = validated(trace, evaluate)
+        report, result = validated(trace, nu.evaluate)
         items.append(
             CheckItem(
                 entry.name,
@@ -371,7 +373,7 @@ def _entry_items(entry: CatalogEntry) -> list[CheckItem]:
             continue
         evaluation, final = result
         values[label] = evaluation.nu
-        floors[label] = lower_bound_rules(trace, final)[0]
+        floors[label] = nu.lower_bound_rules(trace, final)[0]
 
     cert = entry.certified
     if cert is not None and values:
@@ -405,7 +407,7 @@ def _entry_items(entry: CatalogEntry) -> list[CheckItem]:
                 )
             )
         if entry.heegaard_genus is not None and entry.m == 3:
-            cap = heegaard_upper(entry.heegaard_genus)
+            cap = nu.heegaard_upper(entry.heegaard_genus)
             items.append(
                 CheckItem(
                     entry.name,
@@ -424,8 +426,8 @@ def _scenario_strict_drop() -> list[CheckItem]:
     solid = lookup("solid-torus")
     first = dict(solid.traces)["empty"]
     second = dict(solid.traces)["torus"]
-    glue = GlueSpec((("h:2", "base:0"),))
-    report = check_key_inequality(first, second, glue)
+    glue = union.GlueSpec((("h:2", "base:0"),))
+    report = union.check_key_inequality(first, second, glue)
     certified = lookup("s3").certified
     assert certified is not None
     items = [
@@ -453,10 +455,10 @@ def _scenario_doubled_half() -> list[CheckItem]:
     forward = [[desc for _, desc in in_id_order(live)] for live in replay(half)]
     backward = [[desc for _, desc in in_id_order(live)] for live in replay(dual)]
     reversed_ok = forward == backward[::-1]
-    glue = GlueSpec((("h:6", "base:0"),))
-    report = check_key_inequality(half, dual, glue)
+    glue = union.GlueSpec((("h:6", "base:0"),))
+    report = union.check_key_inequality(half, dual, glue)
     assert entry.heegaard_genus is not None
-    cap = heegaard_upper(entry.heegaard_genus)
+    cap = nu.heegaard_upper(entry.heegaard_genus)
     return [
         CheckItem(
             "s1xsigma2",

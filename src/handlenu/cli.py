@@ -14,9 +14,8 @@ import argparse
 import json
 import sys
 
-from . import catalog as catalog_mod
+from . import _lazy
 from .homology import json_str, pretty
-from .nu import Bound, NuEvaluation, _search, evaluate
 from .trace import (
     OrderedHandleDecomposition,
     TraceError,
@@ -28,7 +27,10 @@ from .trace import (
     validated,
     walk,
 )
-from .union import GlueError, GlueSpec, check_key_inequality
+
+# Registered now and run on first use, so a subcommand runs only those it needs
+# (see the package docstring).
+catalog, nu, union = _lazy("catalog"), _lazy("nu"), _lazy("union")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,7 +87,7 @@ def _require_valid(d: OrderedHandleDecomposition, run) -> tuple[list[str], objec
     return list(report.warnings), result[0]
 
 
-def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[str]:
+def _mu_table(d: OrderedHandleDecomposition, evaluation: nu.NuEvaluation) -> list[str]:
     lines = ["   mu  e_mu  free boundary"]
     for mu, (_, _, live) in enumerate(walk(d)):
         marker = "*" if mu == evaluation.argmax_mu else " "
@@ -104,7 +106,7 @@ def _mu_table(d: OrderedHandleDecomposition, evaluation: NuEvaluation) -> list[s
 
 def cmd_compute(args) -> int:
     d = _load_trace(args.trace)
-    warnings, evaluation = _require_valid(d, evaluate)
+    warnings, evaluation = _require_valid(d, nu.evaluate)
     # Only the human table needs every prefix.
     lines = [] if args.json else _mu_table(d, evaluation)
     result = {
@@ -122,7 +124,7 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _bound_lines(bound: Bound, order: list[int]) -> list[str]:
+def _bound_lines(bound: nu.Bound, order: list[int]) -> list[str]:
     tag = "exhaustive" if bound.exhaustive else "budget hit"
     lines = [
         f"orderings enumerated: {bound.enumerated} ({tag})",
@@ -138,7 +140,7 @@ def _bound_lines(bound: Bound, order: list[int]) -> list[str]:
 def cmd_search(args) -> int:
     d = _load_trace(args.trace)
     budget = None if args.all_orderings else args.budget
-    warnings, bound = _require_valid(d, lambda t: _search(t, budget))
+    warnings, bound = _require_valid(d, lambda t: nu._search(t, budget))
     # The upper value is attained by the given order (see search_min_nu),
     # so the witness is the input itself.
     order = list(range(1, d.delta + 1))
@@ -184,11 +186,11 @@ def cmd_compose(args) -> int:
     dn = _load_trace(args.second)
     glue_doc = _load_json(args.glue)
     try:
-        glue = GlueSpec(tuple(_glue_pair(pair) for pair in glue_doc["pairs"]))
+        glue = union.GlueSpec(tuple(_glue_pair(pair) for pair in glue_doc["pairs"]))
     except (KeyError, TypeError) as exc:
-        raise GlueError(f"glue file must contain a 'pairs' list of id pairs: {exc}") from exc
+        raise union.GlueError(f"glue file must contain a 'pairs' list of id pairs: {exc}") from exc
 
-    report = check_key_inequality(dm, dn, glue)
+    report = union.check_key_inequality(dm, dn, glue)
     composite = report.composite
     lines = [
         f"first part: {dm.delta} handles, nu(ordering) = {report.nu_first}",
@@ -287,7 +289,7 @@ def cmd_refute(args) -> int:
 def cmd_catalog(args) -> int:
     if args.export:
         try:
-            entry = catalog_mod.lookup(args.export)
+            entry = catalog.lookup(args.export)
         except KeyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -304,7 +306,7 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
 
     if args.verify:
-        report = catalog_mod.verify_all()
+        report = catalog.verify_all()
         lines = [
             f"{'ok  ' if item.ok else 'FAIL'} {item.entry}: {item.check} -- {item.detail}"
             for item in report.items
@@ -320,8 +322,8 @@ def cmd_catalog(args) -> int:
 
     lines = [f"{'name':<20} {'m':>2}  {'certified':<12} {'genus':<6} traces"]
     rows = []
-    for name in catalog_mod.names():
-        entry = catalog_mod.lookup(name)
+    for name in catalog.names():
+        entry = catalog.lookup(name)
         cert = entry.certified
         if cert is None:
             certified = "-"

@@ -2,7 +2,9 @@
 
 The writer promises the oracle's exact bytes for every value built from
 dicts with string keys, lists, tuples, strings, ints, bools and ``None``,
-and a ``TypeError`` for anything else.
+and a ``TypeError`` for anything else.  Its recursive path runs first; its
+explicit-stack path, run when the first hits the recursion limit, is held to
+the recursive path's bytes under a lowered limit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from contextlib import contextmanager, redirect_stdout
 import gc
 import io
 import json
+from pathlib import Path
+import re
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +22,10 @@ import pytest
 
 from handlenu.catalog import solid_torus_trace
 from handlenu.cli import EXIT_OK, main
+from handlenu import trace as trace_mod
 from handlenu.trace import canonical_dumps, dualize, trace_to_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def oracle(obj) -> str:
@@ -117,13 +124,19 @@ def nested_products(depth: int) -> dict:
     return node
 
 
+def recursive_dumps(obj) -> str:
+    out: list[str] = []
+    trace_mod._write(obj, out, "\n")
+    return "".join(out) + "\n"
+
+
 def writer_reach(top: int = 4000) -> int:
-    """The most nested products the writer renders without a RecursionError."""
+    """The most nested products the recursive writer renders without a RecursionError."""
     lo, hi = 0, top
     while lo < hi:
         mid = (lo + hi + 1) // 2
         try:
-            canonical_dumps(nested_products(mid))
+            recursive_dumps(nested_products(mid))
         except RecursionError:
             hi = mid - 1
         else:
@@ -150,6 +163,81 @@ def test_writes_as_deep_as_the_pure_python_encoder():
     assert reach > 900
     with pytest.raises(RecursionError):
         pure_python_oracle(nested_products(reach + 1))
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def dumps_at_the_lowest_limit(obj, monkeypatch) -> tuple[str, bool]:
+    """``canonical_dumps(obj)`` under the lowest recursion limit it succeeds
+    at, and whether it fell back to the explicit-stack writer there."""
+    calls = []
+    deep = trace_mod._write_deep
+    monkeypatch.setattr(trace_mod, "_write_deep", lambda *args: calls.append(1) or deep(*args))
+    saved = sys.getrecursionlimit()
+    for headroom in range(2, 40):
+        calls.clear()
+        try:
+            sys.setrecursionlimit(stack_depth() + headroom)
+            return canonical_dumps(obj), bool(calls)
+        except RecursionError:
+            continue
+        finally:
+            sys.setrecursionlimit(saved)
+    raise AssertionError("no recursion limit lets the writer finish")
+
+
+def nesting(obj) -> int:
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)) and obj:
+        return 1 + max(nesting(item) for item in obj)
+    return 0
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_the_fallback_writes_each_golden_as_the_recursive_writer_does(path, monkeypatch):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    text, fell_back = dumps_at_the_lowest_limit(doc, monkeypatch)
+    assert text == recursive_dumps(doc) == path.read_text(encoding="utf-8")
+    # The recursive writer needs a frame per level; the fallback a fixed few.
+    assert fell_back or nesting(doc) < 5
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(tree=trees)
+def test_the_fallback_writes_trees_as_the_recursive_writer_does(tree):
+    with no_digit_limit(), pytest.MonkeyPatch.context() as monkeypatch:
+        text, fell_back = dumps_at_the_lowest_limit(tree, monkeypatch)
+        assert text == recursive_dumps(tree)
+    assert fell_back or nesting(tree) < 5
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "int key"}, {"a": 1, 2: "b"}, [[1.5]], {"a": [{"b": {2, 3}}]},
+], ids=repr)
+def test_the_fallback_raises_the_recursive_writers_type_error(obj):
+    with pytest.raises(TypeError) as recursive:
+        recursive_dumps(obj)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(recursive.value))}$"):
+        trace_mod._write_deep(obj, [])
+
+
+def test_writes_past_the_recursion_limit():
+    doc = []
+    for _ in range(sys.getrecursionlimit() + 500):
+        doc = [doc, {"n": 1}]
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(saved + 1000)
+    try:
+        expected = recursive_dumps(doc)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert canonical_dumps(doc) == expected
 
 
 def compose_report(tmp_path) -> dict:

@@ -6,6 +6,7 @@ they cannot see a lazy import that is missing or one that loads too much.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -109,3 +110,78 @@ def test_compute_loads_neither_the_obstruction_module_nor_fractions(inputs):
         "assert 'fractions' not in sys.modules, 'fractions loaded'"
     )
     assert "handlenu.obstruction" not in loaded_after(code, inputs)
+
+
+LAZY = ("nu", "union", "catalog")  # the modules cli registers and runs on first use
+
+# The lazy modules each command leaves unrun.
+UNRUN = {
+    "compute": (["compute", "lens.json", "--json"], {"union", "catalog"}),
+    "search": (["search", "lens.json", "--json"], {"union", "catalog"}),
+    "compose": (COMMANDS["compose"], {"catalog"}),
+    "validate": (["validate", "lens.json"], {"nu", "union", "catalog"}),
+    "obstruct": (COMMANDS["obstruct"], {"nu", "union", "catalog"}),
+    "refute": (COMMANDS["refute"], {"nu", "union", "catalog"}),
+    "catalog": (["catalog", "--json"], {"nu", "union"}),
+    "catalog-export": (["catalog", "--export", "lens"], {"nu", "union"}),
+    "catalog-verify": (COMMANDS["catalog"], set()),
+}
+
+
+def unrun_after(argv: list[str], cwd) -> set[str]:
+    """The lazy modules still unrun after ``main(argv)`` in a fresh interpreter.
+
+    ``type()`` reads no attribute of the module, so it does not run it.
+    """
+    code = (
+        "import contextlib, importlib.util, io, json, sys\n"
+        "from handlenu.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        f"names = [n for n in {LAZY!r}\n"
+        "         if type(sys.modules[f'handlenu.{n}']) is importlib.util._LazyModule]\n"
+        "print(json.dumps(names))"
+    )
+    proc = run_python("-c", code, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv, unrun", UNRUN.values(), ids=UNRUN.keys())
+def test_subcommand_runs_only_the_modules_it_uses(inputs, argv, unrun):
+    assert unrun_after(argv, inputs) == unrun
+
+
+def test_a_module_imported_before_cli_is_the_one_cli_uses():
+    import handlenu.cli
+
+    for name in LAZY:
+        module = sys.modules[f"handlenu.{name}"]
+        assert handlenu._lazy(name) is module
+        assert getattr(handlenu.cli, name) is module
+    assert handlenu.catalog.nu is handlenu.cli.nu
+    assert handlenu.catalog.union is handlenu.cli.union
+
+
+@pytest.fixture
+def registered_union(monkeypatch):
+    """``handlenu.union`` as ``cli`` registers it in a fresh interpreter."""
+    monkeypatch.delitem(sys.modules, "handlenu.union")
+    monkeypatch.delattr(handlenu, "union")
+    module = handlenu._lazy("union")
+    assert type(module) is importlib.util._LazyModule
+    return module
+
+
+def test_a_registered_module_imports_by_its_dotted_name(registered_union):
+    import handlenu.union
+
+    assert handlenu.union is registered_union
+    assert callable(handlenu.union.compose)
+    assert type(registered_union) is not importlib.util._LazyModule
+
+
+def test_vars_of_a_registered_module_runs_it(registered_union):
+    # The benchmark tracer finds functions to wrap through vars().
+    assert "compose" in vars(registered_union)
+    assert type(registered_union) is not importlib.util._LazyModule

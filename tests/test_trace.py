@@ -463,3 +463,12 @@ def test_trace_json_errors():
         trace_from_json({"m": "three", "base": [], "handles": []})
     with pytest.raises(TraceError):
         trace_from_json(["not", "an", "object"])
+    # A tag that is not a string is unknown; a 2-handle reads its curve first.
+    for attachment, message in [
+        ({"type": ["zero"]}, "unknown attachment type ['zero']"),
+        ({"type": 0}, "unknown attachment type 0"),
+        ({"type": "two", "curve": {"kind": "x"}}, "unknown curve kind 'x'"),
+    ]:
+        handle = {"index": 0, "attachment": attachment}
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            trace_from_json({"m": 3, "base": [], "handles": [handle]})
