@@ -496,40 +496,31 @@ def _attachment_to_json(att: Attachment) -> dict:
     return {"type": "declared", "components": [descriptor_to_json(c) for c in att.components]}
 
 
-_ZERO, _NONSEPARATING = Dim3Zero(), NonSeparating()  # immutable, so one of each serves
-
-
-def _two_from_json(data) -> Dim3Two:
-    curve_data = data["curve"]  # the curve is read before the anchor
-    if curve_data["kind"] == "nonseparating":
-        curve = _NONSEPARATING
-    elif curve_data["kind"] == "separating":
-        curve = Separating(curve_data["g1"], curve_data["g2"])
-    else:
-        raise TraceError(f"unknown curve kind {curve_data['kind']!r}")
-    return Dim3Two(json_str(data["anchor"], "anchor"), curve)
-
-
-_READERS = {  # JSON tag -> reader of the attachment's object
-    "zero": lambda data: _ZERO,
-    "one": lambda data: Dim3One(json_str(data["a"], "a"), json_str(data["b"], "b")),
-    "two": _two_from_json,
-    "three": lambda data: Dim3Three(json_str(data["anchor"], "anchor")),
-    "declared": lambda data: Declared(tuple(descriptor_from_json(c) for c in data["components"])),
-}
-
-
 def _attachment_from_json(data) -> Attachment:
     if not isinstance(data, dict) or "type" not in data:
         raise TraceError(f"attachment must be an object with a 'type' tag: {data!r}")
     kind = data["type"]
-    read = _READERS.get(kind) if isinstance(kind, str) else None  # a list tag is unhashable
-    if read is None:
-        raise TraceError(f"unknown attachment type {kind!r}")
     try:
-        return read(data)
+        if kind == "zero":
+            return Dim3Zero()
+        if kind == "one":
+            return Dim3One(json_str(data["a"], "a"), json_str(data["b"], "b"))
+        if kind == "two":
+            curve_data = data["curve"]
+            if curve_data["kind"] == "nonseparating":
+                curve = NonSeparating()
+            elif curve_data["kind"] == "separating":
+                curve = Separating(curve_data["g1"], curve_data["g2"])
+            else:
+                raise TraceError(f"unknown curve kind {curve_data['kind']!r}")
+            return Dim3Two(json_str(data["anchor"], "anchor"), curve)
+        if kind == "three":
+            return Dim3Three(json_str(data["anchor"], "anchor"))
+        if kind == "declared":
+            return Declared(tuple(descriptor_from_json(c) for c in data["components"]))
     except KeyError as exc:
         raise TraceError(f"attachment of type {kind!r} is missing field {exc}") from exc
+    raise TraceError(f"unknown attachment type {kind!r}")
 
 
 def trace_to_json(d: OrderedHandleDecomposition) -> dict:
@@ -573,114 +564,66 @@ def canonical_dumps(obj) -> str:
     (a float, a set, a non-string key) raises ``TypeError``.  On CPython
     before 3.13, ``indent`` sends ``json.dumps`` to its pure-Python encoder;
     one writer appending to one list renders the package's reports 1.5-3
-    times faster.  That writer recurses; a value nested deeper than the
-    recursion limit allows is written again with an explicit stack.
+    times faster.  The writer keeps its open containers on a list, not in
+    Python frames, so it writes any nesting depth.
     """
     out: list[str] = []
-    try:
-        _write(obj, out, "\n")
-    except RecursionError:
-        out = []
-        _write_deep(obj, out)
+    _write(obj, out)
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, out: list[str], newline: str) -> None:
-    """Append ``value`` to ``out``; ``newline`` starts the lines of its
-    closing bracket.  A module-level function: a closure that called itself
-    would be a reference cycle holding ``out`` until the collector ran."""
-    inner = newline + "  "
-    comma = "," + inner
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            out.append(f"{sep}{_quote(key)}: ")
-            sep = comma
-            kind = type(item)
-            if kind is str:
-                out.append(_quote(item))
-            elif kind is int:
-                out.append(int.__repr__(item))
-            elif item is None:
-                out.append("null")
-            elif item is True:
-                out.append("true")
-            elif item is False:
-                out.append("false")
-            else:
-                _write(item, out, inner)
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            sep = comma
-            kind = type(item)
-            if kind is str:
-                out.append(_quote(item))
-            elif kind is int:
-                out.append(int.__repr__(item))
-            elif item is None:
-                out.append("null")
-            elif item is True:
-                out.append("true")
-            elif item is False:
-                out.append("false")
-            else:
-                _write(item, out, inner)
-        out.append(newline + "]")
-    else:  # top-level scalars, and subclasses of str and int, which json accepts
-        out.append(_scalar(value))
-
-
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write_deep(value, out: list[str]) -> None:
-    """:func:`_write` for the whole value, with an explicit stack in place of
-    recursion: the same text, and the same error for the same first bad part."""
-    frames = []  # [(key text, item) pairs left, separator, inner newline, closing text]
-    newline = "\n"
+def _write(value, out: list[str]) -> None:
+    """Append ``value`` to ``out``.  A module-level function holding no
+    closure, so a call leaves no reference cycle for the collector."""
+    # The container being written: its items left, whether it is a dict,
+    # its closing text, the newline and indent of its items, the text before
+    # its next item and before each later one.  ``value`` is the one item of
+    # an outermost container with no brackets.
+    items, is_dict, close, inner, sep, comma = iter((value,)), False, "", "\n", "", ""
+    stack = []  # the open containers around it
     while True:
-        inner = newline + "  "
-        if isinstance(value, dict) and value:
-            pairs = ((f"{_quote(key)}: ", item) for key, item in sorted(value.items()))
-            frames.append([pairs, "{", inner, newline + "}"])
-        elif isinstance(value, (list, tuple)) and value:
-            frames.append([(("", item) for item in value), "[", inner, newline + "]"])
-        elif isinstance(value, (dict, list, tuple)):
-            out.append("{}" if isinstance(value, dict) else "[]")
-        else:
-            out.append(_scalar(value))
-        while frames:  # the next value to write, closing each container done
-            frame = frames[-1]
-            pair = next(frame[0], None)
-            if pair is None:
-                out.append(frame[3])
-                frames.pop()
-                continue
-            key, value = pair
-            out.append(frame[1] + frame[2] + key)
-            frame[1], newline = ",", frame[2]
-            break
-        else:
-            return
-
+        for item in items:
+            if is_dict:
+                key, item = item
+                out.append(f"{sep}{_quote(key)}: ")
+            else:
+                out.append(sep)
+            sep = comma
+            kind = type(item)
+            if kind is str:
+                out.append(_quote(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            elif item is None:
+                out.append("null")
+            elif item is True:
+                out.append("true")
+            elif item is False:
+                out.append("false")
+            elif isinstance(item, (dict, list, tuple)):
+                if not item:
+                    out.append("{}" if isinstance(item, dict) else "[]")
+                    continue
+                stack.append((items, is_dict, close, inner, comma))
+                if isinstance(item, dict):
+                    items, is_dict, close, sep = iter(sorted(item.items())), True, inner + "}", "{"
+                else:
+                    items, is_dict, close, sep = iter(item), False, inner + "]", "["
+                inner += "  "
+                sep += inner
+                comma = "," + inner
+                break  # write the opened container's items
+            # Subclasses of str and int, which json accepts.
+            elif isinstance(item, str):
+                out.append(_quote(item))
+            elif isinstance(item, int):
+                out.append(int.__repr__(item))
+            else:
+                raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+        else:  # every item written: close the container, resume the one around it
+            out.append(close)
+            if not stack:
+                return
+            items, is_dict, close, inner, comma = stack.pop()
+            sep = comma

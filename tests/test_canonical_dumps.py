@@ -2,9 +2,7 @@
 
 The writer promises the oracle's exact bytes for every value built from
 dicts with string keys, lists, tuples, strings, ints, bools and ``None``,
-and a ``TypeError`` for anything else.  Its recursive path runs first; its
-explicit-stack path, run when the first hits the recursion limit, is held to
-the recursive path's bytes under a lowered limit.
+and a ``TypeError`` for anything else, at any nesting depth.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from contextlib import contextmanager, redirect_stdout
 import gc
 import io
 import json
-from pathlib import Path
-import re
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -22,10 +18,7 @@ import pytest
 
 from handlenu.catalog import solid_torus_trace
 from handlenu.cli import EXIT_OK, main
-from handlenu import trace as trace_mod
 from handlenu.trace import canonical_dumps, dualize, trace_to_json
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def oracle(obj) -> str:
@@ -117,33 +110,6 @@ def test_other_values_raise_type_error(obj):
         canonical_dumps(obj)
 
 
-def nested_products(depth: int) -> dict:
-    node = {"type": "sphere", "n": 1}
-    for _ in range(depth):
-        node = {"type": "product", "left": {"type": "sphere", "n": 1}, "right": node}
-    return node
-
-
-def recursive_dumps(obj) -> str:
-    out: list[str] = []
-    trace_mod._write(obj, out, "\n")
-    return "".join(out) + "\n"
-
-
-def writer_reach(top: int = 4000) -> int:
-    """The most nested products the recursive writer renders without a RecursionError."""
-    lo, hi = 0, top
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        try:
-            recursive_dumps(nested_products(mid))
-        except RecursionError:
-            hi = mid - 1
-        else:
-            lo = mid
-    return lo
-
-
 def pure_python_oracle(obj) -> str:
     """The oracle through json's pure-Python encoder, which 3.10-3.12 use for
     ``indent``; 3.13 uses its C encoder, which nests much deeper."""
@@ -155,89 +121,29 @@ def pure_python_oracle(obj) -> str:
         json.encoder.c_make_encoder = saved
 
 
+def chain(depth: int) -> tuple[object, str]:
+    """A ``depth``-deep chain of one-item dicts and lists around 0, and its
+    text, built without recursion."""
+    doc, opens, closes = 0, [], []
+    for level in range(depth):
+        inner = "\n" + "  " * (level + 1)
+        opens.append(("{" + inner + '"k": ') if level % 2 == 0 else ("[" + inner))
+        closes.append(inner[:-2] + ("}" if level % 2 == 0 else "]"))
+    for level in reversed(range(depth)):
+        doc = {"k": doc} if level % 2 == 0 else [doc]
+    return doc, "".join(opens) + "0" + "".join(reversed(closes)) + "\n"
+
+
 def test_writes_as_deep_as_the_pure_python_encoder():
-    # On CPython 3.11 both reach about 990 levels under the default limit of
-    # 1000 frames: one frame per nested container.  Each failed oracle call
-    # takes most of a second, so the oracle is tried only one level deeper.
-    reach = writer_reach()
-    assert reach > 900
+    # The pure-Python encoder takes a frame per nested container, so it stops
+    # near the recursion limit; the writer keeps its open containers on a
+    # list and goes on.  A failed oracle call takes most of a second.
+    doc, text = chain(40)
+    assert text == pure_python_oracle(doc) == canonical_dumps(doc)
+    doc, text = chain(sys.getrecursionlimit() + 100)
     with pytest.raises(RecursionError):
-        pure_python_oracle(nested_products(reach + 1))
-
-
-def stack_depth() -> int:
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
-def dumps_at_the_lowest_limit(obj, monkeypatch) -> tuple[str, bool]:
-    """``canonical_dumps(obj)`` under the lowest recursion limit it succeeds
-    at, and whether it fell back to the explicit-stack writer there."""
-    calls = []
-    deep = trace_mod._write_deep
-    monkeypatch.setattr(trace_mod, "_write_deep", lambda *args: calls.append(1) or deep(*args))
-    saved = sys.getrecursionlimit()
-    for headroom in range(2, 40):
-        calls.clear()
-        try:
-            sys.setrecursionlimit(stack_depth() + headroom)
-            return canonical_dumps(obj), bool(calls)
-        except RecursionError:
-            continue
-        finally:
-            sys.setrecursionlimit(saved)
-    raise AssertionError("no recursion limit lets the writer finish")
-
-
-def nesting(obj) -> int:
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, (list, tuple)) and obj:
-        return 1 + max(nesting(item) for item in obj)
-    return 0
-
-
-@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
-def test_the_fallback_writes_each_golden_as_the_recursive_writer_does(path, monkeypatch):
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    text, fell_back = dumps_at_the_lowest_limit(doc, monkeypatch)
-    assert text == recursive_dumps(doc) == path.read_text(encoding="utf-8")
-    # The recursive writer needs a frame per level; the fallback a fixed few.
-    assert fell_back or nesting(doc) < 5
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(tree=trees)
-def test_the_fallback_writes_trees_as_the_recursive_writer_does(tree):
-    with no_digit_limit(), pytest.MonkeyPatch.context() as monkeypatch:
-        text, fell_back = dumps_at_the_lowest_limit(tree, monkeypatch)
-        assert text == recursive_dumps(tree)
-    assert fell_back or nesting(tree) < 5
-
-
-@pytest.mark.parametrize("obj", [
-    {1: "int key"}, {"a": 1, 2: "b"}, [[1.5]], {"a": [{"b": {2, 3}}]},
-], ids=repr)
-def test_the_fallback_raises_the_recursive_writers_type_error(obj):
-    with pytest.raises(TypeError) as recursive:
-        recursive_dumps(obj)
-    with pytest.raises(TypeError, match=f"^{re.escape(str(recursive.value))}$"):
-        trace_mod._write_deep(obj, [])
-
-
-def test_writes_past_the_recursion_limit():
-    doc = []
-    for _ in range(sys.getrecursionlimit() + 500):
-        doc = [doc, {"n": 1}]
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(saved + 1000)
-    try:
-        expected = recursive_dumps(doc)
-    finally:
-        sys.setrecursionlimit(saved)
-    assert canonical_dumps(doc) == expected
+        pure_python_oracle(doc)
+    assert canonical_dumps(doc) == text
 
 
 def compose_report(tmp_path) -> dict:

@@ -6,12 +6,12 @@ they cannot see a lazy import that is missing or one that loads too much.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 from pathlib import Path
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -131,15 +131,16 @@ UNRUN = {
 def unrun_after(argv: list[str], cwd) -> set[str]:
     """The lazy modules still unrun after ``main(argv)`` in a fresh interpreter.
 
+    A lazy module is of a subclass of ``types.ModuleType`` until it runs;
     ``type()`` reads no attribute of the module, so it does not run it.
     """
     code = (
-        "import contextlib, importlib.util, io, json, sys\n"
+        "import contextlib, io, json, sys, types\n"
         "from handlenu.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
         f"names = [n for n in {LAZY!r}\n"
-        "         if type(sys.modules[f'handlenu.{n}']) is importlib.util._LazyModule]\n"
+        "         if type(sys.modules[f'handlenu.{n}']) is not types.ModuleType]\n"
         "print(json.dumps(names))"
     )
     proc = run_python("-c", code, cwd=cwd)
@@ -169,7 +170,7 @@ def registered_union(monkeypatch):
     monkeypatch.delitem(sys.modules, "handlenu.union")
     monkeypatch.delattr(handlenu, "union")
     module = handlenu._lazy("union")
-    assert type(module) is importlib.util._LazyModule
+    assert type(module) is not types.ModuleType
     return module
 
 
@@ -178,10 +179,10 @@ def test_a_registered_module_imports_by_its_dotted_name(registered_union):
 
     assert handlenu.union is registered_union
     assert callable(handlenu.union.compose)
-    assert type(registered_union) is not importlib.util._LazyModule
+    assert type(registered_union) is types.ModuleType
 
 
 def test_vars_of_a_registered_module_runs_it(registered_union):
     # The benchmark tracer finds functions to wrap through vars().
     assert "compose" in vars(registered_union)
-    assert type(registered_union) is not importlib.util._LazyModule
+    assert type(registered_union) is types.ModuleType
