@@ -30,7 +30,6 @@ from .trace import (
     NonSeparating,
     OrderedHandleDecomposition,
     dualize,
-    in_id_order,
     replay,
     validated,
 )
@@ -452,8 +451,8 @@ def _scenario_doubled_half() -> list[CheckItem]:
     entry = lookup("s1xsigma2")
     half = dict(entry.traces)["half-empty"]
     dual = dict(entry.traces)["half-torus"]
-    forward = [[desc for _, desc in in_id_order(live)] for live in replay(half)]
-    backward = [[desc for _, desc in in_id_order(live)] for live in replay(dual)]
+    forward = [list(live.values()) for live in replay(half)]
+    backward = [list(live.values()) for live in replay(dual)]
     reversed_ok = forward == backward[::-1]
     glue = union.GlueSpec((("h:6", "base:0"),))
     report = union.check_key_inequality(half, dual, glue)
@@ -484,7 +483,7 @@ def _scenario_doubled_half() -> list[CheckItem]:
 def _scenario_quiet_double() -> list[CheckItem]:
     entry = lookup("double-tangent-s2")
     trace = entry.traces[0][1]
-    middles = [desc for live in replay(trace)[1:-1] for _, desc in in_id_order(live)]
+    middles = [desc for live in replay(trace)[1:-1] for desc in live.values()]
     quiet = all(total_betti(desc) == 2 for desc in middles)
     return [
         CheckItem(

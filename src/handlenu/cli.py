@@ -20,7 +20,6 @@ from .trace import (
     OrderedHandleDecomposition,
     TraceError,
     canonical_dumps,
-    in_id_order,
     trace_from_json,
     trace_to_json,
     validate,
@@ -91,7 +90,7 @@ def _mu_table(d: OrderedHandleDecomposition, evaluation: nu.NuEvaluation) -> lis
     lines = ["   mu  e_mu  free boundary"]
     for mu, (_, _, live) in enumerate(walk(d)):
         marker = "*" if mu == evaluation.argmax_mu else " "
-        comps = ", ".join(f"{c} {pretty(desc)}" for c, desc in in_id_order(live))
+        comps = ", ".join(f"{c} {pretty(desc)}" for c, desc in live.items())
         lines.append(f" {marker} {mu:>3} {evaluation.e_values[mu]:>5}  {comps or '(empty)'}")
     mu_note = f"mu range {evaluation.mu_start}..{d.delta}"
     if evaluation.argmax_mu is None:
@@ -109,16 +108,9 @@ def cmd_compute(args) -> int:
     warnings, evaluation = _require_valid(d, nu.evaluate)
     # Only the human table needs every prefix.
     lines = [] if args.json else _mu_table(d, evaluation)
-    result = {
-        "e_values": evaluation.e_values,
-        "mu_start": evaluation.mu_start,
-        "nu": evaluation.nu,
-        "argmax_mu": evaluation.argmax_mu,
-        "argmax_component": evaluation.argmax_component,
-    }
     _emit(
         args,
-        {"command": "compute", "result": result, "warnings": warnings},
+        {"command": "compute", "result": evaluation.as_dict(), "warnings": warnings},
         lines + [f"warning: {w}" for w in warnings],
     )
     return EXIT_OK
@@ -144,15 +136,7 @@ def cmd_search(args) -> int:
     # The upper value is attained by the given order (see search_min_nu),
     # so the witness is the input itself.
     order = list(range(1, d.delta + 1))
-    result = {
-        "lower": bound.lower,
-        "upper": bound.upper,
-        "exhaustive": bound.exhaustive,
-        "enumerated": bound.enumerated,
-        "lower_reasons": list(bound.lower_reasons),
-        "witness_order": order,
-        "witness": trace_to_json(d),
-    }
+    result = {**bound.as_dict(), "witness_order": order, "witness": trace_to_json(d)}
     # A count of orderings may have any number of digits, so writing it lifts
     # the interpreter's digit limit (3.10.7 on); reading the input keeps it.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -276,12 +260,7 @@ def cmd_refute(args) -> int:
             f"refuted: target handle count {args.hW} exceeds the fixed budget "
             f"{verdict.max_pieces} pieces x {args.hmax} = {verdict.max_handles}"
         )
-    result = {
-        "decomposable_possible": verdict.decomposable_possible,
-        "max_pieces": verdict.max_pieces,
-        "max_handles": verdict.max_handles,
-        "h_w": args.hW,
-    }
+    result = {**verdict.as_dict(), "h_w": args.hW}
     _emit(args, {"command": "refute", "result": result, "warnings": []}, [line])
     return EXIT_OK
 
@@ -312,11 +291,7 @@ def cmd_catalog(args) -> int:
             for item in report.items
         ]
         lines.append(f"{'all checks passed' if report.ok else 'CHECKS FAILED'}")
-        items = [
-            {"entry": item.entry, "check": item.check, "ok": item.ok, "detail": item.detail}
-            for item in report.items
-        ]
-        result = {"ok": report.ok, "items": items}
+        result = {"ok": report.ok, "items": [item.as_dict() for item in report.items]}
         _emit(args, {"command": "catalog-verify", "result": result, "warnings": []}, lines)
         return EXIT_OK if report.ok else EXIT_THEOREM
 
@@ -362,7 +337,7 @@ def cmd_validate(args) -> int:
     lines.append("OK" if report.ok else f"{len(report.violations)} violation(s)")
     result = {
         "ok": report.ok,
-        "violations": [{"mu": v.mu, "message": v.message} for v in report.violations],
+        "violations": [v.as_dict() for v in report.violations],
         "warnings": report.warnings,
     }
     _emit(args, {"command": "validate", "result": result, "warnings": report.warnings}, lines)

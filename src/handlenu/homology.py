@@ -69,11 +69,13 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def as_dict(self) -> dict:
+        """The fields by name, in ``_fields`` order."""
+        return {name: getattr(self, name) for name in self._fields}
+
     def replace(self, **changes):
         """A copy with the named fields changed, built by ``__init__``, so it is checked."""
-        for name in self._fields:
-            changes.setdefault(name, getattr(self, name))
-        return type(self)(**changes)
+        return type(self)(**{**self.as_dict(), **changes})
 
 
 def _equal(a: tuple, b: tuple) -> bool:

@@ -12,11 +12,12 @@ five attachment kinds is a class carrying its rules: the handle ``index``
 it needs, the fields holding its ``anchors``, its ``step`` on the free
 boundary and its ``dual``; :class:`HandleRecord` refuses any other
 attachment.  :func:`walk` applies the steps handle after handle to one such
-dict, in time linear in the handles, and makes ids in id order, so its dicts
-list them in that order.  Steps build no descriptor they can share: a
-0-handle's sphere is one module constant, and each genus's surface comes
-from a bounded cache (descriptors are immutable and compare by ``key``).
-:func:`replay` keeps a copy of the walk's dict after every prefix.
+dict, in time linear in the handles, and adds each id it makes after every
+live one, so its dicts, and the copies :func:`replay` keeps after every
+prefix, list ids in id order (:func:`id_sort_key`); callers read them as
+they stand.  Steps build no descriptor they can share: a 0-handle's sphere
+is one module constant, and each genus's surface comes from a bounded cache
+(descriptors are immutable and compare by ``key``).
 
 Two attachment styles exist:
 
@@ -85,11 +86,6 @@ def id_sort_key(comp_id: str) -> tuple:
     return (0 if kind == "base" else 1, int(main), int(sub) if sub else -1)
 
 
-def in_id_order(comps: Mapping[str, Descriptor]) -> tuple[tuple[str, Descriptor], ...]:
-    """The (id, descriptor) pairs of components by id, in id order."""
-    return tuple(sorted(comps.items(), key=lambda item: id_sort_key(item[0])))
-
-
 _SPHERE = Sphere(2)
 
 
@@ -111,8 +107,7 @@ def _genus_of(comp_id: str, desc: Descriptor) -> int:
 def _resolve(live: Mapping[str, Descriptor], anchor: str) -> Descriptor:
     desc = live.get(anchor)
     if desc is None:
-        live_ids = sorted(live, key=id_sort_key)
-        raise AttachError(f"dangling anchor {anchor!r}; live components: {live_ids}")
+        raise AttachError(f"dangling anchor {anchor!r}; live components: {list(live)}")
     return desc
 
 
@@ -364,8 +359,7 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
     events = []
     for gone, made, live in walk(d):
         events.append((gone, list(made)))
-    final = in_id_order(live)
-    dmap = {comp_id: f"base:{i}" for i, (comp_id, _) in enumerate(final)}
+    dmap = {comp_id: f"base:{i}" for i, comp_id in enumerate(live)}
     dual_handles = []
     for new_pos, (handle, (gone, made)) in enumerate(
         zip(reversed(d.handles), reversed(events)), start=1
@@ -376,7 +370,7 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
         several = att.index is None or len(gone) > 1  # a Declared dual suffixes even one
         dmap.update((c, f"{label}/{i}" if several else label) for i, c in enumerate(gone))
         dual_handles.append(HandleRecord(d.m - handle.index, datt))
-    return OrderedHandleDecomposition(d.m, tuple(desc for _, desc in final), tuple(dual_handles))
+    return OrderedHandleDecomposition(d.m, tuple(live.values()), tuple(dual_handles))
 
 
 # --- validation ------------------------------------------------------------

@@ -26,7 +26,6 @@ from .trace import (
     OrderedHandleDecomposition,
     TraceError,
     final_boundary,
-    in_id_order,
     map_anchors,
     rename_anchor,
     validated,
@@ -87,8 +86,8 @@ def compose(
     likewise carry the unglued second-part base, which stays free boundary
     throughout the prefix.
 
-    ``final`` is the first part's final free boundary by id, for a caller
-    that already walked the first part; without it, compose walks it.
+    ``final`` is the dict a walk of the first part ends with, read in its own
+    order, which is id order; without it, compose walks the first part.
     """
     if dm.m != dn.m:
         raise GlueError(f"ambient dimensions differ: {dm.m} vs {dn.m}")
@@ -100,7 +99,7 @@ def compose(
         if m_id not in final_by_id:
             raise GlueError(
                 f"first part has no final boundary component {m_id!r}; "
-                f"components: {sorted(final_by_id)}"
+                f"components: {list(final_by_id)}"
             )
         digits = n_id[5:] if n_id.startswith("base:") else ""
         # Only "base:<i>" in canonical form: "base:00" would glue base:0 and keep it free.
@@ -128,7 +127,7 @@ def compose(
     relabel.update(zip((f"base:{i}" for i in kept), carried))
 
     glued = {m_id for m_id, _ in glue.pairs}
-    remainder = tuple(desc for c, desc in in_id_order(final_by_id) if c not in glued)
+    remainder = tuple(desc for c, desc in final_by_id.items() if c not in glued)
 
     def remap(anchor: str) -> str:
         renamed = rename_anchor(anchor, relabel)

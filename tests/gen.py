@@ -33,7 +33,7 @@ from handlenu.trace import (
     OrderedHandleDecomposition,
     Separating,
     TraceError,
-    in_id_order,
+    id_sort_key,
     map_anchors,
     rename_anchor,
     replay,
@@ -42,8 +42,9 @@ from handlenu.union import GlueSpec
 
 
 def states(d: OrderedHandleDecomposition) -> list[tuple[tuple[str, Descriptor], ...]]:
-    """Each prefix's free-boundary (id, descriptor) pairs, in id order, from ``replay``."""
-    return [in_id_order(live) for live in replay(d)]
+    """Each prefix's free-boundary (id, descriptor) pairs, sorted into id order, from
+    ``replay``: the oracles compare against this, so it does not rely on the walk's order."""
+    return [tuple(sorted(live.items(), key=lambda kv: id_sort_key(kv[0]))) for live in replay(d)]
 
 
 def descriptors(comps: tuple[tuple[str, Descriptor], ...]) -> tuple[Descriptor, ...]:

@@ -449,9 +449,9 @@ def nested_circles_trace(tmp_path, depth, m):
     return str(path)
 
 
-# 5000 nested products overflow the JSON decoder, or on CPython 3.13 the loader
-# reading its output.
-@pytest.mark.parametrize("depth, m", [(5000, 3)])
+# The JSON decoders of CPython 3.10 to 3.13 refuse 20,000 nested products (3.13's
+# reads up to about 10,000), and `nu` reports that as input nested too deeply.
+@pytest.mark.parametrize("depth, m", [(20000, 3)])
 def test_deeply_nested_descriptor_exits_2(tmp_path, capsys, depth, m):
     assert main(["compute", nested_circles_trace(tmp_path, depth, m)]) == EXIT_INVALID
     captured = capsys.readouterr()

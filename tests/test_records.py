@@ -161,6 +161,13 @@ def test_each_value_equals_its_replacement_and_hashes_alike(value):
     assert repr(copy) == repr(value)
 
 
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_as_dict_names_the_fields_in_order_and_rebuilds_the_value(value):
+    fields = value.as_dict()
+    assert list(fields) == list(value._fields)
+    assert type(value)(**fields) == value
+
+
 def test_replace_changes_only_the_named_fields():
     record = HandleRecord(1, Dim3Zero())
     assert record.replace(index=2) == HandleRecord(2, Dim3Zero())

@@ -142,7 +142,8 @@ def test_validate_reports_and_never_raises_on_seeded_traces():
 
 
 def test_the_walk_makes_ids_in_id_order():
-    # dualize reads a Declared record's consumed components in the walk's order.
+    # Readers of a walk's dicts take them as id order: dualize (a Declared dual's
+    # components and the dual base), compose's remainder, the compute table.
     rng = random.Random(2105)
     for _ in range(100):
         for _, made, live in walk(random_trace(rng, declared=0.3)):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -110,6 +111,18 @@ def test_compose_rejects_unknown_ids():
         compose(first, second, GlueSpec((("h:9", "base:0"),)))
     with pytest.raises(GlueError):
         compose(first, second, GlueSpec((("h:2", "base:7"),)))
+
+
+def test_unknown_glue_id_lists_the_final_components_in_id_order():
+    # Twelve spheres, then a tube merging h:1 and h:2: the final ids run past h:9.
+    first = OrderedHandleDecomposition(3, (), tuple(
+        [HandleRecord(0, Dim3Zero())] * 12 + [HandleRecord(1, Dim3One("h:1", "h:2"))]
+    ))
+    final = [f"h:{j}" for j in range(3, 14)]
+    message = f"first part has no final boundary component 'h:1'; components: {final}"
+    with pytest.raises(GlueError, match=f"^{re.escape(message)}$"):
+        compose(first, OrderedHandleDecomposition(3, (Sphere(2),), ()),
+                GlueSpec((("h:1", "base:0"),)))
 
 
 def test_glue_spec_must_be_injective():
