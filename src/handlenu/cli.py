@@ -21,7 +21,6 @@ from .trace import (
     TraceError,
     canonical_dumps,
     trace_from_json,
-    trace_to_json,
     validate,
     validated,
     walk,
@@ -136,7 +135,7 @@ def cmd_search(args) -> int:
     # The upper value is attained by the given order (see search_min_nu),
     # so the witness is the input itself.
     order = list(range(1, d.delta + 1))
-    result = {**bound.as_dict(), "witness_order": order, "witness": trace_to_json(d)}
+    result = {**bound.as_dict(), "witness_order": order, "witness": d}
     # A count of orderings may have any number of digits, so writing it lifts
     # the interpreter's digit limit (3.10.7 on); reading the input keeps it.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -183,7 +182,7 @@ def cmd_compose(args) -> int:
         f"nu(ordering) = {report.lhs}",
     ]
     result = {
-        "composite": trace_to_json(composite),
+        "composite": composite,
         "nu_first": report.nu_first,
         "nu_second": report.nu_second,
         "nu_composite": report.lhs,
@@ -200,7 +199,7 @@ def cmd_compose(args) -> int:
         code = inequality_exit_code(report.holds)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(trace_to_json(composite)))
+            fh.write(canonical_dumps(composite))
         lines.append(f"composite trace written to {args.out}")
     _emit(args, {"command": "compose", "result": result, "warnings": []}, lines)
     return code
@@ -281,7 +280,7 @@ def cmd_catalog(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        sys.stdout.write(canonical_dumps(trace_to_json(traces[label])))
+        sys.stdout.write(canonical_dumps(traces[label]))
         return EXIT_OK
 
     if args.verify:

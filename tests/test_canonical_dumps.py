@@ -1,8 +1,11 @@
 """``canonical_dumps`` against its oracle, ``json.dumps(indent=2, sort_keys=True)``.
 
 The writer promises the oracle's exact bytes for every value built from
-dicts with string keys, lists, tuples, strings, ints, bools and ``None``,
-and a ``TypeError`` for anything else, at any nesting depth.
+dicts with string keys, lists, tuples, strings, ints, bools, ``None`` and
+traces, and a ``TypeError`` for anything else, at any nesting depth.  A
+trace is written from its attachment classes' text templates; the oracle
+first replaces it by :func:`oracle_trace_to_json`, the dict builder that
+wrote trace documents before the templates, kept here for the comparison.
 """
 
 from __future__ import annotations
@@ -11,18 +14,84 @@ from contextlib import contextmanager, redirect_stdout
 import gc
 import io
 import json
+import random
 import sys
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from handlenu.catalog import solid_torus_trace
+from handlenu.catalog import lookup, solid_torus_trace
 from handlenu.cli import EXIT_OK, main
-from handlenu.trace import canonical_dumps, dualize, trace_to_json
+from handlenu.homology import (
+    ConnectedSum,
+    Explicit,
+    HomologyVector,
+    Sphere,
+    Surface,
+    descriptor_to_json,
+)
+from handlenu.trace import (
+    Declared,
+    Dim3One,
+    Dim3Three,
+    Dim3Two,
+    Dim3Zero,
+    HandleRecord,
+    NonSeparating,
+    OrderedHandleDecomposition,
+    Separating,
+    canonical_dumps,
+    dualize,
+    trace_from_json,
+    trace_to_json,
+)
+from gen import multi_part_trace, random_composable_pair, random_descriptor, random_trace
 
 
 def oracle(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def oracle_attachment_to_json(att) -> dict:
+    if isinstance(att, Dim3Zero):
+        return {"type": "zero"}
+    if isinstance(att, Dim3One):
+        return {"type": "one", "a": att.a, "b": att.b}
+    if isinstance(att, Dim3Two):
+        if isinstance(att.curve, NonSeparating):
+            curve = {"kind": "nonseparating"}
+        else:
+            curve = {"kind": "separating", "g1": att.curve.g1, "g2": att.curve.g2}
+        return {"type": "two", "anchor": att.anchor, "curve": curve}
+    if isinstance(att, Dim3Three):
+        return {"type": "three", "anchor": att.anchor}
+    return {"type": "declared", "components": [descriptor_to_json(c) for c in att.components]}
+
+
+def oracle_trace_to_json(d: OrderedHandleDecomposition) -> dict:
+    return {
+        "m": d.m,
+        "base": [descriptor_to_json(desc) for desc in d.base],
+        "handles": [
+            {"index": h.index, "attachment": oracle_attachment_to_json(h.attachment)}
+            for h in d.handles
+        ],
+    }
+
+
+def with_trace_documents(obj):
+    """``obj`` with every trace in it replaced by its oracle document."""
+    if type(obj) is OrderedHandleDecomposition:
+        return oracle_trace_to_json(obj)
+    if isinstance(obj, dict):
+        return {key: with_trace_documents(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(with_trace_documents(value) for value in obj)
+    return obj
+
+
+def assert_written_as_oracle(obj):
+    assert canonical_dumps(obj) == oracle(with_trace_documents(obj))
 
 
 @contextmanager
@@ -104,10 +173,132 @@ def test_subclasses_of_str_and_int_render_as_json_does():
 @pytest.mark.parametrize("obj", [
     1.5, [1.0], {"a": float("nan")}, {1: "int key"}, {None: 0}, {"a": 1, 2: "b"},
     {1, 2}, [b"bytes"], pytest.param([object()], id="[object()]"), {"a": frozenset()},
+    # Records other than a whole trace, and a trace holding an anchor that is
+    # not a string or an index json cannot write.
+    HandleRecord(1, Dim3One("h:1", "h:1")), {"a": [Surface(2)]}, Dim3One("a", "b"),
+    OrderedHandleDecomposition(3, (), (HandleRecord(1, Dim3One(1, "h:1")),)),
+    [OrderedHandleDecomposition(3, (), (HandleRecord(1.0, Dim3Zero()),))],
 ], ids=repr)  # a bare object's repr holds its address, so that case gets a fixed id
 def test_other_values_raise_type_error(obj):
     with pytest.raises(TypeError):
         canonical_dumps(obj)
+
+
+# --- traces ----------------------------------------------------------------
+
+
+def seeded_traces(seed: int):
+    rng = random.Random(seed)
+    yield random_trace(rng, max_handles=12, declared=0.3)
+    yield multi_part_trace(rng, groups=3, declared=0.5)
+    first, second, _ = random_composable_pair(rng, declared=0.3)
+    yield first
+    yield second
+    yield dualize(first)
+
+
+def test_seeded_traces_are_written_as_the_oracle_writes_them():
+    kinds = set()
+    for seed in range(150):
+        for d in seeded_traces(seed):
+            kinds.update(type(h.attachment) for h in d.handles)
+            assert_written_as_oracle(d)
+            assert trace_to_json(d) == oracle_trace_to_json(d)
+    assert kinds == {Dim3Zero, Dim3One, Dim3Two, Dim3Three, Declared}
+
+
+def test_catalog_traces_are_written_as_the_oracle_writes_them():
+    for name in ("lens", "solid-torus", "s1xsigma2"):
+        for _, d in lookup(name).traces:
+            assert_written_as_oracle(d)
+
+
+# Ids with quotes, spaces, control and non-ASCII characters, an astral
+# character and a lone surrogate.
+ids = st.text(min_size=0, max_size=6) | st.sampled_from(AWKWARD + ["h:1", "base:0", "a b"])
+genera = st.integers(min_value=0, max_value=5) | st.integers(min_value=0)
+labelled = st.builds(
+    lambda label, genus: Explicit(2, HomologyVector(2, (1, 2 * genus, 1)), label), text, genera
+)
+descriptors = (
+    st.integers(0, 2**32).map(lambda seed: random_descriptor(random.Random(seed), depth=3))
+    | labelled
+)
+curves = st.just(NonSeparating()) | st.builds(Separating, genera, genera)
+attachments = (
+    st.just(Dim3Zero())
+    | st.builds(Dim3One, ids, ids)
+    | st.builds(Dim3Two, ids, curves)
+    | st.builds(Dim3Three, ids)
+    | st.builds(lambda parts: Declared(tuple(parts)), st.lists(descriptors, max_size=3))
+)
+# The reader makes an int index; a library caller may leave any JSON value.
+indexes = st.integers(-1, 4) | huge | st.sampled_from([True, None, "1", Count(2)])
+traces = st.builds(
+    OrderedHandleDecomposition,
+    st.integers(1, 5),
+    st.lists(descriptors, max_size=3).map(tuple),
+    st.lists(st.builds(HandleRecord, indexes, attachments), max_size=8).map(tuple),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(d=traces)
+def test_matches_oracle_on_awkward_traces(d):
+    with no_digit_limit():
+        assert_written_as_oracle(d)
+
+
+def test_separating_genera_beyond_the_digit_limit():
+    g = 7**6000
+    d = OrderedHandleDecomposition(3, (Surface(g),), (
+        HandleRecord(2, Dim3Two("base:0", Separating(g - 1, 1))),
+        HandleRecord(2, Dim3Two("h:1/0", Separating(0, g - 1))),
+    ))
+    with no_digit_limit():
+        assert_written_as_oracle(d)
+        assert trace_to_json(d) == oracle_trace_to_json(d)
+    if hasattr(sys, "get_int_max_str_digits"):
+        with pytest.raises(ValueError):
+            trace_to_json(d)
+
+
+def test_empty_traces_and_declarations():
+    for d in (
+        OrderedHandleDecomposition(3, (), ()),
+        OrderedHandleDecomposition(2, (Sphere(1),), ()),
+        OrderedHandleDecomposition(3, (), (HandleRecord(0, Declared(())),)),
+    ):
+        assert_written_as_oracle(d)
+    assert canonical_dumps(OrderedHandleDecomposition(3, (), ())) == (
+        '{\n  "base": [],\n  "handles": [],\n  "m": 3\n}\n'
+    )
+
+
+def test_descriptors_nested_past_the_recursion_limit():
+    # The pure-Python encoder stops there (see below), so the oracle is the
+    # generic writer on the oracle's document, which that test checks at depth.
+    deep = Surface(1)
+    for _ in range(sys.getrecursionlimit() + 100):
+        deep = ConnectedSum((deep,))
+    d = OrderedHandleDecomposition(3, (deep,), (HandleRecord(1, Declared((Surface(2), deep))),))
+    assert canonical_dumps(d) == canonical_dumps(oracle_trace_to_json(d))
+    assert canonical_dumps([{"k": d}]) == canonical_dumps([{"k": oracle_trace_to_json(d)}])
+
+
+def test_traces_nested_in_lists_tuples_and_dicts():
+    d = next(seeded_traces(7))
+    e = OrderedHandleDecomposition(3, (), ())
+    deep = inner = {}
+    for _ in range(30):
+        inner["k"] = [{}]
+        inner = inner["k"][0]
+    inner["t"] = d
+    for obj in (
+        [d], (d, e), {"t": d}, {"a": [e, {"b": (d,)}], "c": d, "z": [[[[d]]]]},
+        [1, {"x": [d, (), {}]}, "s", None], deep,
+    ):
+        assert_written_as_oracle(obj)
 
 
 def pure_python_oracle(obj) -> str:
@@ -146,30 +337,55 @@ def test_writes_as_deep_as_the_pure_python_encoder():
     assert canonical_dumps(doc) == text
 
 
-def compose_report(tmp_path) -> dict:
-    """The ``compose --check --json`` report gluing the solid torus to its dual."""
+def run_json(argv) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return json.loads(out.getvalue())
+
+
+def compose_report(tmp_path) -> tuple[dict, OrderedHandleDecomposition]:
+    """The ``compose --check --json`` report gluing the solid torus to its
+    dual, and the composite trace it reports."""
     first, second, glue = (tmp_path / name for name in ("m.json", "n.json", "glue.json"))
     first.write_text(json.dumps(trace_to_json(solid_torus_trace())))
     second.write_text(json.dumps(trace_to_json(dualize(solid_torus_trace()))))
     glue.write_text(json.dumps({"pairs": [["h:2", "base:0"]]}))
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(["compose", str(first), str(second), "--glue", str(glue), "--check", "--json"])
-    assert code == EXIT_OK
-    return json.loads(out.getvalue())
+    report = run_json(
+        ["compose", str(first), str(second), "--glue", str(glue), "--check", "--json"]
+    )
+    return report, trace_from_json(report["result"]["composite"])
+
+
+def search_report(tmp_path) -> tuple[dict, OrderedHandleDecomposition]:
+    """The ``search --json`` report on the lens space, and its witness trace."""
+    path = tmp_path / "lens.json"
+    path.write_text(json.dumps(trace_to_json(lookup("lens").traces[0][1])))
+    report = run_json(["search", "--json", str(path)])
+    return report, trace_from_json(report["result"]["witness"])
 
 
 def test_rendering_leaves_no_garbage(tmp_path):
     # A writer that recursed through a closure would leave a reference cycle
-    # per call, holding its chunk list until the collector ran.
-    report = compose_report(tmp_path)
+    # per call, holding its chunk list until the collector ran.  Each report
+    # is rendered as read back and with its trace as the record ``cli`` holds.
+    compose, composite = compose_report(tmp_path)
+    search, witness = search_report(tmp_path)
+    values = [
+        (compose, compose),
+        (search, search),
+        ({**compose, "result": {**compose["result"], "composite": composite}}, compose),
+        ({**search, "result": {**search["result"], "witness": witness}}, search),
+        (witness, search["result"]["witness"]),
+    ]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        gc.collect()
-        text = canonical_dumps(report)
-        assert gc.collect() == 0
+        for value, document in values:
+            gc.collect()
+            text = canonical_dumps(value)
+            assert gc.collect() == 0
+            assert text == oracle(document)
     finally:
         if enabled:
             gc.enable()
-    assert text == oracle(report)
