@@ -263,7 +263,7 @@ class Explicit(_Node):
             )
         facts = self.__dict__
         facts["homology"] = homology
-        facts["label"] = label
+        facts["label"] = json_str(label, "label")
         ranks = tuple((k, b) for k, b in enumerate(betti) if b)
         _record(facts, dim, ranks, sum(betti), (4, dim, betti, label))
 
@@ -394,7 +394,7 @@ def json_int(value, field: str) -> int:
 
 
 def json_str(value, field: str) -> str:
-    """A string field of a JSON document; other values are refused with TypeError."""
+    """A string field of a JSON document or a constructor; others raise TypeError."""
     if type(value) is not str:
         raise TypeError(f"{field!r} must be a string, got {value!r}")
     return value
@@ -459,9 +459,8 @@ def _read_node(data):
         if kind == "connected-sum":
             return [kind, iter(data["parts"]), []]
         if kind == "explicit":
-            dim = json_int(data["dim"], "dim")
-            vec = HomologyVector(dim, tuple(json_int(b, "betti") for b in data["betti"]))
-            return Explicit(dim, vec, json_str(data.get("label", ""), "label"))
+            dim = data["dim"]
+            return Explicit(dim, HomologyVector(dim, data["betti"]), data.get("label", ""))
     raise DescriptorError(f"unknown descriptor type {kind!r}")
 
 

@@ -42,7 +42,9 @@ class DecompositionGraph(Record):
         )
         _set(self, "boundary_counts", counts)
         _set(self, "interfaces", edges)
-        _set(self, "z", z)
+        _set(self, "z", json_int(z, "z"))
+        if handle_costs is not None:  # every field's type before any value
+            handle_costs = tuple(json_int(c, "handle_costs") for c in handle_costs)
         w = len(self.boundary_counts)
         if w < 1:
             raise ValueError("need at least one piece")
@@ -63,13 +65,12 @@ class DecompositionGraph(Record):
                 raise ValueError(
                     f"piece {i} glues {used} boundary components but only has {total}"
                 )
-        if json_int(self.z, "z") != sum(self.boundary_counts) - 2 * self.rho:
+        if self.z != sum(self.boundary_counts) - 2 * self.rho:
             raise ValueError(
                 f"free boundary count {self.z} breaks 2*rho + z = total boundary "
                 f"({2 * self.rho} + {self.z} != {sum(self.boundary_counts)})"
             )
         if handle_costs is not None:
-            handle_costs = tuple(json_int(c, "handle_costs") for c in handle_costs)
             if len(handle_costs) != w:
                 raise ValueError(f"need {w} handle costs, got {len(handle_costs)}")
             if any(c < 0 for c in handle_costs):
@@ -160,18 +161,15 @@ def refute(budget: HandleBudget, h_w: int) -> RefutationVerdict:
 
 
 def graph_from_json(data) -> DecompositionGraph:
-    """Read a decomposition-graph document; every number must be a JSON integer."""
+    """Read a decomposition-graph document; every number must be a JSON integer,
+    which :class:`DecompositionGraph` checks.  An absent ``handle_costs`` is
+    ``None``; a null one is refused like any other non-array."""
     try:
         return DecompositionGraph(
-            tuple(json_int(c, "boundary_counts") for c in data["boundary_counts"]),
-            tuple(
-                (json_int(e["i"], "i"), json_int(e["j"], "j"), json_int(e["count"], "count"))
-                for e in data["interfaces"]
-            ),
-            json_int(data["z"], "z"),
-            tuple(json_int(c, "handle_costs") for c in data["handle_costs"])
-            if "handle_costs" in data
-            else None,
+            data["boundary_counts"],
+            tuple((e["i"], e["j"], e["count"]) for e in data["interfaces"]),
+            data["z"],
+            tuple(data["handle_costs"]) if "handle_costs" in data else None,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed decomposition-graph document: {exc}") from exc

@@ -43,7 +43,11 @@ bit-exactly through :func:`canonical_dumps`, which writes a trace wherever
 it stands in a value: each attachment class's ``json_text`` template writes
 its document, and the descriptors go through the generic writer.
 :func:`trace_to_json` reads that text back, so the format is written in one
-place; :func:`trace_from_json` reads it with one switch over the type tags.
+place; :func:`trace_from_json` reads it with one switch over the type tags
+and hands each field to the record that holds it.  Each record checks its
+own fields' types once, when it is built (an ``index`` is an ``int``, an
+anchor a ``str``), so a trace read from a file and one built in code hold
+the same kinds of values, and the validator and the writer never meet others.
 """
 
 from __future__ import annotations
@@ -145,8 +149,8 @@ class Dim3One(Record):
     index, anchors = 1, ("a", "b")
 
     def __init__(self, a: str, b: str):
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _set(self, "a", json_str(a, "a"))
+        _set(self, "b", json_str(b, "b"))
 
     def step(self, live, label: str):
         a = _resolve(live, self.a)
@@ -202,7 +206,7 @@ class Dim3Two(Record):
     index, anchors = 2, ("anchor",)
 
     def __init__(self, anchor: str, curve: Union[NonSeparating, Separating]):
-        _set(self, "anchor", anchor)
+        _set(self, "anchor", json_str(anchor, "anchor"))
         _set(self, "curve", curve)
 
     def step(self, live, label: str):
@@ -237,7 +241,7 @@ class Dim3Three(Record):
     index, anchors = 3, ("anchor",)
 
     def __init__(self, anchor: str):
-        _set(self, "anchor", anchor)
+        _set(self, "anchor", json_str(anchor, "anchor"))
 
     def step(self, live, label: str):
         desc = _resolve(live, self.anchor)
@@ -284,7 +288,7 @@ class HandleRecord(Record):
     def __init__(self, index: int, attachment: Attachment):
         if type(attachment) not in _KINDS:
             raise TraceError(f"unknown attachment {attachment!r}")
-        _set(self, "index", index)
+        _set(self, "index", json_int(index, "index"))
         _set(self, "attachment", attachment)
 
 
@@ -451,13 +455,8 @@ def validated(d: OrderedHandleDecomposition, run: Callable[[OrderedHandleDecompo
             violations.append(Violation(0, f"base:{i}: components must be connected"))
 
     for j, handle in enumerate(d.handles, start=1):
-        # The JSON reader refuses a non-integer index; a library caller's is
-        # refused here, not in every construction.
-        if type(handle.index) is not int:
-            violations.append(
-                Violation(j, f"handle index must be an integer, got {handle.index!r}")
-            )
-        elif not 0 <= handle.index <= d.m:
+        # An index is an int (HandleRecord refuses others); here it meets the trace's m.
+        if not 0 <= handle.index <= d.m:
             violations.append(
                 Violation(j, f"handle index {handle.index} outside 0..{d.m}")
             )
@@ -477,7 +476,7 @@ def validated(d: OrderedHandleDecomposition, run: Callable[[OrderedHandleDecompo
                 violations.append(
                     Violation(j, f"surface-calculus attachment in an m={d.m} trace")
                 )
-            if handle.index != att.index and type(handle.index) is int:
+            if handle.index != att.index:
                 violations.append(
                     Violation(
                         j,
@@ -520,7 +519,7 @@ def _attachment_from_json(data) -> Attachment:
         if kind == "zero":
             return Dim3Zero()
         if kind == "one":
-            return Dim3One(json_str(data["a"], "a"), json_str(data["b"], "b"))
+            return Dim3One(data["a"], data["b"])
         if kind == "two":
             curve_data = data["curve"]
             if curve_data["kind"] == "nonseparating":
@@ -529,9 +528,9 @@ def _attachment_from_json(data) -> Attachment:
                 curve = Separating(curve_data["g1"], curve_data["g2"])
             else:
                 raise TraceError(f"unknown curve kind {curve_data['kind']!r}")
-            return Dim3Two(json_str(data["anchor"], "anchor"), curve)
+            return Dim3Two(data["anchor"], curve)
         if kind == "three":
-            return Dim3Three(json_str(data["anchor"], "anchor"))
+            return Dim3Three(data["anchor"])
         if kind == "declared":
             return Declared(tuple(descriptor_from_json(c) for c in data["components"]))
     except KeyError as exc:
@@ -551,21 +550,21 @@ def trace_from_json(data) -> OrderedHandleDecomposition:
     if not isinstance(data, dict):
         raise TraceError("trace document must be a JSON object")
     try:
-        m = json_int(data["m"], "m")
+        m = data["m"]
         if not isinstance(data["base"], list) or not isinstance(data["handles"], list):
             raise TraceError("'base' and 'handles' must be arrays")
         base = tuple(descriptor_from_json(desc) for desc in data["base"])
         handles = tuple(
-            HandleRecord(json_int(h["index"], "index"), _attachment_from_json(h["attachment"]))
+            HandleRecord(h["index"], _attachment_from_json(h["attachment"]))
             for h in data["handles"]
         )
+        return OrderedHandleDecomposition(m, base, handles)
     except KeyError as exc:
         raise TraceError(f"trace document is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         if isinstance(exc, TraceError):
             raise
         raise TraceError(f"malformed trace document: {exc}") from exc
-    return OrderedHandleDecomposition(m, base, handles)
 
 
 def canonical_dumps(obj) -> str:
@@ -578,11 +577,12 @@ def canonical_dumps(obj) -> str:
     and ``handles`` that the attachment classes' ``json_text`` templates and
     :func:`descriptor_to_json` describe, which :func:`trace_to_json` reads
     back.  Any other value (a float, a set, a non-string key, a
-    ``HandleRecord`` or another record on its own, an attachment anchor that
-    is not a string) raises ``TypeError``.  On CPython before 3.13,
-    ``indent`` sends ``json.dumps`` to its pure-Python encoder; one writer
-    appending to one list renders the package's reports 1.5-3 times faster,
-    and a trace's templates write it about 6 times faster again.  The
+    ``HandleRecord`` or another record on its own) raises ``TypeError``; a
+    trace's records hold only ``int`` indexes and ``str`` anchors, since they
+    refuse others when built.  On CPython before 3.13, ``indent`` sends
+    ``json.dumps`` to its pure-Python encoder; one writer appending to one
+    list renders the package's reports 1.5-3 times faster, and a trace's
+    templates write it about 6 times faster again.  The
     writer keeps its open containers on a list, not in Python frames, so it
     writes any nesting depth.
     """
@@ -598,10 +598,8 @@ def _trace_text(d: OrderedHandleDecomposition) -> str:
     base = _dumps_at([descriptor_to_json(desc) for desc in d.base], "\n  ")
     texts = []
     for h in d.handles:
-        attachment, index = h.attachment.json_text(), h.index
-        # The reader makes an int; a library caller's other index is written as json would.
-        index = f"{index}" if type(index) is int else _dumps_at(index, "\n      ")
-        texts.append(f'{{\n      "attachment": {attachment},\n      "index": {index}\n    }}')
+        attachment = h.attachment.json_text()
+        texts.append(f'{{\n      "attachment": {attachment},\n      "index": {h.index}\n    }}')
     handles = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
     return f'{{\n  "base": {base},\n  "handles": {handles},\n  "m": {d.m}\n}}'
 

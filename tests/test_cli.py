@@ -683,3 +683,49 @@ def test_obstruct_accepts_the_integer_graph(tmp_path, capsys):
     assert main(["obstruct", str(path), "--json"]) == EXIT_OK
     result = json.loads(capsys.readouterr().out)["result"]
     assert (result["w"], result["pieces_ceiling"], result["max_handles"]) == (3, 3, 12)
+
+
+_TRACE_ERROR = "error: malformed trace document: "
+_EXPLICIT_ERROR = _TRACE_ERROR + "malformed 'explicit' descriptor: "
+_GRAPH_ERROR = "error: malformed decomposition-graph document: "
+
+
+@pytest.mark.parametrize(
+    "document, path, value, line",
+    [
+        ("trace", ("handles", 0, "index"), 1.5,
+         _TRACE_ERROR + "'index' must be an integer, got 1.5"),
+        ("trace", ("handles", 0, "attachment", "a"), 1,
+         _TRACE_ERROR + "'a' must be a string, got 1"),
+        ("trace", ("handles", 0, "attachment", "b"), None,
+         _TRACE_ERROR + "'b' must be a string, got None"),
+        ("trace", ("handles", 1, "attachment", "anchor"), 2,
+         _TRACE_ERROR + "'anchor' must be a string, got 2"),
+        ("trace", ("base", 2, "label"), 5, _EXPLICIT_ERROR + "'label' must be a string, got 5"),
+        ("trace", ("base", 2, "dim"), 2.0, _EXPLICIT_ERROR + "'dim' must be an integer, got 2.0"),
+        ("trace", ("base", 2, "betti", 1), "0",
+         _EXPLICIT_ERROR + "'betti' must be an integer, got '0'"),
+        ("trace", ("m",), True, _TRACE_ERROR + "'m' must be an integer, got True"),
+        ("graph", ("boundary_counts", 1), 3.0,
+         _GRAPH_ERROR + "'boundary_counts' must be an integer, got 3.0"),
+        ("graph", ("interfaces", 0, "i"), "0", _GRAPH_ERROR + "'i' must be an integer, got '0'"),
+        ("graph", ("interfaces", 1, "j"), [2], _GRAPH_ERROR + "'j' must be an integer, got [2]"),
+        ("graph", ("interfaces", 0, "count"), False,
+         _GRAPH_ERROR + "'count' must be an integer, got False"),
+        ("graph", ("z",), None, _GRAPH_ERROR + "'z' must be an integer, got None"),
+        ("graph", ("handle_costs", 2), 4.5,
+         _GRAPH_ERROR + "'handle_costs' must be an integer, got 4.5"),
+    ],
+    ids=["index", "a", "b", "anchor", "label", "dim", "betti", "m", "boundary_counts", "i", "j",
+         "count", "z", "handle_costs"],
+)
+def test_each_typed_field_is_refused_with_its_exact_message(tmp_path, capsys, document, path,
+                                                            value, line):
+    doc = _trace_doc() if document == "trace" else json.loads(json.dumps(_GRAPH))
+    _set_in(path, value)(doc)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    argv = ["compute", str(file)] if document == "trace" else ["obstruct", "--json", str(file)]
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")

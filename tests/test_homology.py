@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -377,6 +378,13 @@ def test_explicit_refuses_a_non_integer_dim(bad, betti):
     # them could not be written.
     with pytest.raises(TypeError, match="'dim' must be an integer"):
         Explicit(bad, HomologyVector(len(betti) - 1, betti))
+
+
+@pytest.mark.parametrize("bad", [5, None, b"T"])
+def test_explicit_refuses_a_non_string_label(bad):
+    # A label of 5 would make ``pretty`` an int and a trace that cannot be read back.
+    with pytest.raises(TypeError, match=re.escape(f"'label' must be a string, got {bad!r}")):
+        Explicit(2, HomologyVector(2, (1, 0, 1)), bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "3"])

@@ -40,6 +40,7 @@ from handlenu.trace import (
     dualize,
     final_boundary,
     id_sort_key,
+    map_anchors,
     rename_anchor,
     replay,
     trace_from_json,
@@ -401,15 +402,30 @@ def test_decomposition_refuses_a_non_integer_dimension(bad):
 
 
 @pytest.mark.parametrize("bad", [1.0, True, "1"])
-def test_validate_flags_a_non_integer_handle_index(bad):
-    # The solid torus with its 1-handle's index swapped out.
-    d = solid_torus_trace()
-    first, *rest = d.handles
-    d = OrderedHandleDecomposition(3, d.base, (HandleRecord(bad, first.attachment), *rest))
-    report = validate(d)
-    assert [(v.mu, v.message) for v in report.violations] == [
-        (1, f"handle index must be an integer, got {bad!r}")
-    ]
+def test_handle_record_refuses_a_non_integer_index(bad):
+    # The solid torus's 1-handle with its index swapped out.
+    first = solid_torus_trace().handles[0]
+    with pytest.raises(TypeError, match=re.escape(f"'index' must be an integer, got {bad!r}")):
+        HandleRecord(bad, first.attachment)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda bad: Dim3One(bad, "h:1"), "a"),
+    (lambda bad: Dim3One("h:1", bad), "b"),
+    (lambda bad: Dim3Two(bad, NonSeparating()), "anchor"),
+    (lambda bad: Dim3Three(bad), "anchor"),
+], ids=["one-a", "one-b", "two", "three"])
+def test_attachments_refuse_a_non_string_anchor(make, field):
+    with pytest.raises(TypeError, match=f"'{field}' must be a string, got 1"):
+        make(1)
+
+
+@pytest.mark.parametrize("att", [
+    Dim3One("h:1", "h:2"), Dim3Two("h:1", NonSeparating()), Dim3Three("h:1"),
+], ids=repr)
+def test_map_anchors_refuses_a_non_string_renaming(att):
+    with pytest.raises(TypeError, match="must be a string, got 7"):
+        map_anchors(att, lambda anchor: 7)
 
 
 def test_validate_flags_wrong_dimension_base():
