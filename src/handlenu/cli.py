@@ -265,6 +265,9 @@ def cmd_refute(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.base is not None and args.export is None:
+        print("error: --base needs --export NAME", file=sys.stderr)
+        return EXIT_USAGE
     if args.export:
         try:
             entry = catalog.lookup(args.export)
@@ -381,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hW", type=int, required=True, help="target minimal handle count")
 
     p = add("catalog", cmd_catalog, "list, verify, or export the built-in entries")
-    p.add_argument("--verify", action="store_true", help="recompute all certifications")
-    p.add_argument("--export", metavar="NAME", help="print one entry's trace JSON")
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--verify", action="store_true", help="recompute all certifications")
+    action.add_argument("--export", metavar="NAME", help="print one entry's trace JSON")
     p.add_argument("--base", help="which stored base to export (default: first)")
 
     p = add("validate", cmd_validate, "diagnostics for a trace file")

@@ -2,17 +2,21 @@
 
 Descriptors form a small grammar -- spheres, orientable surfaces, products,
 connected sums, and explicit Betti data -- rich enough to name every closed
-manifold this package puts on a boundary.  Each descriptor node computes its
-facts once, when it is built, from its parts' facts: ``dim``, ``ranks`` (the
-nonzero Betti numbers as sorted ``(degree, rank)`` pairs), their sum
-``total``, and the order ``key`` (sphere < surface < product < connected sum
-< explicit, then by parameters).  Products apply Kunneth over pairs of
-nonzero degrees, connected sums add middle degrees, and spheres and surfaces
-take constant work.  Descriptors are immutable :class:`Record` values:
-``repr`` shows their fields, and equality and hashing go by ``key``, which
-is equal exactly when the fields are.  :func:`normalize`, :func:`pretty` and
-:func:`descriptor_to_json` share one bottom-up walk with an explicit stack,
-and :func:`descriptor_from_json` reads with one of its own.
+manifold this package puts on a boundary.  Each kind is a class carrying its
+JSON ``tag``, its reader, its surface ``genus`` (``None`` unless it is an
+orientable surface) and its normal-form, pretty and JSON rules.  Each
+descriptor node computes its facts once, when it is built, from its parts'
+facts: ``dim``, ``ranks`` (the nonzero Betti numbers as sorted
+``(degree, rank)`` pairs), their sum ``total``, and the order ``key``
+(sphere < surface < product < connected sum < explicit, then by
+parameters).  Products apply Kunneth over pairs of nonzero degrees,
+connected sums add middle degrees, and spheres and surfaces take constant
+work.  Descriptors are immutable :class:`Record` values: ``repr`` shows
+their fields, and equality and hashing go by ``key``, which is equal
+exactly when the fields are.  :func:`normalize`, :func:`pretty` and
+:func:`descriptor_to_json` run the kinds' rules in one bottom-up walk with
+an explicit stack, and :func:`descriptor_from_json` reads with a stack of
+its own, finding each document's class by its tag.
 All arithmetic is exact: Betti numbers are plain integers.
 
 Descriptor equality, used for gluing compatibility elsewhere, is structural
@@ -28,7 +32,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from functools import cmp_to_key
 import operator
-from typing import Callable, Union
+from typing import Union, get_args
 
 
 class DescriptorError(ValueError):
@@ -147,10 +151,21 @@ class HomologyVector(Record):
 
 class _Node(Record):
     """A descriptor.  It compares and hashes by ``key``, which tells apart
-    exactly the descriptors whose fields differ and needs no call per level."""
+    exactly the descriptors whose fields differ and needs no call per level.
+    A leaf's ``_read`` returns the descriptor; a product's or a connected
+    sum's, an iterator over its part documents, for ``_join`` to build on."""
+
+    genus = None
+    parts = ()
 
     def _values(self) -> tuple:
         return self.key
+
+    def _normal(self, parts: list) -> "Descriptor":
+        return self
+
+    def _json(self, parts: list) -> dict:
+        return {"type": self.tag, **self.as_dict()}
 
 
 def _record(facts: dict, dim: int, ranks: tuple[tuple[int, int], ...], total: int, key: tuple):
@@ -163,15 +178,23 @@ def _record(facts: dict, dim: int, ranks: tuple[tuple[int, int], ...], total: in
 class Sphere(_Node):
     """The standard n-sphere, n >= 1."""
 
+    tag = "sphere"
     _fields = ("n",)
-    parts = ()
 
     def __init__(self, n: int):
         if json_int(n, "n") < 1:
             raise DescriptorError(f"sphere dimension must be >= 1, got {n}")
         facts = self.__dict__
         facts["n"] = n
+        facts["genus"] = 0 if n == 2 else None  # the 2-sphere is the genus-zero surface
         _record(facts, n, ((0, 1), (n, 1)), 2, (0, n))
+
+    def _pretty(self, parts: list) -> str:
+        return f"S^{self.n}"
+
+    @classmethod
+    def _read(cls, data: dict) -> "Sphere":
+        return cls(data["n"])
 
 
 class Surface(_Node):
@@ -181,8 +204,8 @@ class Surface(_Node):
     descriptors; the JSON reader refuses ``"orientable": false`` by policy.
     """
 
+    tag = "surface"
     _fields = ("genus",)
-    parts = ()
 
     def __init__(self, genus: int):
         g = json_int(genus, "genus")
@@ -193,10 +216,29 @@ class Surface(_Node):
         ranks = ((0, 1), (1, 2 * g), (2, 1)) if g else ((0, 1), (2, 1))
         _record(facts, 2, ranks, 2 + 2 * g, (1, g))
 
+    def _normal(self, parts: list) -> "Descriptor":
+        return self if self.genus else Sphere(2)
+
+    def _pretty(self, parts: list) -> str:
+        return ("S^2", "T^2")[self.genus] if self.genus < 2 else f"Sigma_{self.genus}"
+
+    @classmethod
+    def _read(cls, data: dict) -> "Surface":
+        orientable = data.get("orientable", True)
+        if type(orientable) is not bool:
+            raise TypeError(f"'orientable' must be a boolean, got {orientable!r}")
+        surface = cls(data["genus"])
+        if not orientable:
+            raise DescriptorError(
+                "non-orientable surfaces are only representable as Explicit descriptors"
+            )
+        return surface
+
 
 class Product(_Node):
     """Cartesian product of two closed manifolds."""
 
+    tag = "product"
     _fields = ("left", "right")
 
     def __init__(self, left: "Descriptor", right: "Descriptor"):
@@ -216,10 +258,39 @@ class Product(_Node):
     def parts(self) -> tuple["Descriptor", "Descriptor"]:
         return (self.left, self.right)
 
+    def _normal(self, parts: list) -> "Descriptor":
+        # A node whose normal parts are its own parts, in order, is normal itself
+        # and is kept, so its facts are not computed again.
+        left, right = parts
+        if _less(right.key, left.key):
+            left, right = right, left
+        if left is self.left and right is self.right:
+            return self
+        return Product(left, right)
+
+    def _pretty(self, parts: list) -> str:
+        return " x ".join(
+            f"({s})" if isinstance(p, (ConnectedSum, Product)) else s
+            for p, s in zip(self.parts, parts)
+        )
+
+    def _json(self, parts: list) -> dict:
+        return {"type": self.tag, "left": parts[0], "right": parts[1]}
+
+    @classmethod
+    def _read(cls, data: dict):
+        return (data[side] for side in ("left", "right"))
+
+    @classmethod
+    def _join(cls, parts: list) -> "Product":
+        return cls(*parts)
+
 
 class ConnectedSum(_Node):
-    """Connected sum of closed orientable manifolds of one common dimension >= 2."""
+    """Connected sum of closed connected orientable manifolds of one common
+    dimension >= 2."""
 
+    tag = "connected-sum"
     _fields = ("parts",)
 
     def __init__(self, parts: tuple["Descriptor", ...]):
@@ -239,6 +310,10 @@ class ConnectedSum(_Node):
                     "connected-sum summands must be closed orientable "
                     f"(non-palindromic Betti vector in {pretty(p)})"
                 )
+            if not _connected(p):
+                raise DescriptorError(
+                    f"connected-sum summands must be connected (b_0 is not 1 in {pretty(p)})"
+                )
             for k, r in p.ranks:
                 if 0 < k < n:
                     ranks[k] = ranks.get(k, 0) + r
@@ -247,12 +322,43 @@ class ConnectedSum(_Node):
         key = (3, tuple(p.key for p in parts))
         _record(facts, n, tuple(sorted(ranks.items())), sum(ranks.values()), key)
 
+    def _normal(self, parts: list) -> "Descriptor":
+        kept = [p for p in parts if not isinstance(p, Sphere)]  # summing a sphere changes nothing
+        try:
+            parts = sorted(kept, key=lambda p: p.key)
+        except RecursionError:  # keys too deep for C; a cmp of -1, 0 or 1
+            by_key = cmp_to_key(lambda p, q: _less(q.key, p.key) - _less(p.key, q.key))
+            parts = sorted(kept, key=by_key)
+        if not parts:
+            return Sphere(self.dim)
+        if len(parts) == 1:
+            return parts[0]
+        if len(parts) == len(self.parts) and all(map(operator.is_, parts, self.parts)):
+            return self
+        return ConnectedSum(tuple(parts))
+
+    def _pretty(self, parts: list) -> str:
+        return " # ".join(
+            f"({s})" if isinstance(p, Product) else s for p, s in zip(self.parts, parts)
+        )
+
+    def _json(self, parts: list) -> dict:
+        return {"type": self.tag, "parts": parts}
+
+    @classmethod
+    def _read(cls, data: dict):
+        return iter(data["parts"])
+
+    @classmethod
+    def _join(cls, parts: list) -> "ConnectedSum":
+        return cls(tuple(parts))
+
 
 class Explicit(_Node):
     """A closed manifold known only through its Betti numbers."""
 
+    tag = "explicit"
     _fields = ("dim", "homology", "label")
-    parts = ()
 
     def __init__(self, dim: int, homology: HomologyVector, label: str = ""):
         betti = homology.betti
@@ -266,6 +372,18 @@ class Explicit(_Node):
         facts["label"] = json_str(label, "label")
         ranks = tuple((k, b) for k, b in enumerate(betti) if b)
         _record(facts, dim, ranks, sum(betti), (4, dim, betti, label))
+
+    def _pretty(self, parts: list) -> str:
+        return self.label or f"explicit(betti={list(self.homology.betti)})"
+
+    def _json(self, parts: list) -> dict:
+        betti = list(self.homology.betti)
+        return {"type": self.tag, "dim": self.dim, "betti": betti, "label": self.label}
+
+    @classmethod
+    def _read(cls, data: dict) -> "Explicit":
+        dim = data["dim"]
+        return cls(dim, HomologyVector(dim, data["betti"]), data.get("label", ""))
 
 
 Descriptor = Union[Sphere, Surface, Product, ConnectedSum, Explicit]
@@ -294,11 +412,15 @@ def palindromic(desc: Descriptor) -> bool:
     return desc.ranks == tuple((n - k, r) for k, r in reversed(desc.ranks))
 
 
-def _bottom_up(desc: Descriptor, combine: Callable) -> object:
-    """``combine(node, results for node.parts)`` at every node, parts first;
+def _connected(desc: Descriptor) -> bool:
+    return desc.ranks[:1] == ((0, 1),)  # b_0 = 1
+
+
+def _bottom_up(desc: Descriptor, rule: str) -> object:
+    """``node.<rule>(results for node.parts)`` at every node, parts first;
     returns the root's result.  Iterative, so depth costs no recursion."""
     if not desc.parts:
-        return combine(desc, ())
+        return getattr(desc, rule)(())
     preorder, stack = [], [desc]
     while stack:
         node = stack.pop()
@@ -306,37 +428,8 @@ def _bottom_up(desc: Descriptor, combine: Callable) -> object:
         stack.extend(node.parts)
     done: dict[int, object] = {}
     for node in reversed(preorder):  # every part comes before its node
-        done[id(node)] = combine(node, [done[id(p)] for p in node.parts])
+        done[id(node)] = getattr(node, rule)([done[id(p)] for p in node.parts])
     return done[id(desc)]
-
-
-def _normal_form(desc: Descriptor, parts: list) -> Descriptor:
-    if isinstance(desc, Surface) and desc.genus == 0:
-        return Sphere(2)
-    # A node whose normal parts are its own parts, in order, is normal itself
-    # and is kept, so its facts are not computed again.
-    if isinstance(desc, Product):
-        left, right = parts
-        if _less(right.key, left.key):
-            left, right = right, left
-        if left is desc.left and right is desc.right:
-            return desc
-        return Product(left, right)
-    if isinstance(desc, ConnectedSum):
-        kept = [p for p in parts if not isinstance(p, Sphere)]
-        try:
-            parts = sorted(kept, key=lambda p: p.key)
-        except RecursionError:  # keys too deep for C; a cmp of -1, 0 or 1
-            by_key = cmp_to_key(lambda p, q: _less(q.key, p.key) - _less(p.key, q.key))
-            parts = sorted(kept, key=by_key)
-        if not parts:
-            return Sphere(desc.dim)
-        if len(parts) == 1:
-            return parts[0]
-        if len(parts) == len(desc.parts) and all(map(operator.is_, parts, desc.parts)):
-            return desc
-        return ConnectedSum(tuple(parts))
-    return desc
 
 
 def normalize(desc: Descriptor) -> Descriptor:
@@ -347,7 +440,7 @@ def normalize(desc: Descriptor) -> Descriptor:
     genus-zero surface becomes the 2-sphere it is, and one-summand sums
     collapse.
     """
-    return _bottom_up(desc, _normal_form)
+    return _bottom_up(desc, "_normal")
 
 
 def desc_equal(a: Descriptor, b: Descriptor) -> bool:
@@ -356,24 +449,8 @@ def desc_equal(a: Descriptor, b: Descriptor) -> bool:
     return _equal(normalize(a).key, normalize(b).key)
 
 
-def _pretty(desc: Descriptor, parts: list) -> str:
-    if isinstance(desc, Sphere):
-        return f"S^{desc.n}"
-    if isinstance(desc, Surface):
-        return ("S^2", "T^2")[desc.genus] if desc.genus < 2 else f"Sigma_{desc.genus}"
-    if isinstance(desc, Product):
-        bracketed, sep = (ConnectedSum, Product), " x "
-    elif isinstance(desc, ConnectedSum):
-        bracketed, sep = Product, " # "
-    else:
-        return desc.label or f"explicit(betti={list(desc.homology.betti)})"
-    return sep.join(
-        f"({s})" if isinstance(p, bracketed) else s for p, s in zip(desc.parts, parts)
-    )
-
-
 def pretty(desc: Descriptor) -> str:
-    return _bottom_up(desc, _pretty)
+    return _bottom_up(desc, "_pretty")
 
 
 # --- JSON schema ----------------------------------------------------------
@@ -400,25 +477,8 @@ def json_str(value, field: str) -> str:
     return value
 
 
-def _to_json(desc: Descriptor, parts: list) -> dict:
-    if isinstance(desc, Sphere):
-        return {"type": "sphere", "n": desc.n}
-    if isinstance(desc, Surface):
-        return {"type": "surface", "genus": desc.genus}
-    if isinstance(desc, Product):
-        return {"type": "product", "left": parts[0], "right": parts[1]}
-    if isinstance(desc, ConnectedSum):
-        return {"type": "connected-sum", "parts": parts}
-    return {
-        "type": "explicit",
-        "dim": desc.dim,
-        "betti": list(desc.homology.betti),
-        "label": desc.label,
-    }
-
-
 def descriptor_to_json(desc: Descriptor) -> dict:
-    return _bottom_up(desc, _to_json)
+    return _bottom_up(desc, "_json")
 
 
 @contextmanager
@@ -434,34 +494,22 @@ def _reading(kind):
         raise DescriptorError(f"malformed {kind!r} descriptor: {exc}") from exc
 
 
+_KINDS = {cls.tag: cls for cls in get_args(Descriptor)}
+
+
 def _read_node(data):
     """One descriptor document's own fields: a leaf descriptor, or, for a
-    product or a connected sum, an open frame ``[kind, iterator over the part
+    product or a connected sum, an open frame ``[class, iterator over the part
     documents, parts read so far]``."""
     if not isinstance(data, dict) or "type" not in data:
         raise DescriptorError(f"descriptor must be an object with a 'type' tag: {data!r}")
     kind = data["type"]
+    cls = _KINDS.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise DescriptorError(f"unknown descriptor type {kind!r}")
     with _reading(kind):
-        if kind == "sphere":
-            return Sphere(data["n"])
-        if kind == "surface":
-            orientable = data.get("orientable", True)
-            if type(orientable) is not bool:
-                raise TypeError(f"'orientable' must be a boolean, got {orientable!r}")
-            surface = Surface(data["genus"])
-            if not orientable:
-                raise DescriptorError(
-                    "non-orientable surfaces are only representable as Explicit descriptors"
-                )
-            return surface
-        if kind == "product":
-            return [kind, (data[side] for side in ("left", "right")), []]
-        if kind == "connected-sum":
-            return [kind, iter(data["parts"]), []]
-        if kind == "explicit":
-            dim = data["dim"]
-            return Explicit(dim, HomologyVector(dim, data["betti"]), data.get("label", ""))
-    raise DescriptorError(f"unknown descriptor type {kind!r}")
+        node = cls._read(data)
+    return node if isinstance(node, _Node) else [cls, node, []]
 
 
 _END = object()
@@ -480,12 +528,11 @@ def descriptor_from_json(data) -> Descriptor:
             stack[-1][2].append(node)
         else:
             return node
-        kind, part_docs, parts = stack[-1]
-        with _reading(kind):
+        cls, part_docs, parts = stack[-1]
+        with _reading(cls.tag):
             doc = next(part_docs, _END)
             if doc is _END:
                 stack.pop()
-                node = Product(*parts) if kind == "product" else ConnectedSum(tuple(parts))
+                node = cls._join(parts)
             else:
                 node = _read_node(doc)
-

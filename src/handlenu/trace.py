@@ -62,6 +62,7 @@ from .homology import (
     Record,
     Sphere,
     Surface,
+    _connected,
     _set,
     descriptor_from_json,
     descriptor_to_json,
@@ -104,13 +105,11 @@ def _surface(genus: int) -> Descriptor:
 
 
 def _genus_of(comp_id: str, desc: Descriptor) -> int:
-    # A sphere or a surface is read as it is; a sum or product in normal form.
-    normal = desc if type(desc) in (Sphere, Surface) else normalize(desc)
-    if isinstance(normal, Surface):
-        return normal.genus
-    if isinstance(normal, Sphere) and normal.n == 2:
-        return 0
-    raise AttachError(f"component {comp_id} ({pretty(desc)}) is not an orientable surface")
+    # A leaf is read as it is; a sum or product (the kinds with parts) in normal form.
+    genus = (normalize(desc) if desc.parts else desc).genus
+    if genus is None:
+        raise AttachError(f"component {comp_id} ({pretty(desc)}) is not an orientable surface")
+    return genus
 
 
 def _resolve(live: Mapping[str, Descriptor], anchor: str) -> Descriptor:
@@ -436,10 +435,6 @@ class ValidationReport(Record):
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _connected(desc: Descriptor) -> bool:
-    return desc.ranks[:1] == ((0, 1),)  # b_0 = 1
 
 
 def validated(d: OrderedHandleDecomposition, run: Callable[[OrderedHandleDecomposition], tuple]):

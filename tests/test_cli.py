@@ -273,6 +273,22 @@ def test_catalog_export_selects_base(capsys):
     assert len(parsed.base) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--verify", "--export", "lens"], "argument --export: not allowed with argument --verify"),
+        (["--export", "lens", "--verify"], "argument --verify: not allowed with argument --export"),
+        (["--base", "torus"], "error: --base needs --export NAME\n"),
+        (["--verify", "--json", "--base", "torus"], "error: --base needs --export NAME\n"),
+    ],
+    ids=["verify-export", "export-verify", "base", "verify-base"],
+)
+def test_catalog_flags_that_would_be_ignored_are_usage_errors(capsys, argv, message):
+    assert main(["catalog", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_usage_errors(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -419,6 +435,23 @@ def test_non_palindromic_summand_is_named_in_project_notation(tmp_path, capsys):
         "(non-palindromic Betti vector in T^2 x k)\n"
     )
     assert "Product(" not in captured.err and "Surface(genus=" not in captured.err
+
+
+@pytest.mark.parametrize("betti", [[2, 0, 2], [0, 0, 0]])
+def test_connected_sum_of_a_summand_that_is_not_connected_exits_2(tmp_path, capsys, betti):
+    # On its own the summand is refused as a base component; inside a sum as well.
+    split = {"type": "explicit", "dim": 2, "betti": betti}
+    summed = {"type": "connected-sum", "parts": [split, {"type": "surface", "genus": 1}]}
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps({"m": 3, "base": [summed], "handles": []}))
+    for argv in (["compute", "--json", str(path)], ["validate", str(path)]):
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: malformed trace document: connected-sum summands must be connected "
+            f"(b_0 is not 1 in explicit(betti={betti}))\n"
+        )
 
 
 def test_explicit_orientable_true_still_loads(tmp_path, capsys):

@@ -27,7 +27,7 @@ from handlenu.homology import (
     pretty,
     total_betti,
 )
-from handlenu.trace import _connected
+from handlenu.homology import _connected
 from gen import random_descriptor
 
 

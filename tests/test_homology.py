@@ -83,6 +83,16 @@ def test_descriptor_constructor_errors():
         HomologyVector(2, (1, -1, 1))
 
 
+@pytest.mark.parametrize("betti", [(2, 0, 2), (0, 0, 0)])
+def test_connected_sum_refuses_a_summand_that_is_not_connected(betti):
+    # Palindromic, so only b_0 tells it from a closed connected orientable surface.
+    split = Explicit(2, HomologyVector(2, betti))
+    message = f"connected-sum summands must be connected (b_0 is not 1 in {pretty(split)})"
+    for parts in ((split, Surface(1)), (Surface(1), split), (split,)):
+        with pytest.raises(DescriptorError, match=re.escape(message)):
+            ConnectedSum(parts)
+
+
 def test_normalize_orders_products_and_sums():
     a, b = Sphere(1), Surface(2)
     assert normalize(Product(b, a)) == normalize(Product(a, b))
@@ -200,6 +210,10 @@ def test_deep_connected_sum_document_loads_without_recursion():
     ({"type": "connected-sum", "parts": [{"type": "sphere", "n": 2}, ["x"]]},
      "must be an object with a 'type' tag"),
     ({"type": "product", "left": {"type": "torus"}, "right": 1}, "unknown descriptor type 'torus'"),
+    # Only a string naming a kind finds a class in the tag table.
+    ({"type": None}, "unknown descriptor type None"),
+    ({"type": ["sphere"]}, re.escape("unknown descriptor type ['sphere']")),
+    ({"type": "tag"}, "unknown descriptor type 'tag'"),
 ])
 def test_nested_document_errors_name_the_first_bad_part(doc, message):
     with pytest.raises(DescriptorError, match=message):
