@@ -19,7 +19,7 @@ entry's name records intent, not a distinguished manifold.
 from __future__ import annotations
 
 from . import _lazy
-from .homology import Explicit, HomologyVector, Product, Record, Sphere, _set, pretty, total_betti
+from .homology import Explicit, HomologyVector, Product, Record, Sphere, pretty, total_betti
 from .trace import (
     Declared,
     Dim3One,
@@ -48,9 +48,7 @@ class Certification(Record):
             raise ValueError(f"certified range [{lower}, {upper}] is inverted")
         if scope in ("manifold", "ordering") and lower != upper:
             raise ValueError(f"{scope} certification must pin a single value")
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "scope", scope)
+        super().__init__(lower, upper, scope)
 
 
 class CatalogEntry(Record):
@@ -61,11 +59,7 @@ class CatalogEntry(Record):
         certified: Certification | None = None, heegaard_genus: int | None = None,
         heegaard_asserted: bool = False,
     ):
-        _set(self, "name", name)
-        _set(self, "traces", traces)
-        _set(self, "certified", certified)
-        _set(self, "heegaard_genus", heegaard_genus)
-        _set(self, "heegaard_asserted", heegaard_asserted)
+        super().__init__(name, traces, certified, heegaard_genus, heegaard_asserted)
 
     @property
     def m(self) -> int:
@@ -74,10 +68,6 @@ class CatalogEntry(Record):
 
 
 # --- trace builders ---------------------------------------------------------
-
-
-def _h(index: int, attachment) -> HandleRecord:
-    return HandleRecord(index, attachment)
 
 
 def rational_homology_sphere(dim: int, label: str = "rational homology sphere") -> Explicit:
@@ -92,9 +82,9 @@ def sphere_trace(m: int) -> OrderedHandleDecomposition:
     if m < 3:
         raise ValueError(f"catalog spheres start at dimension 3, got {m}")
     if m == 3:
-        handles = (_h(0, Dim3Zero()), _h(3, Dim3Three("h:1")))
+        handles = (HandleRecord(0, Dim3Zero()), HandleRecord(3, Dim3Three("h:1")))
     else:
-        handles = (_h(0, Declared((Sphere(m - 1),))), _h(m, Declared(())))
+        handles = (HandleRecord(0, Declared((Sphere(m - 1),))), HandleRecord(m, Declared(())))
     return OrderedHandleDecomposition(m, (), handles)
 
 
@@ -111,14 +101,14 @@ def connected_sum_genus_one_trace(n: int) -> OrderedHandleDecomposition:
     """
     if n < 1:
         raise ValueError(f"need at least one summand, got {n}")
-    handles = [_h(0, Dim3Zero())]
+    handles = [HandleRecord(0, Dim3Zero())]
     latest = "h:1"
     for _ in range(n):
-        handles.append(_h(1, Dim3One(latest, latest)))
+        handles.append(HandleRecord(1, Dim3One(latest, latest)))
         latest = f"h:{len(handles)}"
-        handles.append(_h(2, Dim3Two(latest, NonSeparating())))
+        handles.append(HandleRecord(2, Dim3Two(latest, NonSeparating())))
         latest = f"h:{len(handles)}"
-    handles.append(_h(3, Dim3Three(latest)))
+    handles.append(HandleRecord(3, Dim3Three(latest)))
     return OrderedHandleDecomposition(3, (), tuple(handles))
 
 
@@ -130,9 +120,9 @@ def handlebody_trace(n: int) -> OrderedHandleDecomposition:
     """One 0-handle and n 1-handles on a single component: genus climbs to n."""
     if n < 1:
         raise ValueError(f"need at least one 1-handle, got {n}")
-    handles = [_h(0, Dim3Zero())]
+    handles = [HandleRecord(0, Dim3Zero())]
     for j in range(1, n + 1):
-        handles.append(_h(1, Dim3One(f"h:{j}", f"h:{j}")))
+        handles.append(HandleRecord(1, Dim3One(f"h:{j}", f"h:{j}")))
     return OrderedHandleDecomposition(3, (), tuple(handles))
 
 
@@ -143,7 +133,7 @@ def circle_times_genus_two_half_trace() -> OrderedHandleDecomposition:
     genus-two surface; the final torus boundary is where the double closes up.
     """
     handlebody = handlebody_trace(3)
-    handles = tuple(_h(2, Dim3Two(f"h:{j}", NonSeparating())) for j in (4, 5))
+    handles = tuple(HandleRecord(2, Dim3Two(f"h:{j}", NonSeparating())) for j in (4, 5))
     return OrderedHandleDecomposition(3, (), handlebody.handles + handles)
 
 
@@ -158,10 +148,10 @@ def sphere_times_circle_trace(m: int) -> OrderedHandleDecomposition:
         m,
         (),
         (
-            _h(0, Declared((Sphere(m - 1),))),
-            _h(1, Declared((middle,))),
-            _h(m - 1, Declared((Sphere(m - 1),))),
-            _h(m, Declared(())),
+            HandleRecord(0, Declared((Sphere(m - 1),))),
+            HandleRecord(1, Declared((middle,))),
+            HandleRecord(m - 1, Declared((Sphere(m - 1),))),
+            HandleRecord(m, Declared(())),
         ),
     )
 
@@ -181,10 +171,10 @@ def doubled_disc_bundle_trace(k: int) -> OrderedHandleDecomposition:
         m,
         (),
         (
-            _h(0, Declared((Sphere(m - 1),))),
-            _h(m // 2, Declared((qhs,))),
-            _h(m // 2, Declared((Sphere(m - 1),))),
-            _h(m, Declared(())),
+            HandleRecord(0, Declared((Sphere(m - 1),))),
+            HandleRecord(m // 2, Declared((qhs,))),
+            HandleRecord(m // 2, Declared((Sphere(m - 1),))),
+            HandleRecord(m, Declared(())),
         ),
     )
 
@@ -336,18 +326,9 @@ def lookup(name: str) -> CatalogEntry:
 class CheckItem(Record):
     __slots__ = _fields = ("entry", "check", "ok", "detail")
 
-    def __init__(self, entry: str, check: str, ok: bool, detail: str):
-        _set(self, "entry", entry)
-        _set(self, "check", check)
-        _set(self, "ok", ok)
-        _set(self, "detail", detail)
-
 
 class CatalogReport(Record):
     __slots__ = _fields = ("items",)
-
-    def __init__(self, items: tuple[CheckItem, ...]):
-        _set(self, "items", items)
 
     @property
     def ok(self) -> bool:

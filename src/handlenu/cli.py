@@ -169,7 +169,12 @@ def cmd_compose(args) -> int:
     dn = _load_trace(args.second)
     glue_doc = _load_json(args.glue)
     try:
-        glue = union.GlueSpec(tuple(_glue_pair(pair) for pair in glue_doc["pairs"]))
+        if type(glue_doc) is not dict:
+            raise TypeError(f"the document must be an object, got {glue_doc!r}")
+        pairs = glue_doc["pairs"]
+        if type(pairs) is not list:
+            raise TypeError(f"'pairs' must be an array, got {pairs!r}")
+        glue = union.GlueSpec(tuple(_glue_pair(pair) for pair in pairs))
     except (KeyError, TypeError) as exc:
         raise union.GlueError(f"glue file must contain a 'pairs' list of id pairs: {exc}") from exc
 

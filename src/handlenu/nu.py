@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Mapping
 
-from .homology import Descriptor, Record, _set, json_int, palindromic
+from .homology import Descriptor, Record, json_int, palindromic
 from .trace import (
     Declared,
     Dim3One,
@@ -47,11 +47,7 @@ class NuEvaluation(Record):
         considered = e_values[mu_start:]
         if considered and nu != max(considered):
             raise ValueError("nu must equal the maximum of the considered e values")
-        _set(self, "e_values", e_values)
-        _set(self, "mu_start", mu_start)
-        _set(self, "nu", nu)
-        _set(self, "argmax_mu", argmax_mu)
-        _set(self, "argmax_component", argmax_component)
+        super().__init__(e_values, mu_start, nu, argmax_mu, argmax_component)
 
 
 def evaluate(
@@ -210,11 +206,7 @@ class Bound(Record):
     ):
         if lower > upper:
             raise ValueError(f"inconsistent bound: lower {lower} exceeds upper {upper}")
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "exhaustive", exhaustive)
-        _set(self, "enumerated", enumerated)
-        _set(self, "lower_reasons", lower_reasons)
+        super().__init__(lower, upper, exhaustive, enumerated, lower_reasons)
 
 
 Live = dict[str, Descriptor]

@@ -14,7 +14,7 @@ interface floor below is exactly what that hypothesis buys.
 
 from __future__ import annotations
 
-from .homology import Record, _set, json_int
+from .homology import Record, json_int
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -40,18 +40,16 @@ class DecompositionGraph(Record):
             (json_int(i, "i"), json_int(j, "j"), json_int(n, "count"))
             for i, j, n in interfaces
         )
-        _set(self, "boundary_counts", counts)
-        _set(self, "interfaces", edges)
-        _set(self, "z", json_int(z, "z"))
+        z = json_int(z, "z")
         if handle_costs is not None:  # every field's type before any value
             handle_costs = tuple(json_int(c, "handle_costs") for c in handle_costs)
-        w = len(self.boundary_counts)
+        w = len(counts)
         if w < 1:
             raise ValueError("need at least one piece")
-        if any(c < 0 for c in self.boundary_counts):
-            raise ValueError(f"boundary counts must be non-negative: {self.boundary_counts}")
+        if any(c < 0 for c in counts):
+            raise ValueError(f"boundary counts must be non-negative: {counts}")
         glued = [0] * w
-        for i, j, count in self.interfaces:
+        for i, j, count in edges:
             if not (0 <= i < w and 0 <= j < w):
                 raise ValueError(f"interface ({i}, {j}) references a missing piece")
             if i == j:
@@ -60,22 +58,23 @@ class DecompositionGraph(Record):
                 raise ValueError(f"interface ({i}, {j}) needs a positive count, got {count}")
             glued[i] += count
             glued[j] += count
-        for i, (total, used) in enumerate(zip(self.boundary_counts, glued)):
+        for i, (total, used) in enumerate(zip(counts, glued)):
             if used > total:
                 raise ValueError(
                     f"piece {i} glues {used} boundary components but only has {total}"
                 )
-        if self.z != sum(self.boundary_counts) - 2 * self.rho:
+        rho = sum(count for _, _, count in edges)
+        if z != sum(counts) - 2 * rho:
             raise ValueError(
-                f"free boundary count {self.z} breaks 2*rho + z = total boundary "
-                f"({2 * self.rho} + {self.z} != {sum(self.boundary_counts)})"
+                f"free boundary count {z} breaks 2*rho + z = total boundary "
+                f"({2 * rho} + {z} != {sum(counts)})"
             )
         if handle_costs is not None:
             if len(handle_costs) != w:
                 raise ValueError(f"need {w} handle costs, got {len(handle_costs)}")
             if any(c < 0 for c in handle_costs):
                 raise ValueError(f"handle costs must be non-negative: {handle_costs}")
-        _set(self, "handle_costs", handle_costs)
+        super().__init__(counts, edges, z, handle_costs)
 
     @property
     def w(self) -> int:
@@ -88,11 +87,6 @@ class DecompositionGraph(Record):
 
 class InterfaceBound(Record):
     __slots__ = _fields = ("rho", "floor", "holds")
-
-    def __init__(self, rho: int, floor: int, holds: bool):
-        _set(self, "rho", rho)
-        _set(self, "floor", floor)
-        _set(self, "holds", holds)
 
 
 def interface_lower_bound(g: DecompositionGraph) -> InterfaceBound:
@@ -131,18 +125,11 @@ class HandleBudget(Record):
     def __init__(self, h_max: int, l: int, z: int):
         if any(json_int(v, f) < 0 for v, f in ((h_max, "h_max"), (l, "l"), (z, "z"))):
             raise ValueError(f"budget fields must be non-negative: h_max={h_max}, l={l}, z={z}")
-        _set(self, "h_max", h_max)
-        _set(self, "l", l)
-        _set(self, "z", z)
+        super().__init__(h_max, l, z)
 
 
 class RefutationVerdict(Record):
     __slots__ = _fields = ("decomposable_possible", "max_pieces", "max_handles")
-
-    def __init__(self, decomposable_possible: bool, max_pieces: int, max_handles: int):
-        _set(self, "decomposable_possible", decomposable_possible)
-        _set(self, "max_pieces", max_pieces)
-        _set(self, "max_handles", max_handles)
 
 
 def refute(budget: HandleBudget, h_w: int) -> RefutationVerdict:

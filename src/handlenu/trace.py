@@ -129,6 +129,7 @@ class Dim3Zero(Record):
     """0-handle in dimension 3: a new sphere boundary component appears."""
 
     __slots__ = ()
+    __init__ = object.__init__  # no fields, one per handle read: 62 ns, not Record's 540
     index, anchors = 0, ()
 
     def step(self, live, label: str):
@@ -174,6 +175,7 @@ class NonSeparating(Record):
     """Surgery curve that does not separate its surface; genus drops by one."""
 
     __slots__ = ()
+    __init__ = object.__init__  # as Dim3Zero's
 
     def json_text(self) -> str:  # a curve's fields sit 10 deep in a trace at depth 0
         return '{\n          "kind": "nonseparating"\n        }'
@@ -318,9 +320,7 @@ class OrderedHandleDecomposition(Record):
     def __init__(self, m: int, base: tuple[Descriptor, ...], handles: tuple[HandleRecord, ...]):
         if json_int(m, "m") < 1:
             raise TraceError(f"ambient dimension must be >= 1, got {m}")
-        _set(self, "m", m)
-        _set(self, "base", tuple(base))
-        _set(self, "handles", tuple(handles))
+        super().__init__(m, tuple(base), tuple(handles))
 
     @property
     def delta(self) -> int:
@@ -420,17 +420,9 @@ def dualize(d: OrderedHandleDecomposition) -> OrderedHandleDecomposition:
 class Violation(Record):
     __slots__ = _fields = ("mu", "message")
 
-    def __init__(self, mu: int, message: str):
-        _set(self, "mu", mu)
-        _set(self, "message", message)
-
 
 class ValidationReport(Record):
     __slots__ = _fields = ("violations", "warnings")
-
-    def __init__(self, violations: tuple[Violation, ...], warnings: tuple[str, ...]):
-        _set(self, "violations", violations)
-        _set(self, "warnings", warnings)
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .homology import Descriptor, Record, _set, desc_equal, pretty
+from .homology import Descriptor, Record, desc_equal, pretty
 from .nu import NuEvaluation, evaluate, nu_of_ordering
 from .trace import (
     Declared,
@@ -55,7 +55,7 @@ class GlueSpec(Record):
         right = [b for _, b in pairs]
         if len(set(left)) != len(left) or len(set(right)) != len(right):
             raise GlueError(f"glue pairing must be injective on both sides: {pairs}")
-        _set(self, "pairs", pairs)
+        super().__init__(pairs)
 
 
 def _evaluate_part(d: OrderedHandleDecomposition, part: str) -> tuple[NuEvaluation, dict]:
@@ -157,19 +157,6 @@ class InequalityReport(Record):
     __slots__ = _fields = (
         "lhs", "rhs", "nu_first", "nu_second", "holds", "case", "steps", "composite",
     )
-
-    def __init__(
-        self, lhs: int, rhs: int, nu_first: int, nu_second: int, holds: bool, case: str,
-        steps: tuple[str, ...], composite: OrderedHandleDecomposition,
-    ):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "nu_first", nu_first)
-        _set(self, "nu_second", nu_second)
-        _set(self, "holds", holds)
-        _set(self, "case", case)
-        _set(self, "steps", steps)
-        _set(self, "composite", composite)
 
 
 def check_key_inequality(

@@ -158,19 +158,43 @@ def test_compose_refuses_a_non_canonical_glue_target(tmp_path, capsys, target):
     assert f"second-side glue target must be a base id, got {target!r}" in captured.err
 
 
-@pytest.mark.parametrize(
-    "pairs", [[["h:2", "base:0", "x"]], ["h:"], [["h:2"]], [{"h:2": "base:0"}]]
-)
-def test_glue_pairs_must_be_arrays_of_two_ids(tmp_path, capsys, pairs):
+def compose_with_glue(tmp_path, capsys, glue_doc):
+    """Exit code and output of ``compose --check`` gluing the solid torus to its dual."""
     solid = solid_torus_trace()
     first = write_trace(tmp_path, "m.json", solid)
     second = write_trace(tmp_path, "n.json", dualize(solid))
     glue = tmp_path / "glue.json"
-    glue.write_text(json.dumps({"pairs": pairs}))
-    assert main(["compose", first, second, "--glue", str(glue), "--check"]) == EXIT_INVALID
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: glue file must contain a 'pairs' list of id pairs")
+    glue.write_text(json.dumps(glue_doc))
+    code = main(["compose", first, second, "--glue", str(glue), "--check"])
+    return (code, *capsys.readouterr())
+
+
+GLUE_SHAPE = "error: glue file must contain a 'pairs' list of id pairs: "
+PAIR_SHAPE = "each pair must be an array of two ids, got "
+
+
+@pytest.mark.parametrize(
+    "pairs, detail",
+    [
+        ([["h:2", "base:0", "x"]], f"{PAIR_SHAPE}['h:2', 'base:0', 'x']"),
+        (["h:"], f"{PAIR_SHAPE}'h:'"),
+        ([["h:2"]], f"{PAIR_SHAPE}['h:2']"),
+        ([{"h:2": "base:0"}], f"{PAIR_SHAPE}{{'h:2': 'base:0'}}"),
+        ("ab", "'pairs' must be an array, got 'ab'"),
+        ({}, "'pairs' must be an array, got {}"),
+    ],
+    ids=[f"pairs{i}" for i in range(6)],
+)
+def test_glue_pairs_must_be_arrays_of_two_ids(tmp_path, capsys, pairs, detail):
+    assert compose_with_glue(tmp_path, capsys, {"pairs": pairs}) == (
+        EXIT_INVALID, "", f"{GLUE_SHAPE}{detail}\n"
+    )
+
+
+def test_glue_document_must_be_an_object(tmp_path, capsys):
+    assert compose_with_glue(tmp_path, capsys, [["h:2", "base:0"]]) == (
+        EXIT_INVALID, "", f"{GLUE_SHAPE}the document must be an object, got [['h:2', 'base:0']]\n"
+    )
 
 
 def test_inequality_exit_code_mapping():

@@ -1,4 +1,5 @@
-"""The value classes' contract: ``repr``, immutability, equality and hashing.
+"""The value classes' contract: ``repr``, immutability, equality, hashing and
+a constructor that takes the fields by position or by name, each once.
 
 Error messages embed a record's ``repr``, so its text is pinned literally,
 one value of each kind.  Equality is checked against the JSON form, which
@@ -166,6 +167,15 @@ def test_as_dict_names_the_fields_in_order_and_rebuilds_the_value(value):
     fields = value.as_dict()
     assert list(fields) == list(value._fields)
     assert type(value)(**fields) == value
+    args = list(fields.values())
+    assert type(value)(*args) == value
+    with pytest.raises(TypeError):
+        type(value)(*args, None)
+    with pytest.raises(TypeError):
+        type(value)(*args, nothing=None)
+    if args:
+        with pytest.raises(TypeError):
+            type(value)(*args, **{value._fields[0]: args[0]})
 
 
 def test_replace_changes_only_the_named_fields():
