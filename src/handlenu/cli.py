@@ -142,10 +142,12 @@ def cmd_search(args) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        # Only the human lines spell out the count and every position.
+        lines = [] if args.json else _bound_lines(bound, order)
         _emit(
             args,
             {"command": "search", "result": result, "warnings": warnings},
-            _bound_lines(bound, order) + [f"warning: {w}" for w in warnings],
+            lines + [f"warning: {w}" for w in warnings],
         )
     finally:
         if limit:
@@ -158,10 +160,10 @@ def inequality_exit_code(holds: bool) -> int:
     return EXIT_OK if holds else EXIT_THEOREM
 
 
-def _glue_pair(pair) -> tuple[str, str]:
+def _glue_pair(k: int, pair) -> tuple[str, str]:
     if type(pair) is not list or len(pair) != 2:
         raise TypeError(f"each pair must be an array of two ids, got {pair!r}")
-    return json_str(pair[0], "glue id"), json_str(pair[1], "glue id")
+    return json_str(pair[0], f"pairs[{k}][0]"), json_str(pair[1], f"pairs[{k}][1]")
 
 
 def cmd_compose(args) -> int:
@@ -171,11 +173,13 @@ def cmd_compose(args) -> int:
     try:
         if type(glue_doc) is not dict:
             raise TypeError(f"the document must be an object, got {glue_doc!r}")
+        if "pairs" not in glue_doc:
+            raise TypeError("missing 'pairs'")
         pairs = glue_doc["pairs"]
         if type(pairs) is not list:
             raise TypeError(f"'pairs' must be an array, got {pairs!r}")
-        glue = union.GlueSpec(tuple(_glue_pair(pair) for pair in pairs))
-    except (KeyError, TypeError) as exc:
+        glue = union.GlueSpec(tuple(_glue_pair(k, pair) for k, pair in enumerate(pairs)))
+    except TypeError as exc:
         raise union.GlueError(f"glue file must contain a 'pairs' list of id pairs: {exc}") from exc
 
     report = union.check_key_inequality(dm, dn, glue)

@@ -31,7 +31,6 @@ same way.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import cmp_to_key
 import operator
 from typing import Union, get_args
@@ -499,17 +498,13 @@ def descriptor_to_json(desc: Descriptor) -> dict:
     return _bottom_up(desc, "_json")
 
 
-@contextmanager
-def _reading(kind):
-    """Report a descriptor document's own field errors under its type tag."""
-    try:
-        yield
-    except KeyError as exc:
-        raise DescriptorError(f"descriptor of type {kind!r} is missing field {exc}") from exc
-    except DescriptorError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DescriptorError(f"malformed {kind!r} descriptor: {exc}") from exc
+def _misread(kind, exc: Exception) -> DescriptorError:
+    """A descriptor document's own field error, reported under its type tag.
+    The readers raise it from ``try`` blocks, which cost nothing when nothing
+    is raised, where a context manager would cost every descriptor a call."""
+    if isinstance(exc, KeyError):
+        return DescriptorError(f"descriptor of type {kind!r} is missing field {exc}")
+    return DescriptorError(f"malformed {kind!r} descriptor: {exc}")
 
 
 _KINDS = {cls.tag: cls for cls in get_args(Descriptor)}
@@ -525,8 +520,12 @@ def _read_node(data):
     cls = _KINDS.get(kind) if type(kind) is str else None
     if cls is None:
         raise DescriptorError(f"unknown descriptor type {kind!r}")
-    with _reading(kind):
+    try:
         node = cls._read(data)
+    except DescriptorError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _misread(kind, exc) from exc
     return node if isinstance(node, _Node) else [cls, node, []]
 
 
@@ -547,10 +546,14 @@ def descriptor_from_json(data) -> Descriptor:
         else:
             return node
         cls, part_docs, parts = stack[-1]
-        with _reading(cls.tag):
+        try:
             doc = next(part_docs, _END)
             if doc is _END:
                 stack.pop()
                 node = cls._join(parts)
             else:
                 node = _read_node(doc)
+        except DescriptorError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _misread(cls.tag, exc) from exc

@@ -8,7 +8,8 @@ boundary, and the concatenation argument in the union checker relies on
 counting it.  Every value here is read off live-component dicts stepped by
 :func:`trace.attachment_step` in one walk over the handles; the ordering
 search reads its value off that walk and counts orderings without replaying
-them.  No boundary state is built.
+them, in closed form on forest-shaped parts of the anchor poset and by a walk
+over order ideals on the others.  No boundary state is built.
 
 The true invariant of a manifold minimizes over all decompositions and then
 maximizes over all bases; neither extreme is computable in general, so
@@ -19,7 +20,7 @@ justification; the upper side is attained by the given order of the handles.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .homology import Descriptor, Record, json_int, palindromic
 from .trace import (
@@ -29,8 +30,6 @@ from .trace import (
     Dim3Two,
     NonSeparating,
     OrderedHandleDecomposition,
-    anchors_of,
-    id_sort_key,
     walk,
 )
 
@@ -121,7 +120,7 @@ def lower_bound_rules(
     replayed ``d``: the rules read the handles without replaying them, so
     both callers walk the trace first.
     """
-    # Declared records are order-pinned (see _dependencies), so each
+    # Declared records are order-pinned (see search_min_nu), so each
     # declared component appears in every admissible ordering.
     pinned = (h.attachment for h in d.handles if isinstance(h.attachment, Declared))
     declared = [desc for att in pinned for desc in att.components]
@@ -170,27 +169,6 @@ def heegaard_upper(genus: int) -> int:
     return 2 * genus + 2
 
 
-# --- enumeration of admissible orders ---------------------------------------
-
-
-def _dependencies(d: OrderedHandleDecomposition) -> dict[int, set[int]]:
-    deps: dict[int, set[int]] = {j: set() for j in range(1, d.delta + 1)}
-    declared_at: list[int] = []
-    for j, handle in enumerate(d.handles, start=1):
-        for anchor in anchors_of(handle):
-            if anchor.startswith("h:"):
-                deps[j].add(id_sort_key(anchor)[1])
-        if isinstance(handle.attachment, Declared):
-            declared_at.append(j)
-    # A declared record asserts the whole boundary after it, so it cannot move
-    # relative to anything: pin it between all earlier and all later handles.
-    for p in declared_at:
-        deps[p].update(range(1, p))
-        for k in range(p + 1, d.delta + 1):
-            deps[k].add(p)
-    return deps
-
-
 class Bound(Record):
     """Certified range for the invariant.
 
@@ -209,65 +187,55 @@ class Bound(Record):
         super().__init__(lower, upper, exhaustive, enumerated, lower_reasons)
 
 
-Live = dict[str, Descriptor]
+# --- counting admissible orders (see search_min_nu) ------------------------
 
 
-def _parts(deps: dict[int, set[int]]) -> list[int]:
-    """Bit masks (bit ``j - 1`` for handle ``j``) of the connected parts of the
-    dependency poset, found by union-find over its edges."""
-    parent = {j: j for j in deps}
-
-    def root(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    for j, earlier in deps.items():
-        for i in earlier:
-            parent[root(i)] = root(j)
-    masks: dict[int, int] = {}
-    for j in deps:
-        r = root(j)
-        masks[r] = masks.get(r, 0) | 1 << (j - 1)
-    return list(masks.values())
+def _dependencies(d: OrderedHandleDecomposition) -> tuple[list[set[int]], list[int]]:
+    """For each handle, by 0-based position, the earlier handles it anchors
+    other than a ``Declared`` record (an anchor ``h:j`` or ``h:j/k`` names
+    event ``j``); and the positions of those records, which cut the order."""
+    deps, cuts = [], []
+    for j, handle in enumerate(d.handles):
+        att = handle.attachment
+        if isinstance(att, Declared):
+            cuts.append(j)
+        ids = (getattr(att, field) for field in att.anchors)
+        events = {int(a[2:].partition("/")[0]) - 1 for a in ids if a.startswith("h:")}
+        # The last cut consumed the whole boundary, so only it can be anchored here.
+        events.discard(cuts[-1] if cuts else -1)
+        deps.append(events)
+    return deps, cuts
 
 
-def _count_orderings(need: list[int], mask: int, cap: int | None) -> int:
-    """Admissible orderings of the handles in ``mask``, saturated at ``cap``.
+def _product(factors: list[int]) -> int:
+    """Product by balanced splitting, so that large factors meet large ones
+    rather than one growing integer meeting each small factor in turn."""
+    while len(factors) > 2:
+        factors = [math.prod(factors[k : k + 2]) for k in range(0, len(factors), 2)]
+    return math.prod(factors)
 
-    A memoized walk over the lattice of order ideals inside ``mask``: an
-    ideal is an int bitmask of placed original positions, and ``need[j]``
-    is the mask of the handles that handle ``j + 1`` anchors.  The orderings
-    that complete an ideal are the sum, over its admissible next handles, of
-    those that complete the ideal with that handle added; the full ideal has
-    one.  Each ideal is counted once however many orderings reach it.
-    """
-    counts: dict[int, int] = {}
 
-    def children(ideal: int) -> Iterator[int]:
-        free = ~ideal & mask
-        while free:
-            low = free & -free
-            if not need[low.bit_length() - 1] & ~ideal:
-                yield ideal | low
-            free ^= low
+def _count_ideals(need: list[int], cap: float) -> int:
+    """Orderings of one part, saturated at ``cap``, by a memoized walk over its
+    order ideals: bit ``k`` places the part's ``k``-th handle, which needs the
+    handles in mask ``need[k]``.  An ideal's count sums its children's."""
+    full, counts = (1 << len(need)) - 1, {}
 
     def frame(ideal: int) -> list:
         # [ideal, admissible next ideals, orderings so far]
-        return [ideal, children(ideal), int(ideal == mask)]
+        free = (k for k in range(len(need)) if not (ideal >> k & 1 or need[k] & ~ideal))
+        return [ideal, (ideal | 1 << k for k in free), int(ideal == full)]
 
     stack = [frame(0)]
     while True:
         top = stack[-1]
         ideal, pending, acc = top
-        child = next(pending, None) if cap is None or acc < cap else None
+        child = next(pending, None) if acc < cap else None
         if child is None:
             stack.pop()
-            acc = acc if cap is None else min(acc, cap)
+            acc = counts[ideal] = min(acc, cap)
             if not stack:
                 return acc
-            counts[ideal] = acc
             stack[-1][2] += acc
         elif child in counts:
             top[2] += counts[child]
@@ -275,36 +243,63 @@ def _count_orderings(need: list[int], mask: int, cap: int | None) -> int:
             stack.append(frame(child))
 
 
-def _search(d: OrderedHandleDecomposition, budget: int | None = None) -> tuple[Bound, Live]:
+def _count(d: OrderedHandleDecomposition, cap: float) -> int:
+    """Admissible orderings of ``d``'s handles; a count over ``cap`` may read as low as ``cap``."""
+    deps, cuts = _dependencies(d)
+    n = len(deps)
+    # Union-find over the anchor edges; how many later handles anchor each
+    # handle; down- and up-set sizes, exact on parts of the matching forest shape.
+    parent, later, down, up = list(range(n)), [0] * n, [1] * n, [1] * n
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    for j, earlier in enumerate(deps):
+        for i in earlier:
+            later[i] += 1
+            down[j] += down[i]
+            parent[root(i)] = j  # j is still a root: only later handles join it
+    parts: dict[int, list[int]] = {}
+    for j in range(n - 1, -1, -1):
+        parts.setdefault(root(j), []).append(j)
+        for i in deps[j]:
+            up[i] += up[j]
+
+    ends = [-1, *cuts, n]
+    numerator = [math.factorial(b - a - 1) for a, b in zip(ends, ends[1:])]
+    denominator = []
+    for part in parts.values():
+        if all(len(deps[j]) < 2 for j in part):
+            denominator.extend(map(up.__getitem__, part))
+        elif all(later[j] < 2 for j in part):
+            denominator.extend(map(down.__getitem__, part))
+        else:
+            index = {j: k for k, j in enumerate(part)}
+            need = [sum(1 << index[i] for i in deps[j]) for j in part]
+            numerator.append(_count_ideals(need, cap))
+            denominator.append(math.factorial(len(part)))
+    num, den = _product(numerator), _product(denominator)
+    # Hooks of 2 are common and long division is quadratic: shift the 2s out first.
+    twos = (den & -den).bit_length() - 1
+    return (num >> twos) // (den >> twos)
+
+
+def _search(
+    d: OrderedHandleDecomposition, budget: int | None = None
+) -> tuple[Bound, dict[str, Descriptor]]:
     """:func:`search_min_nu`, and the final free boundary by id, from one walk."""
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of orderings, got {budget}")
     # The walk comes first: a broken trace raises its ReplayError there, and a
-    # walk that resolves anchor "h:i" at handle j has i < j, as
-    # _dependencies assumes.
+    # walk that resolves anchor "h:i" at handle j has i < j, as _count assumes.
     evaluation, live = evaluate(d)
-    deps = _dependencies(d)
-    need = [sum(1 << (i - 1) for i in deps[j]) for j in range(1, d.delta + 1)]
-    # The parts' orders interleave freely: the multinomial coefficient of
-    # their sizes times each part's own count.  A part's count saturated at
-    # ``cap`` still puts the total over the budget.
-    cap = None if budget is None else budget + 1
-    total, placed = 1, 0
-    for mask in _parts(deps):
-        size = mask.bit_count()
-        placed += size
-        total *= math.comb(placed, size) * _count_orderings(need, mask, cap)
+    total = _count(d, math.inf if budget is None else budget + 1)
     exhaustive = budget is None or total <= budget
 
     lower, reasons = lower_bound_rules(d, live)
-    bound = Bound(
-        lower=lower,
-        upper=evaluation.nu,
-        exhaustive=exhaustive,
-        enumerated=total if exhaustive else budget,
-        lower_reasons=reasons,
-    )
-    return bound, live
+    return Bound(lower, evaluation.nu, exhaustive, total if exhaustive else budget, reasons), live
 
 
 def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> Bound:
@@ -324,10 +319,15 @@ def search_min_nu(d: OrderedHandleDecomposition, budget: int | None = None) -> B
     earlier handles.
 
     ``enumerated`` counts the admissible orderings covered, without
-    replaying them: the order ideals of each connected part of the
-    anchor-dependency poset are counted on their own, and the parts' orders
-    interleave freely, so the total is the multinomial coefficient of the
-    part sizes times each part's own count.  ``budget`` caps that count, as
+    replaying them.  The pinned ``Declared`` records cut the order into
+    segments whose counts multiply.  A segment's connected parts interleave
+    freely, so its n handles have n! orderings over the product of each
+    part's size! / count.  On a forest that quotient is the product of the
+    hook lengths (Knuth, TAOCP Vol. 3, 5.1.4, ex. 20): up-set sizes when
+    each handle anchors at most one earlier handle of its part, down-set
+    sizes when each is anchored by at most one later one.  Other parts keep
+    a memoized walk over their order ideals: the count is #P-complete in
+    general (Brightwell and Winkler, Order 8, 1991).  ``budget`` caps it, as
     the first ``budget`` orderings in depth-first lexicographic order, and
     ``exhaustive`` reports whether all of them fit.
     """

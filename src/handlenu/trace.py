@@ -293,11 +293,6 @@ class HandleRecord(Record):
         _set(self, "attachment", attachment)
 
 
-def anchors_of(record: HandleRecord) -> tuple[str, ...]:
-    att = record.attachment
-    return tuple(dict.fromkeys(getattr(att, f) for f in att.anchors))
-
-
 def map_anchors(att: Attachment, fn: Callable[[str], str]) -> Attachment:
     """The attachment with every anchor replaced by ``fn(anchor)``."""
     return att.replace(**{f: fn(getattr(att, f)) for f in att.anchors})

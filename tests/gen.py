@@ -21,7 +21,6 @@ from handlenu.homology import (
     Sphere,
     Surface,
 )
-from handlenu.nu import _dependencies
 from handlenu.trace import (
     Declared,
     Dim3One,
@@ -39,6 +38,7 @@ from handlenu.trace import (
     replay,
 )
 from handlenu.union import GlueSpec
+from ideal_count import dependencies
 
 
 def states(d: OrderedHandleDecomposition) -> list[tuple[tuple[str, Descriptor], ...]]:
@@ -158,7 +158,7 @@ def reorder(d: OrderedHandleDecomposition, order: Sequence[int]) -> OrderedHandl
 def iter_linear_extensions(d: OrderedHandleDecomposition) -> Iterator[tuple[int, ...]]:
     """All admissible orders of the handles, depth-first, lexicographically
     smallest original positions first.  Deterministic."""
-    deps = _dependencies(d)
+    deps = dependencies(d)
     delta = d.delta
     placed: list[int] = []
     placed_set: set[int] = set()
@@ -180,7 +180,7 @@ def iter_linear_extensions(d: OrderedHandleDecomposition) -> Iterator[tuple[int,
 
 def random_admissible_order(rng: random.Random, d: OrderedHandleDecomposition) -> list[int]:
     """A random linear extension of the anchor dependencies of ``d``."""
-    deps = _dependencies(d)
+    deps = dependencies(d)
     order: list[int] = []
     placed: set[int] = set()
     while len(order) < d.delta:

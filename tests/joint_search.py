@@ -15,8 +15,9 @@ import math
 from typing import Iterator
 
 from handlenu.homology import Descriptor
-from handlenu.nu import Bound, _dependencies, lower_bound_rules
+from handlenu.nu import Bound, lower_bound_rules
 from handlenu.trace import OrderedHandleDecomposition, attachment_step, replay
+from ideal_count import dependencies
 
 Live = dict[str, Descriptor]
 
@@ -43,7 +44,7 @@ class JointIdealSearch:
     """
 
     def __init__(self, d: OrderedHandleDecomposition, known: dict[int, Live], cap: int | None):
-        deps = _dependencies(d)
+        deps = dependencies(d)
         self.d = d
         self.need = [sum(1 << (i - 1) for i in deps[j]) for j in range(1, d.delta + 1)]
         self.full = (1 << d.delta) - 1

@@ -182,8 +182,10 @@ PAIR_SHAPE = "each pair must be an array of two ids, got "
         ([{"h:2": "base:0"}], f"{PAIR_SHAPE}{{'h:2': 'base:0'}}"),
         ("ab", "'pairs' must be an array, got 'ab'"),
         ({}, "'pairs' must be an array, got {}"),
+        ([["h:2", "base:0"], ["h:3", 1]], "'pairs[1][1]' must be a string, got 1"),
+        ([[None, "base:0"]], "'pairs[0][0]' must be a string, got None"),
     ],
-    ids=[f"pairs{i}" for i in range(6)],
+    ids=[f"pairs{i}" for i in range(8)],
 )
 def test_glue_pairs_must_be_arrays_of_two_ids(tmp_path, capsys, pairs, detail):
     assert compose_with_glue(tmp_path, capsys, {"pairs": pairs}) == (
@@ -194,6 +196,12 @@ def test_glue_pairs_must_be_arrays_of_two_ids(tmp_path, capsys, pairs, detail):
 def test_glue_document_must_be_an_object(tmp_path, capsys):
     assert compose_with_glue(tmp_path, capsys, [["h:2", "base:0"]]) == (
         EXIT_INVALID, "", f"{GLUE_SHAPE}the document must be an object, got [['h:2', 'base:0']]\n"
+    )
+
+
+def test_glue_document_without_pairs_says_what_is_missing(tmp_path, capsys):
+    assert compose_with_glue(tmp_path, capsys, {}) == (
+        EXIT_INVALID, "", f"{GLUE_SHAPE}missing 'pairs'\n"
     )
 
 
@@ -495,7 +503,7 @@ def test_non_string_glue_id_exits_2_with_a_message(tmp_path, capsys):
     assert main(["compose", first, second, "--glue", str(glue), "--check"]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "'glue id' must be a string" in captured.err
+    assert captured.err == f"{GLUE_SHAPE}'pairs[0][1]' must be a string, got 0\n"
 
 
 def nested_circles_trace(tmp_path, depth, m):
@@ -639,6 +647,25 @@ def test_search_writes_a_count_of_more_than_4300_digits(tmp_path, capsys, as_jso
         else:
             enumerated = int(out.split("orderings enumerated: ", 1)[1].split(" ", 1)[0])
         assert enumerated == math.factorial(1700)
+
+
+def test_search_json_builds_no_human_lines(tmp_path, capsys, monkeypatch):
+    # Spelling out a count of 1700! and every position is only for the human report.
+    import handlenu.cli as cli_mod
+
+    def refuse(*args):
+        raise AssertionError("search --json built its human lines")
+
+    doc = {"m": 3, "base": [], "handles": [{"index": 0, "attachment": {"type": "zero"}}] * 1700}
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli_mod, "_bound_lines", refuse)
+    assert main(["search", "--all-orderings", "--json", str(path)]) == EXIT_OK
+    with any_int_digits():
+        result = json.loads(capsys.readouterr().out)["result"]
+    assert result["enumerated"] == math.factorial(1700)
+    with pytest.raises(AssertionError, match="human lines"):
+        main(["search", "--all-orderings", str(path)])
 
 
 @pytest.mark.skipif(

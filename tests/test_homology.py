@@ -220,6 +220,22 @@ def test_nested_document_errors_name_the_first_bad_part(doc, message):
         descriptor_from_json(doc)
 
 
+@pytest.mark.parametrize("doc, cause", [
+    ({"type": "surface"}, KeyError),
+    ({"type": "surface", "genus": 1.5}, TypeError),
+    ({"type": "product", "right": {"type": "sphere", "n": 1}}, KeyError),
+    ({"type": "connected-sum", "parts": 3}, TypeError),
+    # A reader's own DescriptorError leaves unwrapped, with no cause.
+    ({"type": "surface", "genus": 1, "orientable": False}, type(None)),
+    ({"type": "product", "left": {"type": "sphere", "n": 0}}, type(None)),
+])
+def test_reader_errors_are_raised_from_their_cause(doc, cause):
+    with pytest.raises(DescriptorError) as info:
+        descriptor_from_json(doc)
+    assert type(info.value.__cause__) is cause
+    assert type(info.value.__context__) is cause
+
+
 def test_pretty():
     assert pretty(Surface(1)) == "T^2"
     assert pretty(Surface(2)) == "Sigma_2"

@@ -18,14 +18,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import handlenu.trace as trace_mod
 from handlenu.homology import total_betti
-from handlenu.nu import (
-    Bound,
-    _dependencies,
-    _parts,
-    lower_bound_rules,
-    nu_of_ordering,
-    search_min_nu,
-)
+from handlenu.nu import Bound, lower_bound_rules, nu_of_ordering, search_min_nu
 from handlenu.trace import (
     Declared,
     Dim3One,
@@ -37,6 +30,7 @@ from handlenu.trace import (
     OrderedHandleDecomposition,
 )
 from gen import iter_linear_extensions, multi_part_trace, random_trace, reorder, states
+from ideal_count import dependencies, parts
 from joint_search import joint_search
 
 
@@ -128,7 +122,7 @@ def test_ideal_search_matches_oracle_hypothesis(rng, declared, budget):
 
 
 def parts_of(d: OrderedHandleDecomposition) -> int:
-    return len(_parts(_dependencies(d)))
+    return len(parts(dependencies(d)))
 
 
 def test_factored_search_matches_both_oracles_on_multi_part_traces():

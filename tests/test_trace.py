@@ -34,7 +34,6 @@ from handlenu.trace import (
     Separating,
     TraceError,
     ValidationReport,
-    anchors_of,
     attachment_step,
     canonical_dumps,
     dualize,
@@ -56,6 +55,7 @@ from gen import (
     reorder,
     states,
 )
+from ideal_count import anchors_of
 
 
 def attach_one(base, attachment, index, m=3):
