@@ -6,10 +6,10 @@ is the maximum of the ``e_mu``.  The prefix mu = 0 participates exactly when
 the base is non-empty: the initial collar already shows the base as free
 boundary, and the concatenation argument in the union checker relies on
 counting it.  Every value here is read off live-component dicts stepped by
-:func:`trace.attachment_step` in one walk over the handles; the ordering
-search reads its value off that walk and counts orderings without replaying
-them, in closed form on forest-shaped parts of the anchor poset and by a walk
-over order ideals on the others.  No boundary state is built.
+each attachment's ``step`` in one :func:`trace.walk` over the handles; the
+ordering search reads its value off that walk and counts orderings without
+replaying them, in closed form on forest-shaped parts of the anchor poset and
+by a walk over order ideals on the others.  No boundary state is built.
 
 The true invariant of a manifold minimizes over all decompositions and then
 maximizes over all bases; neither extreme is computable in general, so
@@ -243,8 +243,29 @@ def _count_ideals(need: list[int], cap: float) -> int:
             stack.append(frame(child))
 
 
+def _free_exceed(d: OrderedHandleDecomposition, cap: float) -> bool:
+    """Whether the handles that anchor no earlier handle (0-handles, and those
+    anchoring only base components) alone show more than ``cap`` orderings.
+    The k of them in one segment between ``Declared`` records are minimal in
+    it, so its handles have at least k! orderings: those k first in any
+    order, then the rest in one admissible order."""
+    bound, k = 1, 0  # the product of each segment's k!, so far
+    for handle in d.handles:
+        att = handle.attachment
+        if type(att) is Declared:
+            k = 0
+        elif not any(getattr(att, field).startswith("h:") for field in att.anchors):
+            k += 1
+            bound *= k
+            if bound > cap:
+                return True
+    return False
+
+
 def _count(d: OrderedHandleDecomposition, cap: float) -> int:
     """Admissible orderings of ``d``'s handles; a count over ``cap`` may read as low as ``cap``."""
+    if cap < math.inf and _free_exceed(d, cap):
+        return cap
     deps, cuts = _dependencies(d)
     n = len(deps)
     # Union-find over the anchor edges; how many later handles anchor each

@@ -9,15 +9,16 @@ on the fixed side of a collar and never consumed.
 
 The free boundary is a dict from component id to descriptor.  Each of the
 five attachment kinds is a class carrying its rules: the handle ``index``
-it needs, the fields holding its ``anchors``, its ``step`` on the free
-boundary and its ``dual``; :class:`HandleRecord` refuses any other
-attachment.  :func:`walk` applies the steps handle after handle to one such
-dict, in time linear in the handles, and adds each id it makes after every
-live one, so its dicts, and the copies :func:`replay` keeps after every
-prefix, list ids in id order (:func:`id_sort_key`); callers read them as
-they stand.  Steps build no descriptor they can share: a 0-handle's sphere
-is one module constant, and each genus's surface comes from a bounded cache
-(descriptors are immutable and compare by ``key``).
+it needs, the fields holding its ``anchors`` and their map
+(``map_anchors``), its ``step`` on the free boundary and its ``dual``;
+:class:`HandleRecord` refuses any other attachment, so nothing downstream
+checks the kind again.  :func:`walk` calls each handle's step in turn on
+one such dict, in time linear in the handles, and adds each id it makes
+after every live one, so its dicts, and the copies :func:`replay` keeps
+after every prefix, list ids in id order (:func:`id_sort_key`); callers
+read them as they stand.  Steps build no descriptor they can share: a
+0-handle's sphere is one module constant, and each genus's surface comes
+from a bounded cache (descriptors are immutable and compare by ``key``).
 
 Two attachment styles exist:
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Mapping, Union, get_args
 
@@ -119,8 +121,13 @@ def _resolve(live: Mapping[str, Descriptor], anchor: str) -> Descriptor:
     return desc
 
 
-# ``step(live, label)`` is :func:`attachment_step` for one kind.  ``dual(made, gone)``
-# consumes the dual ids ``made`` of what it made and makes ``gone`` again, in order.
+# ``step(live, label)`` returns the ids of the live components the attachment
+# consumes and the components it makes by id, named after ``label``; ``live`` maps
+# the free boundary's ids to descriptors and is only read.  Components not consumed
+# keep their ids; a ``Declared`` record consumes them all.  A step raises AttachError
+# when the attachment is illegal there.  ``dual(made, gone)`` consumes the dual ids
+# ``made`` of what it made and makes ``gone`` again, in order.  ``map_anchors(fn)``
+# is the attachment with each anchor ``a`` replaced by ``fn(a)``, checked as built.
 # ``json_text()`` is its attachment document as :func:`canonical_dumps` writes it in
 # a trace at depth 0 (fields on lines indented by 8), one template per kind.
 
@@ -137,6 +144,9 @@ class Dim3Zero(Record):
 
     def dual(self, made: list[str], gone: dict[str, Descriptor]):
         return Dim3Three(made[0])
+
+    def map_anchors(self, fn: Callable[[str], str]):
+        return self  # no anchors, and immutable
 
     def json_text(self) -> str:
         return '{\n        "type": "zero"\n      }'
@@ -163,6 +173,9 @@ class Dim3One(Record):
         if self.a == self.b:
             return Dim3Two(made[0], NonSeparating())
         return Dim3Two(made[0], Separating(*(_genus_of(c, desc) for c, desc in gone.items())))
+
+    def map_anchors(self, fn: Callable[[str], str]):
+        return Dim3One(fn(self.a), fn(self.b))
 
     def json_text(self) -> str:
         return (
@@ -228,6 +241,9 @@ class Dim3Two(Record):
     def dual(self, made: list[str], gone: dict[str, Descriptor]):
         return Dim3One(made[0], made[-1])  # it made one surface, or the two sides of a split
 
+    def map_anchors(self, fn: Callable[[str], str]):
+        return Dim3Two(fn(self.anchor), self.curve)
+
     def json_text(self) -> str:
         return (
             f'{{\n        "anchor": {_quote(self.anchor)},'
@@ -253,6 +269,9 @@ class Dim3Three(Record):
     def dual(self, made: list[str], gone: dict[str, Descriptor]):
         return Dim3Zero()
 
+    def map_anchors(self, fn: Callable[[str], str]):
+        return Dim3Three(fn(self.anchor))
+
     def json_text(self) -> str:
         return f'{{\n        "anchor": {_quote(self.anchor)},\n        "type": "three"\n      }}'
 
@@ -271,6 +290,8 @@ class Declared(Record):
 
     def dual(self, made: list[str], gone: dict[str, Descriptor]):
         return Declared(tuple(gone.values()))  # it consumed the whole boundary, in id order
+
+    map_anchors = Dim3Zero.map_anchors  # no anchors either
 
     def json_text(self) -> str:
         components = _dumps_at([descriptor_to_json(c) for c in self.components], "\n        ")
@@ -294,13 +315,18 @@ class HandleRecord(Record):
 
 
 def map_anchors(att: Attachment, fn: Callable[[str], str]) -> Attachment:
-    """The attachment with every anchor replaced by ``fn(anchor)``."""
-    return att.replace(**{f: fn(getattr(att, f)) for f in att.anchors})
+    """The attachment with every anchor replaced by ``fn(anchor)``: its kind's
+    ``map_anchors``."""
+    return att.map_anchors(fn)
 
 
 def rename_anchor(anchor: str, relabel: dict[str, str]) -> str | None:
     """Rename the anchor's event id through ``relabel``, keeping any ``/k``
-    suffix; ``None`` when ``relabel`` does not name the event."""
+    suffix; ``None`` when ``relabel`` does not name the event.  Event ids hold
+    no ``/``, so an anchor found whole in ``relabel`` is an event id."""
+    renamed = relabel.get(anchor)
+    if renamed is not None:
+        return renamed
     event, sep, sub = anchor.partition("/")
     if event not in relabel:
         return None
@@ -322,27 +348,6 @@ class OrderedHandleDecomposition(Record):
         return len(self.handles)
 
 
-def attachment_step(
-    att: Attachment, live: Mapping[str, Descriptor], *, label: str, m: int
-) -> tuple[tuple[str, ...], dict[str, Descriptor]]:
-    """The ids of the live components an attachment consumes, and the
-    components it makes by id, named after ``label``: the attachment's step.
-
-    ``live`` maps the ids of the free boundary's components to their
-    descriptors and is only read.  Components not consumed keep their ids; a
-    ``Declared`` record consumes them all.  Raises AttachError when the
-    attachment is illegal there.
-    """
-    kind = type(att)
-    if m != 3 and kind is not Declared:
-        raise AttachError(
-            f"surface-calculus attachments need ambient dimension 3, trace has m={m}"
-        )
-    if kind not in _KINDS:  # a bare attachment; a HandleRecord holds only the five
-        raise AttachError(f"unknown attachment {att!r}")
-    return att.step(live, label)
-
-
 def walk(d: OrderedHandleDecomposition) -> Iterator[
     tuple[dict[str, Descriptor], dict[str, Descriptor], dict[str, Descriptor]]
 ]:
@@ -351,15 +356,22 @@ def walk(d: OrderedHandleDecomposition) -> Iterator[
     Yields, for mu = 0..delta, the components the mu-th event consumed, the
     components it made (event 0 makes the base) and the live components
     afterwards, each a dict from id to descriptor.  The live dict is the
-    walk's own and changes as it goes on.  Raises ReplayError like
+    walk's own and changes as it goes on.  Each handle takes its attachment's
+    ``step``; surface calculus needs ``m`` 3.  Raises ReplayError like
     :func:`replay`.
     """
     base = {f"base:{i}": desc for i, desc in enumerate(d.base)}
     live = dict(base)
     yield {}, base, live
+    m3 = d.m == 3
     for j, handle in enumerate(d.handles, start=1):
+        att = handle.attachment
         try:
-            consumed, made = attachment_step(handle.attachment, live, label=f"h:{j}", m=d.m)
+            if not m3 and type(att) is not Declared:
+                raise AttachError(
+                    f"surface-calculus attachments need ambient dimension 3, trace has m={d.m}"
+                )
+            consumed, made = att.step(live, f"h:{j}")
         except AttachError as exc:
             raise ReplayError(j, str(exc)) from exc
         gone = {}
@@ -566,7 +578,10 @@ def canonical_dumps(obj) -> str:
     list renders the package's reports 1.5-3 times faster, and a trace's
     templates write it about 6 times faster again.  The
     writer keeps its open containers on a list, not in Python frames, so it
-    writes any nesting depth.
+    writes any nesting depth.  An int of 10,000 digits or more (a search's
+    ``enumerated``) is written in time subquadratic in its digits, which
+    ``int.__repr__`` is not before CPython 3.12; where the interpreter's
+    integer-to-string limit is in force, the limit raises as for any int.
     """
     out: list[str] = []
     _write(obj, out)
@@ -593,6 +608,32 @@ def _dumps_at(value, inner: str) -> str:
     return "".join(out)
 
 
+_BIG = 1 << 33216  # about 10**9999; from here on _long_text writes ints faster than int
+
+
+def _long_text(n: int) -> str:
+    """``int.__repr__(n)`` for a positive ``n`` of 10,000 digits or more: split in
+    binary, join the halves in ``decimal``, whose large products are fast, and
+    print that.  Under the integer-to-string limit int itself writes ``n``."""
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        return int.__repr__(n)
+    import decimal
+
+    def convert(n: int, k: int) -> decimal.Decimal:  # for n < 2**(256 << k)
+        if k < 0:
+            return decimal.Decimal(n)
+        high = n >> (128 << k)
+        return convert(n - (high << (128 << k)), k - 1) + convert(high, k - 1) * powers[k]
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # exact throughout: never rounds
+        powers = [decimal.Decimal(1 << 128)]  # 2**(128 << k) by k
+        while 256 << (len(powers) - 1) < n.bit_length():
+            powers.append(powers[-1] * powers[-1])
+        return str(convert(n, len(powers) - 1))
+
+
 def _write(value, out: list[str], inner: str = "\n") -> None:
     """Append ``value``, on a line that starts with ``inner``, to ``out``.  A
     module-level function holding no closure, so a call leaves no reference
@@ -615,7 +656,7 @@ def _write(value, out: list[str], inner: str = "\n") -> None:
             if kind is str:
                 out.append(_quote(item))
             elif kind is int:
-                out.append(int.__repr__(item))
+                out.append(int.__repr__(item) if item < _BIG else _long_text(item))
             elif item is None:
                 out.append("null")
             elif item is True:
@@ -642,7 +683,7 @@ def _write(value, out: list[str], inner: str = "\n") -> None:
             elif isinstance(item, str):
                 out.append(_quote(item))
             elif isinstance(item, int):
-                out.append(int.__repr__(item))
+                out.append(int.__repr__(item) if item < _BIG else _long_text(item))
             else:
                 raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
         else:  # every item written: close the container, resume the one around it

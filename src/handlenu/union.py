@@ -26,7 +26,6 @@ from .trace import (
     OrderedHandleDecomposition,
     TraceError,
     final_boundary,
-    map_anchors,
     rename_anchor,
     validated,
 )
@@ -136,7 +135,7 @@ def compose(
         return renamed
 
     for handle in dn.handles:
-        att = map_anchors(handle.attachment, remap)
+        att = handle.attachment.map_anchors(remap)
         if isinstance(att, Declared):
             att = Declared(att.components + remainder)
         handles.append(HandleRecord(handle.index, att))

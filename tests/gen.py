@@ -4,7 +4,8 @@ Traces are built by mirroring the surface calculus move for move, so every
 generated decomposition replays by construction.  All randomness flows
 through an explicit ``random.Random`` so failures reproduce exactly.
 The oracles that enumerate orderings, :func:`reorder` and
-:func:`iter_linear_extensions`, live here too.
+:func:`iter_linear_extensions`, live here too, as does :func:`count_steps`,
+which counts the attachment steps a test's code takes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from handlenu.homology import (
     Sphere,
     Surface,
 )
+import handlenu.trace as trace_mod
 from handlenu.trace import (
     Declared,
     Dim3One,
@@ -39,6 +41,20 @@ from handlenu.trace import (
 )
 from handlenu.union import GlueSpec
 from ideal_count import dependencies
+
+
+def count_steps(monkeypatch, when=lambda: True) -> list[str]:
+    """The labels of the attachment steps taken from now on while ``when()``
+    holds, in order, counted at each kind's ``step``, which a walk calls."""
+    calls: list[str] = []
+    for kind in trace_mod._KINDS:
+        def counting(att, live, label, step=kind.step):
+            if when():
+                calls.append(label)
+            return step(att, live, label)
+
+        monkeypatch.setattr(kind, "step", counting)
+    return calls
 
 
 def states(d: OrderedHandleDecomposition) -> list[tuple[tuple[str, Descriptor], ...]]:

@@ -3,10 +3,11 @@
 This is the search ``search_min_nu`` ran before it read its value off one
 walk of the given order and counted each connected part of the poset on its
 own: one memoized walk over the joint lattice, stepping every new ideal with
-``attachment_step``, minimizing the largest ``e_mu`` over completions, and
-seeding the prefix ideals of the given order from ``replay``.  ``joint_search`` must return
-the same ``Bound`` as ``search_min_nu`` under every budget, and its
-lexicographically first best ordering must be the given one, ``1..delta``.
+its attachment's ``step``, minimizing the largest ``e_mu`` over completions,
+and seeding the prefix ideals of the given order from ``replay``.
+``joint_search`` must return the same ``Bound`` as ``search_min_nu`` under
+every budget, and its lexicographically first best ordering must be the
+given one, ``1..delta``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator
 
 from handlenu.homology import Descriptor
 from handlenu.nu import Bound, lower_bound_rules
-from handlenu.trace import OrderedHandleDecomposition, attachment_step, replay
+from handlenu.trace import OrderedHandleDecomposition, replay
 from ideal_count import dependencies
 
 Live = dict[str, Descriptor]
@@ -35,7 +36,7 @@ class JointIdealSearch:
     most once and every move is local, so the free boundary after placing an
     ideal depends only on the ideal, not on the order its handles went in.
     That boundary is a dict from component id to descriptor: a child's is a
-    copy of its parent's, stepped by :func:`attachment_step` under the
+    copy of its parent's, stepped by the attachment's ``step`` under the
     handle's original label, which is what anchors name, and an ideal's
     ``e`` is the largest total Betti number among its descriptors.  Walks
     keep only the dicts of the ideals on their stack,
@@ -67,9 +68,7 @@ class JointIdealSearch:
         known = self.known.get(ideal | 1 << j)
         if known is not None:
             return known
-        consumed, made = attachment_step(
-            self.d.handles[j].attachment, live, label=f"h:{j + 1}", m=self.d.m
-        )
+        consumed, made = self.d.handles[j].attachment.step(live, f"h:{j + 1}")
         live = dict(live)
         for comp_id in consumed:
             del live[comp_id]

@@ -30,6 +30,7 @@ from handlenu.homology import (
     Surface,
     descriptor_to_json,
 )
+import handlenu.trace as trace_mod
 from handlenu.trace import (
     Declared,
     Dim3One,
@@ -155,6 +156,34 @@ def test_ints_beyond_the_digit_limit_are_refused_under_the_limit():
         pytest.skip("no integer-to-string digit limit on this interpreter")
     with pytest.raises(ValueError):
         canonical_dumps({"n": 10**5000})
+
+
+def test_ints_past_10000_digits_are_written_as_int_writes_them():
+    # Above trace._BIG the writer splits in binary and joins in decimal.
+    rng = random.Random(2901)
+    big = trace_mod._BIG
+    near = [big + k for k in (-2, -1, 0, 1)] + [big + rng.randrange(-(10**40), 10**40)
+                                                for _ in range(20)]
+    wide = [rng.randrange(10 ** (digits - 1), 10**digits)
+            for digits in (9999, 10001, 10002, 12345, 30000, 100000)]
+    exact = [big, 2 ** (4 * 128 * 512), 2 ** (4 * 128 * 512) - 1, 10**100000]
+    values = near + wide + exact
+    doc = {"ints": values, "negative": [-v for v in values], "count": Count(big + 7)}
+    with no_digit_limit():
+        assert canonical_dumps(doc) == oracle(doc)
+        for v in values:
+            if v >= big:
+                assert trace_mod._long_text(v) == int.__repr__(v)
+
+
+def test_ints_past_10000_digits_are_refused_under_the_limit_as_int_refuses_them():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no integer-to-string digit limit on this interpreter")
+    with pytest.raises(ValueError) as want:
+        int.__repr__(trace_mod._BIG)
+    with pytest.raises(ValueError) as got:
+        canonical_dumps({"n": trace_mod._BIG})
+    assert str(got.value) == str(want.value)
 
 
 class Label(str):

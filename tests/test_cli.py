@@ -28,7 +28,7 @@ from handlenu.trace import (
     trace_from_json,
     trace_to_json,
 )
-from gen import DEFECTS, random_trace, with_defect
+from gen import DEFECTS, count_steps, random_trace, with_defect
 
 
 def write_trace(tmp_path, name, trace):
@@ -550,21 +550,6 @@ def test_usage_error_leaves_the_parser_usable(lens_file, capsys):
     assert "nu(ordering) = 4" in capsys.readouterr().out
 
 
-def _count_steps(monkeypatch):
-    import handlenu.trace as trace_mod
-
-    calls = []
-    step = trace_mod.attachment_step
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["label"])
-        return step(*args, **kwargs)
-
-    # Every step is a walk's: the ordering search reads its value off its walk.
-    monkeypatch.setattr(trace_mod, "attachment_step", counting)
-    return calls
-
-
 @pytest.mark.parametrize("check", [[], ["--check"]])
 def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, monkeypatch, check):
     # alpha = 3 first-part handles, beta = 2 second-part handles.
@@ -580,7 +565,8 @@ def test_compose_evaluates_each_part_and_the_composite_once(tmp_path, capsys, mo
     paths = [write_trace(tmp_path, "m.json", first), write_trace(tmp_path, "n.json", second)]
     glue = tmp_path / "glue.json"
     glue.write_text(json.dumps({"pairs": [["h:3", "base:0"]]}))
-    calls = _count_steps(monkeypatch)
+    # Every step is a walk's: the ordering search reads its value off its walk.
+    calls = count_steps(monkeypatch)
     assert main(["compose", *paths, "--glue", str(glue), "--json", *check]) == EXIT_OK
     # The first part is walked by its own evaluation, which also gives compose
     # its final boundary, and inside the composite; the second part twice.
@@ -593,7 +579,7 @@ def test_compute_json_walks_the_trace_once_and_builds_no_state(lens_file, capsys
     def no_state(*args, **kwargs):
         raise AssertionError("compute --json replayed the per-prefix boundaries")
 
-    calls = _count_steps(monkeypatch)
+    calls = count_steps(monkeypatch)
     monkeypatch.setattr(trace_mod, "replay", no_state)
     assert main(["compute", lens_file, "--json"]) == EXIT_OK
     # The lens trace has 4 handles: the walk that evaluates also validates.
@@ -609,7 +595,7 @@ def test_search_replays_the_trace_once(lens_file, capsys, monkeypatch):
     walk = trace_mod.walk
     for module in (trace_mod, nu_mod):
         monkeypatch.setattr(module, "walk", lambda d: walks.append(d) or walk(d))
-    calls = _count_steps(monkeypatch)
+    calls = count_steps(monkeypatch)
     assert main(["search", lens_file, "--json", "--all-orderings"]) == EXIT_OK
     # The search is validation's walk and steps each handle once there; it
     # counts orderings and the floor rules read the handles without a walk.
@@ -683,18 +669,13 @@ def test_catalog_verify_walks_each_stored_trace_once_for_its_entry_checks(capsys
     import handlenu.nu as nu_mod
     import handlenu.trace as trace_mod
 
-    walked, steps, inside = [], [], []
-    walk, step, entry_items = trace_mod.walk, trace_mod.attachment_step, catalog_mod._entry_items
+    walked, inside = [], []
+    walk, entry_items = trace_mod.walk, catalog_mod._entry_items
 
     def counting_walk(d):
         if inside:
             walked.append(d)
         return walk(d)
-
-    def counting_step(*args, **kwargs):
-        if inside:
-            steps.append(kwargs["label"])
-        return step(*args, **kwargs)
 
     def entry_checks(entry):
         inside.append(entry)
@@ -705,7 +686,7 @@ def test_catalog_verify_walks_each_stored_trace_once_for_its_entry_checks(capsys
 
     for module in (trace_mod, nu_mod):
         monkeypatch.setattr(module, "walk", counting_walk)
-    monkeypatch.setattr(trace_mod, "attachment_step", counting_step)
+    steps = count_steps(monkeypatch, when=lambda: bool(inside))
     monkeypatch.setattr(catalog_mod, "_entry_items", entry_checks)
     assert main(["catalog", "--verify", "--json"]) == EXIT_OK
     # The walk that validates a stored trace also evaluates it.

@@ -21,7 +21,7 @@ from hypothesis import given, seed, settings, strategies as st
 import pytest
 
 import handlenu.nu as nu
-from handlenu.homology import Sphere
+from handlenu.homology import Sphere, Surface
 from handlenu.nu import search_min_nu
 from handlenu.trace import (
     Declared,
@@ -30,6 +30,7 @@ from handlenu.trace import (
     Dim3Two,
     Dim3Zero,
     HandleRecord,
+    NonSeparating,
     OrderedHandleDecomposition,
     Separating,
     id_sort_key,
@@ -253,6 +254,51 @@ def test_non_forest_parts_are_walked_over_their_own_handles():
         n = 6 * copies + 30
         assert bound.enumerated == math.factorial(n) // math.factorial(6) ** copies * 12**copies
     assert_counts_agree(cross_merges(2))
+
+
+def refusing(name: str):
+    def refuse(*args):
+        raise AssertionError(f"{name} ran under a budget the bounds decide")
+
+    return refuse
+
+
+def width_shape(n: int) -> OrderedHandleDecomposition:
+    # n free 0-handles, each followed by a 1-handle joining its sphere to itself.
+    handles = []
+    for j in range(1, 2 * n, 2):
+        handles += [HandleRecord(0, Dim3Zero()), HandleRecord(1, Dim3One(f"h:{j}", f"h:{j}"))]
+    return OrderedHandleDecomposition(3, (), tuple(handles))
+
+
+def base_tori(n: int) -> OrderedHandleDecomposition:
+    # n 2-handles, each on its own base torus: no 0-handle, yet n! orderings.
+    handles = [HandleRecord(2, Dim3Two(f"base:{i}", NonSeparating())) for i in range(n)]
+    return OrderedHandleDecomposition(3, (Surface(1),) * n, tuple(handles))
+
+
+@pytest.mark.parametrize("d", [width_shape(3000), base_tori(3000)], ids=["width", "base-tori"])
+def test_a_budget_the_free_handles_exceed_needs_no_dependencies(d):
+    # 8 of the 3000 handles that anchor no earlier handle have 8! > 10001 orderings.
+    with mock.patch.object(nu, "_dependencies", refusing("_dependencies")):
+        bound = search_min_nu(d, budget=10000)
+    assert (bound.exhaustive, bound.enumerated) == (False, 10000)
+
+
+def test_the_free_bound_multiplies_over_declared_segments_and_skips_anchored_handles():
+    # Four segments of 3 free 0-handles and a 3-handle capping the first:
+    # 4!/2 = 12 orderings each, 12^4 = 20736 in all, of which the free
+    # handles alone show 6^4 = 1296.
+    handles = []
+    for s in range(4):
+        handles += [*zeros(3), HandleRecord(3, Dim3Three(f"h:{5 * s + 1}")),
+                    HandleRecord(0, Declared(()))]
+    d = OrderedHandleDecomposition(3, (), tuple(handles))
+    with mock.patch.object(nu, "_dependencies", refusing("_dependencies")):
+        assert search_min_nu(d, budget=1000).enumerated == 1000
+    for budget in (1295, 1296, 20735, 20736, None):
+        assert_counts_agree(d, budget)
+    assert search_min_nu(d).enumerated == 20736
 
 
 def test_a_walked_part_over_the_budget_saturates():

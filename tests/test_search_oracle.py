@@ -16,7 +16,6 @@ import random
 
 from hypothesis import given, seed, settings, strategies as st
 
-import handlenu.trace as trace_mod
 from handlenu.homology import total_betti
 from handlenu.nu import Bound, lower_bound_rules, nu_of_ordering, search_min_nu
 from handlenu.trace import (
@@ -29,7 +28,7 @@ from handlenu.trace import (
     NonSeparating,
     OrderedHandleDecomposition,
 )
-from gen import iter_linear_extensions, multi_part_trace, random_trace, reorder, states
+from gen import count_steps, iter_linear_extensions, multi_part_trace, random_trace, reorder, states
 from ideal_count import dependencies, parts
 from joint_search import joint_search
 
@@ -170,18 +169,6 @@ def test_factored_search_matches_both_oracles_hypothesis(rng, groups, declared, 
     want = brute_force_search(d, budget)
     assert_same_bound(joint_search(d, budget), want)
     assert_same_bound(search_min_nu(d, budget), want)
-
-
-def count_steps(monkeypatch) -> list[str]:
-    calls = []
-    step = trace_mod.attachment_step
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["label"])
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(trace_mod, "attachment_step", counting)
-    return calls
 
 
 def test_forty_independent_zero_handles_search_in_one_step_each(monkeypatch):

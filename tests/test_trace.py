@@ -34,7 +34,6 @@ from handlenu.trace import (
     Separating,
     TraceError,
     ValidationReport,
-    attachment_step,
     canonical_dumps,
     dualize,
     final_boundary,
@@ -114,11 +113,18 @@ def test_attach_errors():
         attach_one([Sphere(3)], Dim3Zero(), 0, m=4)
 
 
-def test_unknown_attachment_is_refused_after_the_dimension_check():
-    with pytest.raises(AttachError, match=r"^unknown attachment 'zero'$"):
-        attachment_step("zero", {}, label="h:1", m=3)
-    with pytest.raises(AttachError, match="need ambient dimension 3, trace has m=4"):
-        attachment_step("zero", {}, label="h:1", m=4)
+def test_unknown_attachment_is_refused_before_a_walk_and_m_4_during_one():
+    with pytest.raises(TraceError, match=r"^unknown attachment 'zero'$"):
+        OrderedHandleDecomposition(3, (), (HandleRecord(0, "zero"),))
+    # validate flags the dimension before its walk; the walk itself refuses it too.
+    d = OrderedHandleDecomposition(4, (Sphere(3),), (
+        HandleRecord(0, Declared((Sphere(3),))), HandleRecord(0, Dim3Zero()),
+    ))
+    with pytest.raises(ReplayError, match=(
+        r"^prefix 2: surface-calculus attachments need ambient dimension 3, trace has m=4$"
+    )) as info:
+        list(walk(d))
+    assert type(info.value.__cause__) is AttachError
 
 
 class _Zero(Dim3Zero):
