@@ -6,6 +6,10 @@ check failed (which signals an engine bug, not bad input).  Descriptors are
 evaluated without recursion, so only reading and writing JSON limit nesting:
 deeper input is invalid and exits 2.  Output is deterministic; ``--json``
 renders the report as a stable document with no timestamps.
+
+An argv that starts with a subcommand name is parsed by that subcommand's own
+parser alone; the top-level parser runs only for help, usage errors and
+strings the subcommand leaves over.
 """
 
 from __future__ import annotations
@@ -281,7 +285,7 @@ def cmd_catalog(args) -> int:
         try:
             entry = catalog.lookup(args.export)
         except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {exc.args[0]}", file=sys.stderr)
             return EXIT_USAGE
         traces = dict(entry.traces)
         label = args.base or entry.traces[0][0]
@@ -356,8 +360,10 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="nu", description=__doc__)
+    # The help leaves out the docstring's last paragraph, on parsing.
+    parser = _Parser(prog="nu", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices  # name -> that subcommand's parser, read by _parse
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -407,9 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, in one pass where ``argv`` starts with a subcommand."""
+    sub = _PARSER.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

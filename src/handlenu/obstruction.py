@@ -158,5 +158,7 @@ def graph_from_json(data) -> DecompositionGraph:
             data["z"],
             tuple(data["handle_costs"]) if "handle_costs" in data else None,
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed decomposition-graph document: missing field {exc}") from exc
+    except TypeError as exc:
         raise ValueError(f"malformed decomposition-graph document: {exc}") from exc

@@ -14,7 +14,7 @@ from handlenu.cli import (
     inequality_exit_code,
     main,
 )
-from handlenu.catalog import lookup, solid_torus_trace
+from handlenu.catalog import lookup, names as catalog_names, solid_torus_trace
 from handlenu.homology import Sphere
 from handlenu.trace import (
     Dim3One,
@@ -297,6 +297,11 @@ def test_catalog_export_round_trips(tmp_path, capsys):
 
 def test_catalog_export_unknown_name(capsys):
     assert main(["catalog", "--export", "bottle"]) == EXIT_USAGE
+    known = ", ".join(catalog_names())
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: unknown catalog entry 'bottle'; known: {known}\n"
+    )
 
 
 def test_catalog_export_selects_base(capsys):
@@ -794,3 +799,38 @@ def test_each_typed_field_is_refused_with_its_exact_message(tmp_path, capsys, do
     assert main(argv) == EXIT_INVALID
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", line + "\n")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("boundary_counts",), ("interfaces",), ("z",), ("interfaces", 1, "i"),
+     ("interfaces", 0, "j"), ("interfaces", 1, "count")],
+    ids=["boundary_counts", "interfaces", "z", "i", "j", "count"],
+)
+def test_obstruct_names_a_missing_graph_field(tmp_path, capsys, path):
+    doc = json.loads(json.dumps(_GRAPH))
+    *parents, field = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    del holder[field]
+    file = tmp_path / "graph.json"
+    file.write_text(json.dumps(doc))
+    assert main(["obstruct", str(file)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{_GRAPH_ERROR}missing field {field!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["search", "LENS", "--json"], EXIT_OK), (["compute", "x", "--bogus"], EXIT_USAGE),
+     (["-h"], EXIT_OK)],
+    ids=["search", "bogus", "help"],
+)
+def test_main_reads_sys_argv_as_the_console_script_calls_it(lens_file, capsys, monkeypatch,
+                                                            argv, code):
+    argv = [lens_file if word == "LENS" else word for word in argv]
+    want = main(argv), *capsys.readouterr()
+    assert want[0] == code
+    monkeypatch.setattr(sys, "argv", ["nu", *argv])
+    assert (main(), *capsys.readouterr()) == want

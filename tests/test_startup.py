@@ -64,6 +64,15 @@ def test_subcommand_runs_in_a_fresh_interpreter(inputs, argv):
     assert proc.stdout
 
 
+def test_a_usage_error_in_a_fresh_interpreter_prints_the_top_level_usage(inputs):
+    proc = run_python("-m", "handlenu.cli", "compute", "lens.json", "--bogus", cwd=inputs)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(
+        "usage: nu [-h] {compute,search,compose,obstruct,refute,catalog,validate} ...\n"
+    )
+    assert proc.stderr.endswith("nu: error: unrecognized arguments: --bogus\n")
+
+
 def imported_modules(*args: str, cwd) -> set[str]:
     """The modules a fresh interpreter imports, read from ``-X importtime``."""
     proc = run_python("-X", "importtime", *args, cwd=cwd)
